@@ -13,6 +13,7 @@ from typing import Optional
 from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine
+from .nodes import map_children, walk
 from .semantics import (
     Budget, ResourceLimitError, State, Universe, eb_event_rel_variants,
     eb_init_states, fmt_value, guard_holds, jml_initially_states,
@@ -279,53 +280,22 @@ def check_machine(machine: Machine, universe: Universe,
 # --- mutation hooks (negative tests for the checker itself) -----------------
 
 def _contains_old(node) -> bool:
-    if isinstance(node, (jml.JmlOld, jml.JmlOldExpr)):
-        return True
-    if isinstance(node, (jml.JmlAnd, jml.JmlOr)):
-        return _contains_old(node.left) or _contains_old(node.right)
-    if isinstance(node, (jml.JmlNot, jml.JmlParen)):
-        return _contains_old(node.operand)
-    if isinstance(node, jml.JmlExists):
-        return _contains_old(node.body)
-    if isinstance(node, jml.JmlCmp):
-        return _contains_old(node.left) or _contains_old(node.right)
-    if isinstance(node, jml.JmlBoolCall):
-        return _contains_old(node.call)
-    if isinstance(node, jml.JmlMethodCall):
-        return _contains_old(node.recv) or any(_contains_old(a) for a in node.args)
-    if isinstance(node, jml.JmlCross):
-        return _contains_old(node.left) or _contains_old(node.right)
-    if isinstance(node, jml.JmlNewSet):
-        return any(_contains_old(i) for i in node.items)
-    if isinstance(node, jml.JmlNewRelation):
-        return any(_contains_old(a) or _contains_old(b) for a, b in node.pairs)
-    if isinstance(node, jml.JmlNewPair):
-        return _contains_old(node.left) or _contains_old(node.right)
-    if isinstance(node, jml.JmlArith):
-        return _contains_old(node.left) or _contains_old(node.right)
-    return False
+    return any(isinstance(n, (jml.JmlOld, jml.JmlOldExpr)) for n in walk(node))
 
 
-def _drop_old(p: jml.JmlPredicate) -> tuple[jml.JmlPredicate, bool]:
+def _drop_old(p: jml.JmlPredicate) -> jml.JmlPredicate:
     """Replace every pre-state-dependent conjunct with true.
 
     Walking the conjunction spine (through quantifiers and grouping), any
     element whose subtree mentions \\old loses its constraint entirely;
-    post-state-only conjuncts are kept.
+    post-state-only conjuncts are kept.  Returns ``p`` itself when nothing
+    mentions \\old.
     """
-    if isinstance(p, jml.JmlAnd):
-        left, c1 = _drop_old(p.left)
-        right, c2 = _drop_old(p.right)
-        return jml.JmlAnd(left, right), c1 or c2
-    if isinstance(p, jml.JmlExists):
-        body, c = _drop_old(p.body)
-        return jml.JmlExists(p.var, p.ty, body), c
-    if isinstance(p, jml.JmlParen):
-        body, c = _drop_old(p.operand)
-        return jml.JmlParen(body), c
+    if isinstance(p, (jml.JmlAnd, jml.JmlExists, jml.JmlParen)):
+        return map_children(p, _drop_old)
     if _contains_old(p):
-        return jml.JmlTrue(), True
-    return p, False
+        return jml.JmlTrue()
+    return p
 
 
 def mutate_translation(unit: TranslationUnit, mutation: str) -> TranslationUnit:
@@ -354,8 +324,8 @@ def mutate_translation(unit: TranslationUnit, mutation: str) -> TranslationUnit:
                     m.normal, assignable=jml.AssignNothing()))
                 changed = True
         elif mutation == "drop_old":
-            ensures, did = _drop_old(m.normal.ensures)
-            if did:
+            ensures = _drop_old(m.normal.ensures)
+            if ensures is not m.normal.ensures:
                 m = replace(m, normal=replace(m.normal, ensures=ensures))
                 changed = True
         elif mutation == "negate_guard_link":

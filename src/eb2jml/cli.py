@@ -114,7 +114,10 @@ def _build_universe(args) -> Universe:
     ceiling = args.ceiling
     if ceiling is None:
         env = os.environ.get("EB2JML_CEILING")
-        ceiling = int(env) if env else DEFAULT_CEILING
+        try:
+            ceiling = int(env) if env else DEFAULT_CEILING
+        except ValueError:
+            raise _CliError(f"EB2JML_CEILING must be an integer, got '{env}'")
     if ceiling < 1:
         raise _CliError("--ceiling must be at least 1")
     return Universe(int_lo=lo, int_hi=hi, carriers=carriers, ceiling=ceiling)
@@ -139,6 +142,8 @@ def cmd_translate(args) -> int:
 def cmd_check(args) -> int:
     machine = _load_machine(args.input)
     universe = _build_universe(args)
+    if args.witnesses < 0:
+        raise _CliError("--witnesses must be at least 0")
     try:
         unit = translate_machine(machine)
     except TranslationError as exc:

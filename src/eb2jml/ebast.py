@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .nodes import walk
+
 
 @dataclass(frozen=True)
 class Span:
@@ -255,29 +257,6 @@ def free_identifiers(node) -> set[Ident]:
     Source predicates have no binders, so every occurrence is free; primed
     and unprimed occurrences of the same name are distinct members.
     """
-    out: set[Ident] = set()
-    _collect_idents(node, out)
-    return out
-
-
-def _collect_idents(node, out: set[Ident]) -> None:
-    if isinstance(node, Ref):
-        # strip the span so free-identifier sets compare positionally
-        out.add(Ident(node.ident.name, node.ident.primed))
-    elif isinstance(node, SetEnum):
-        for item in node.items:
-            _collect_idents(item, out)
-    elif isinstance(node, (BinOp, RelSpace)):
-        _collect_idents(node.left, out)
-        _collect_idents(node.right, out)
-    elif isinstance(node, UnOp):
-        _collect_idents(node.operand, out)
-    elif isinstance(node, Cmp):
-        _collect_idents(node.left, out)
-        _collect_idents(node.right, out)
-    elif isinstance(node, (And, Or)):
-        _collect_idents(node.left, out)
-        _collect_idents(node.right, out)
-    elif isinstance(node, Not):
-        _collect_idents(node.operand, out)
-    # IntLit, EmptySet, IntSet, BTrue: nothing to collect
+    # strip the span so free-identifier sets compare positionally
+    return {Ident(n.ident.name, n.ident.primed)
+            for n in walk(node) if isinstance(n, Ref)}

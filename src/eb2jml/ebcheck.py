@@ -17,6 +17,7 @@ from .ebast import (
     Or, Predicate, Ref, RelSpace, RelType, SetEnum, SetType, Span, UnOp,
     free_identifiers,
 )
+from .nodes import children, walk
 
 
 @dataclass(frozen=True)
@@ -289,6 +290,28 @@ def _validate_annotation(t: EbType, carriers: set[str], diags, span) -> None:
                 _validate_annotation(side, carriers, diags, span)
 
 
+def _infer_types(types: dict[str, Optional[EbType]], preds, env) -> None:
+    """Fixpoint: give each untyped name in ``types`` the type set by the first
+    labelled predicate ``x : T`` or ``x <: T`` whose ``T`` is typable in
+    ``env``.  Updates ``types`` and ``env`` in place."""
+    changed = True
+    while changed:
+        changed = False
+        for _lbl, p in preds:
+            if not (isinstance(p, Cmp) and p.op in ("in", "subset")):
+                continue
+            if not (isinstance(p.left, Ref) and not p.left.ident.primed):
+                continue
+            name = p.left.ident.name
+            if name not in types or types[name] is not None:
+                continue
+            t = _type_from_typing_pred(p.op, p.right, env)
+            if t is not None and _complete(t):
+                types[name] = t
+                env[name] = t
+                changed = True
+
+
 def resolve_types(machine: Machine) -> tuple[Machine, list[Diagnostic]]:
     """Fill in missing variable/parameter types; returns the typed machine.
 
@@ -310,22 +333,7 @@ def resolve_types(machine: Machine) -> tuple[Machine, list[Diagnostic]]:
         var_types[ident.name] = ty
     env.update({n: t for n, t in var_types.items() if t is not None})
 
-    changed = True
-    while changed:
-        changed = False
-        for _lbl, p in machine.invariants:
-            if not (isinstance(p, Cmp) and p.op in ("in", "subset")):
-                continue
-            if not (isinstance(p.left, Ref) and not p.left.ident.primed):
-                continue
-            name = p.left.ident.name
-            if var_types.get(name) is not None or name not in var_types:
-                continue
-            t = _type_from_typing_pred(p.op, p.right, env)
-            if t is not None and _complete(t):
-                var_types[name] = t
-                env[name] = t
-                changed = True
+    _infer_types(var_types, machine.invariants, env)
 
     for ident, ty in machine.variables:
         if var_types[ident.name] is None:
@@ -346,22 +354,7 @@ def resolve_types(machine: Machine) -> tuple[Machine, list[Diagnostic]]:
             param_types[ident.name] = ty
         ev_env = dict(env)
         ev_env.update({n: t for n, t in param_types.items() if t is not None})
-        changed = True
-        while changed:
-            changed = False
-            for _lbl, p in ev.guards:
-                if not (isinstance(p, Cmp) and p.op in ("in", "subset")):
-                    continue
-                if not (isinstance(p.left, Ref) and not p.left.ident.primed):
-                    continue
-                name = p.left.ident.name
-                if name not in param_types or param_types[name] is not None:
-                    continue
-                t = _type_from_typing_pred(p.op, p.right, ev_env)
-                if t is not None and _complete(t):
-                    param_types[name] = t
-                    ev_env[name] = t
-                    changed = True
+        _infer_types(param_types, ev.guards, ev_env)
         for ident, ty in ev.params:
             if param_types[ident.name] is None:
                 diags.append(Diagnostic(
@@ -439,7 +432,7 @@ def well_formedness_check(machine: Machine) -> list[Diagnostic]:
             emit(f"initialisation assigns '{act.target.name}', which is not a machine variable",
                  act.span)
             continue
-        _check_init_action(act, typed, env, emit)
+        _check_action(act, env[act.target.name], env, var_names, emit)
     for name in typed.variable_names():
         n = assigned.get(name, 0)
         if n == 0:
@@ -477,30 +470,18 @@ def _check_no_primes(p: Predicate, where: str, emit) -> None:
                  getattr(p, "span", None))
 
 
-def _check_special_positions(node, emit, membership_rhs=False) -> None:
-    # INT and relation arrows may appear only directly under ':'
-    if isinstance(node, (IntSet, RelSpace)) and not membership_rhs:
-        what = "INT" if isinstance(node, IntSet) else "a relation arrow"
-        emit(f"{what} is only allowed as a membership right-hand side", node.span)
-    if isinstance(node, RelSpace):
-        _check_special_positions(node.left, emit)
-        _check_special_positions(node.right, emit)
-    elif isinstance(node, SetEnum):
-        for item in node.items:
-            _check_special_positions(item, emit)
-    elif isinstance(node, BinOp):
-        _check_special_positions(node.left, emit)
-        _check_special_positions(node.right, emit)
-    elif isinstance(node, UnOp):
-        _check_special_positions(node.operand, emit)
-    elif isinstance(node, Cmp):
-        _check_special_positions(node.left, emit)
-        _check_special_positions(node.right, emit, membership_rhs=(node.op == "in"))
-    elif isinstance(node, (And, Or)):
-        _check_special_positions(node.left, emit)
-        _check_special_positions(node.right, emit)
-    elif isinstance(node, Not):
-        _check_special_positions(node.operand, emit)
+def _check_special_positions(node, emit) -> None:
+    # INT and relation arrows may appear only as the right operand of ':'
+    placed = [node]
+    for parent in walk(node):
+        kids = children(parent)
+        if isinstance(parent, Cmp) and parent.op == "in":
+            kids.pop()  # the right operand
+        placed += kids
+    for n in placed:
+        if isinstance(n, (IntSet, RelSpace)):
+            what = "INT" if isinstance(n, IntSet) else "a relation arrow"
+            emit(f"{what} is only allowed as a membership right-hand side", n.span)
 
 
 def _typing(p: Predicate, env, emit) -> None:
@@ -510,41 +491,30 @@ def _typing(p: Predicate, env, emit) -> None:
         emit(exc.message, exc.span)
 
 
-def _check_init_action(act, machine, env, emit) -> None:
-    var_names = set(machine.variable_names())
-    target_ty = env[act.target.name]
+def _check_action(act, target_ty, env, no_pre_state, emit) -> None:
+    """Rules for one action; ``no_pre_state`` names variables it may not read."""
     if isinstance(act, BecomesEqual):
-        for ident in sorted(free_identifiers(act.rhs), key=lambda i: i.key):
-            if ident.primed:
-                emit(f"primed identifier '{ident.key}' is not allowed in a deterministic action",
-                     act.span)
-            elif ident.name in var_names:
-                emit(f"initialisation of '{act.target.name}' reads variable '{ident.name}' "
-                     f"(there is no pre-state)", act.span)
+        body, prime = act.rhs, None
+    else:
+        body, prime = act.predicate, act.target.name + "'"
+    for ident in sorted(free_identifiers(body), key=lambda i: i.key):
+        if ident.primed and prime is None:
+            emit(f"primed identifier '{ident.key}' is not allowed in a deterministic action",
+                 act.span)
+        elif ident.primed and ident.key != prime:
+            emit(f"'{ident.key}' cannot appear here; only '{prime}' may be primed",
+                 act.span)
+        elif not ident.primed and ident.name in no_pre_state:
+            emit(f"initialisation of '{act.target.name}' reads variable '{ident.name}' "
+                 f"(there is no pre-state)", act.span)
+    if prime is None:
         try:
             unify(expr_type(act.rhs, env), target_ty, act.span)
         except TypeProblem as exc:
             emit(exc.message, exc.span or act.span)
     else:
-        prime = act.target.name + "'"
-        for ident in sorted(free_identifiers(act.predicate), key=lambda i: i.key):
-            if ident.primed and ident.key != prime:
-                emit(f"'{ident.key}' cannot appear here; only '{prime}' may be primed",
-                     act.span)
-            elif not ident.primed and ident.name in var_names:
-                emit(f"initialisation of '{act.target.name}' reads variable '{ident.name}' "
-                     f"(there is no pre-state)", act.span)
-        bap_env = dict(env)
-        bap_env[prime] = target_ty
-        _typing(act.predicate, bap_env, emit)
-    _check_special_positions_action(act, emit)
-
-
-def _check_special_positions_action(act, emit) -> None:
-    if isinstance(act, BecomesEqual):
-        _check_special_positions(act.rhs, emit)
-    else:
-        _check_special_positions(act.predicate, emit)
+        _typing(act.predicate, {**env, prime: target_ty}, emit)
+    _check_special_positions(body, emit)
 
 
 def _check_event(ev: Event, machine, env, var_names, emit) -> None:
@@ -576,23 +546,4 @@ def _check_event(ev: Event, machine, env, var_names, emit) -> None:
             emit(f"event '{ev.name}' assigns '{act.target.name}', which is not "
                  f"a machine variable", act.span)
             continue
-        target_ty = env[act.target.name]
-        if isinstance(act, BecomesEqual):
-            for ident in sorted(free_identifiers(act.rhs), key=lambda i: i.key):
-                if ident.primed:
-                    emit(f"primed identifier '{ident.key}' is not allowed in a "
-                         f"deterministic action", act.span)
-            try:
-                unify(expr_type(act.rhs, ev_env), target_ty, act.span)
-            except TypeProblem as exc:
-                emit(exc.message, exc.span or act.span)
-        else:
-            prime = act.target.name + "'"
-            for ident in sorted(free_identifiers(act.predicate), key=lambda i: i.key):
-                if ident.primed and ident.key != prime:
-                    emit(f"'{ident.key}' cannot appear here; only '{prime}' may "
-                         f"be primed", act.span)
-            bap_env = dict(ev_env)
-            bap_env[prime] = target_ty
-            _typing(act.predicate, bap_env, emit)
-        _check_special_positions_action(act, emit)
+        _check_action(act, env[act.target.name], ev_env, (), emit)

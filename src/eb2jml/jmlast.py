@@ -203,11 +203,6 @@ class AssignNothing:
 
 
 @dataclass(frozen=True)
-class AssignEverything:
-    pass
-
-
-@dataclass(frozen=True)
 class AssignVars:
     names: tuple[str, ...]
 
@@ -216,7 +211,7 @@ class AssignVars:
             raise ValueError("an assignable variable list cannot be empty")
 
 
-AssignableClause = Union[AssignNothing, AssignEverything, AssignVars]
+AssignableClause = Union[AssignNothing, AssignVars]
 
 
 @dataclass(frozen=True)
@@ -354,8 +349,6 @@ def _pred_level(p: JmlPredicate) -> int:
 def _render_assignable(a: AssignableClause) -> str:
     if isinstance(a, AssignNothing):
         return "\\nothing"
-    if isinstance(a, AssignEverything):
-        return "\\everything"
     return ", ".join(a.names)
 
 

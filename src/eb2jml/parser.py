@@ -46,6 +46,10 @@ _SYMBOLS = [
     "\\", "&",
 ]
 
+_CMP_SYMBOL = {"eq": "=", "neq": "/=", "in": ":", "subset": "<:",
+               "lt": "<", "le": "<="}
+_CMP_OPS = {sym: op for op, sym in _CMP_SYMBOL.items()}
+
 _SETOPS = {"\\/": "union", "/\\": "inter", "\\": "diff",
            "<|": "domres", "<<|": "domsub", "**": "cross"}
 
@@ -413,32 +417,10 @@ class _Parser:
 
     def _comparison(self) -> Predicate:
         left = self._expr()
-        if self.at_sym(":"):
-            self.advance()
-            right = self._rel_rhs()
-            op = "in"
-        elif self.at_sym("="):
-            self.advance()
-            right = self._expr()
-            op = "eq"
-        elif self.at_sym("/="):
-            self.advance()
-            right = self._expr()
-            op = "neq"
-        elif self.at_sym("<:"):
-            self.advance()
-            right = self._expr()
-            op = "subset"
-        elif self.at_sym("<="):
-            self.advance()
-            right = self._expr()
-            op = "le"
-        elif self.at_sym("<"):
-            self.advance()
-            right = self._expr()
-            op = "lt"
-        else:
+        if not self.at_sym(*_CMP_OPS):
             self.fail("a comparison operator")
+        op = _CMP_OPS[self.advance().text]
+        right = self._rel_rhs() if op == "in" else self._expr()
         return ast.Cmp(op, left, right, span=self._span_of(left, right))
 
     def _rel_rhs(self) -> ast.Expr:
@@ -578,8 +560,6 @@ def parse_predicate(text: str) -> Predicate:
 
 # --- canonical rendering ------------------------------------------------
 
-_CMP_SYMBOL = {"eq": "=", "neq": "/=", "in": ":", "subset": "<:",
-               "lt": "<", "le": "<="}
 _BIN_SYMBOL = {"union": "\\/", "inter": "/\\", "diff": "\\",
                "domres": "<|", "domsub": "<<|", "cross": "**",
                "add": "+", "sub": "-", "mul": "*", "maplet": "|->"}

@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Union
 
 from . import ebast as eb
 from . import jmlast as jml
+from .nodes import map_children
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +113,6 @@ class Universe:
     int_lo: int = 0
     int_hi: int = 2
     carriers: dict[str, int] = field(default_factory=dict)
-    max_set_card: Optional[int] = None
     ceiling: int = DEFAULT_CEILING
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -130,8 +130,7 @@ class Universe:
         carriers = dict(self.carriers)
         for name in names:
             carriers.setdefault(name, DEFAULT_CARRIER_SIZE)
-        return Universe(self.int_lo, self.int_hi, carriers,
-                        self.max_set_card, self.ceiling)
+        return Universe(self.int_lo, self.int_hi, carriers, self.ceiling)
 
     def ints(self) -> tuple[int, ...]:
         return tuple(range(self.int_lo, self.int_hi + 1))
@@ -151,14 +150,9 @@ class Universe:
     def _subsets(self, base: tuple[Value, ...]) -> tuple[frozenset, ...]:
         if 2 ** len(base) > self.ceiling:
             raise ResourceLimitError(2 ** len(base), self.ceiling)
-        subsets = []
-        for mask in range(2 ** len(base)):
-            picked = frozenset(
-                base[i] for i in range(len(base)) if mask >> i & 1)
-            if self.max_set_card is not None and len(picked) > self.max_set_card:
-                continue
-            subsets.append(picked)
-        return tuple(subsets)
+        return tuple(
+            frozenset(base[i] for i in range(len(base)) if mask >> i & 1)
+            for mask in range(2 ** len(base)))
 
     def values_of_type(self, t: eb.EbType) -> tuple[Value, ...]:
         key = ("eb", t)
@@ -411,19 +405,25 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
         yield dict(combo)
 
 
-def _invariant_checker(invariant, u: Universe):
-    cache: dict[State, bool] = {}
+def _memo_holds(evaluate, what: str):
+    """Memoised truth per state; an evaluation error counts as false."""
+    memo: dict[State, bool] = {}
 
     def holds(s: State) -> bool:
-        if s not in cache:
+        if s not in memo:
             try:
-                cache[s] = eb_pred_holds(invariant, s, {}, u)
+                memo[s] = evaluate(s)
             except EvalError as exc:
-                log.debug("invariant evaluation failed (%s); treated as false", exc)
-                cache[s] = False
-        return cache[s]
+                log.debug("%s failed (%s); treated as false", what, exc)
+                memo[s] = False
+        return memo[s]
 
     return holds
+
+
+def _invariant_checker(invariant, u: Universe):
+    return _memo_holds(lambda s: eb_pred_holds(invariant, s, {}, u),
+                       "invariant evaluation")
 
 
 def _eb_event_parts(event, invariant, variables, u, budget):
@@ -693,33 +693,17 @@ def inline_guard_calls(p: jml.JmlPredicate,
     The guard method is pure and its postcondition is an iff, so inlining
     the quantified guard predicate is exact.
     """
-    if isinstance(p, jml.JmlGuardCall):
-        if p.method == guard_spec.name:
-            return guard_spec.normal.ensures
-        return p
-    if isinstance(p, jml.JmlNot):
-        return jml.JmlNot(inline_guard_calls(p.operand, guard_spec))
-    if isinstance(p, jml.JmlParen):
-        return jml.JmlParen(inline_guard_calls(p.operand, guard_spec))
-    if isinstance(p, jml.JmlOld):
-        return jml.JmlOld(inline_guard_calls(p.operand, guard_spec))
-    if isinstance(p, jml.JmlAnd):
-        return jml.JmlAnd(inline_guard_calls(p.left, guard_spec),
-                          inline_guard_calls(p.right, guard_spec))
-    if isinstance(p, jml.JmlOr):
-        return jml.JmlOr(inline_guard_calls(p.left, guard_spec),
-                         inline_guard_calls(p.right, guard_spec))
-    if isinstance(p, jml.JmlExists):
-        return jml.JmlExists(p.var, p.ty,
-                             inline_guard_calls(p.body, guard_spec))
-    return p
+    def inline(node):
+        if isinstance(node, jml.JmlGuardCall):
+            return guard_spec.normal.ensures if node.method == guard_spec.name else node
+        return map_children(node, inline)
+
+    return inline(p)
 
 
 def _frame_names(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
     if isinstance(assignable, jml.AssignNothing):
         return ()
-    if isinstance(assignable, jml.AssignEverything):
-        return var_names
     return tuple(n for n in assignable.names if n in var_names)
 
 
@@ -729,18 +713,8 @@ def _agree_outside(a: State, b: State, frame, var_names) -> bool:
 
 
 def _jml_invariant_checker(invariant, u, cache):
-    memo: dict[State, bool] = {}
-
-    def holds(s: State) -> bool:
-        if s not in memo:
-            try:
-                memo[s] = _jml_holds(invariant, s, s, {}, u, cache)
-            except EvalError as exc:
-                log.debug("class invariant failed (%s); treated as false", exc)
-                memo[s] = False
-        return memo[s]
-
-    return holds
+    return _memo_holds(lambda s: _jml_holds(invariant, s, s, {}, u, cache),
+                       "class invariant")
 
 
 def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
