@@ -16,8 +16,8 @@ from .ebast import Machine
 from .nodes import map_children, walk
 from .semantics import (
     Budget, ResourceLimitError, State, Universe, eb_event_rel_variants,
-    eb_init_states, fmt_value, guard_holds, jml_initially_states,
-    jml_method_rel,
+    eb_init_states, eb_invariant_states, fmt_value, guard_holds,
+    jml_initially_states, jml_invariant_states, jml_method_rel,
 )
 from .translate import TranslationUnit, translate_machine
 
@@ -170,24 +170,68 @@ def _pair_sort_key(pair):
     return (a.sort_key(), b.sort_key())
 
 
+@dataclass(frozen=True)
+class StateSpaces:
+    """The invariant states of each side, each found by its own evaluator,
+    or the enumeration phase that hit the ceiling."""
+
+    eb: frozenset = frozenset()
+    jml: frozenset = frozenset()
+    limit: Optional[tuple[str, ResourceLimitError]] = None
+
+
+def state_spaces(machine: Machine, unit: TranslationUnit,
+                 universe: Universe) -> StateSpaces:
+    """Enumerate the Event-B invariant states and, separately, the states
+    satisfying the rendered class invariant."""
+    u = universe_for(machine, universe)
+    phase = "Event-B invariant enumeration"
+    try:
+        eb_states = eb_invariant_states(machine.invariants, machine.variables,
+                                        u, Budget(u.ceiling))
+        phase = "JML invariant enumeration"
+        jml_states = jml_invariant_states(unit.result.class_invariant,
+                                          machine.variables, u, Budget(u.ceiling))
+    except ResourceLimitError as exc:
+        return StateSpaces(limit=(phase, exc))
+    return StateSpaces(eb_states, jml_states)
+
+
+def _limit_verdict(name: str, phase: str, exc: ResourceLimitError) -> Verdict:
+    return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=exc.count,
+                   detail=f"{phase} needs {exc.count} work units, "
+                          f"exceeding the ceiling of {exc.ceiling}")
+
+
 def check_event(event: eb.Event, machine: Machine, universe: Universe,
                 unit: Optional[TranslationUnit] = None,
-                witness_cap: int = 5) -> Verdict:
+                witness_cap: int = 5,
+                spaces: Optional[StateSpaces] = None) -> Verdict:
     """PASS iff the translated event's JML relation is contained in the
-    Event-B relation of the source event; FAIL collects witness pairs."""
+    Event-B relation of the source event; FAIL collects witness pairs.
+
+    Both relations are built over invariant pre-states only: a JML pair
+    needs the class invariant at both ends, so an Event-B pair whose
+    pre-state violates the invariant can never witness anything.
+    """
     unit = unit if unit is not None else translate_machine(machine)
     u = universe_for(machine, universe)
+    spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
+    if spaces.limit is not None:
+        return _limit_verdict(event.name, *spaces.limit)
     guard_spec, run_spec = unit.method_pair(event.name)
     inv_eb = _machine_invariant(machine)
     budget = Budget(u.ceiling)
+    phase = f"event {event.name}'s JML relation"
     try:
         jml_rel = jml_method_rel(run_spec, unit.result.class_invariant,
-                                 guard_spec, machine.variables, u, budget)
+                                 guard_spec, machine.variables, u, budget,
+                                 states=spaces.jml)
+        phase = f"event {event.name}'s Event-B relation"
         eb_literal, eb_strict = eb_event_rel_variants(
-            event, inv_eb, machine.variables, u, budget)
+            event, inv_eb, machine.variables, u, budget, states=spaces.eb)
     except ResourceLimitError as exc:
-        return Verdict(name=event.name, status=RESOURCE_LIMIT,
-                       checked_pairs=exc.count, detail=str(exc))
+        return _limit_verdict(event.name, phase, exc)
 
     missing = sorted(jml_rel - eb_literal, key=_pair_sort_key)
     pass_literal = not missing
@@ -223,22 +267,28 @@ def _explain_pair(event, pair, guard_spec, u) -> Counterexample:
 
 def check_init(machine: Machine, universe: Universe,
                unit: Optional[TranslationUnit] = None,
-               witness_cap: int = 5) -> Verdict:
+               witness_cap: int = 5,
+               spaces: Optional[StateSpaces] = None) -> Verdict:
     """PASS iff every state satisfying initially-and-invariant is an
     invariant-respecting result of the source initialisation."""
     unit = unit if unit is not None else translate_machine(machine)
     u = universe_for(machine, universe)
+    spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
+    if spaces.limit is not None:
+        return _limit_verdict("initialisation", *spaces.limit)
     inv_eb = _machine_invariant(machine)
     budget = Budget(u.ceiling)
+    phase = "initialisation's JML state set"
     try:
         jml_states = jml_initially_states(
             unit.result.initially, unit.result.class_invariant,
-            machine.variables, u, budget)
+            machine.variables, u, budget, states=spaces.jml)
+        phase = "initialisation's Event-B state set"
         eb_states = eb_init_states(
-            machine.initialisation, inv_eb, machine.variables, u, budget)
+            machine.initialisation, inv_eb, machine.variables, u, budget,
+            states=spaces.eb)
     except ResourceLimitError as exc:
-        return Verdict(name="initialisation", status=RESOURCE_LIMIT,
-                       checked_pairs=exc.count, detail=str(exc))
+        return _limit_verdict("initialisation", phase, exc)
 
     missing = sorted(jml_states - eb_states, key=lambda s: s.sort_key())
     witnesses = tuple(
@@ -263,15 +313,18 @@ def check_machine(machine: Machine, universe: Universe,
                   witness_cap: int = 5) -> Report:
     """Aggregate verdicts for the initialisation and every event.
 
-    A resource limit on one event is recorded in its verdict and does not
-    stop the remaining checks.
+    Each side's invariant states are enumerated once and shared by all
+    verdicts; if that enumeration hits the ceiling, every verdict reports
+    it.  A resource limit on one event is recorded in its verdict and does
+    not stop the remaining checks.
     """
     started = time.perf_counter()
     unit = unit if unit is not None else translate_machine(machine)
     u = universe_for(machine, universe)
-    verdicts = [check_init(machine, u, unit, witness_cap)]
+    spaces = state_spaces(machine, unit, u)
+    verdicts = [check_init(machine, u, unit, witness_cap, spaces)]
     for event in machine.events:
-        verdicts.append(check_event(event, machine, u, unit, witness_cap))
+        verdicts.append(check_event(event, machine, u, unit, witness_cap, spaces))
     elapsed = time.perf_counter() - started
     return Report(machine=machine.name, universe=u,
                   verdicts=tuple(verdicts), elapsed=elapsed)

@@ -97,7 +97,7 @@ def _parse_int_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_universe(args) -> Universe:
+def _build_universe(args, machine) -> Universe:
     lo, hi = _parse_int_range(args.int_range)
     carriers: dict[str, int] = {}
     for spec in args.carrier:
@@ -110,6 +110,12 @@ def _build_universe(args) -> Universe:
             raise _CliError(f"--carrier must look like NAME=N, got '{spec}'")
         if size < 1:
             raise _CliError(f"carrier '{name}' needs cardinality >= 1")
+        if name not in machine.carrier_sets:
+            declared = ", ".join(sorted(machine.carrier_sets)) or "none"
+            raise _CliError(f"--carrier names '{name}', which machine "
+                            f"{machine.name} does not declare (its sets: {declared})")
+        if name in carriers:
+            raise _CliError(f"--carrier gives '{name}' more than once")
         carriers[name] = size
     ceiling = args.ceiling
     if ceiling is None:
@@ -141,7 +147,7 @@ def cmd_translate(args) -> int:
 
 def cmd_check(args) -> int:
     machine = _load_machine(args.input)
-    universe = _build_universe(args)
+    universe = _build_universe(args, machine)
     if args.witnesses < 0:
         raise _CliError("--witnesses must be at least 0")
     try:

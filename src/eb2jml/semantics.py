@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Union
 
 from . import ebast as eb
 from . import jmlast as jml
-from .nodes import map_children
+from .nodes import map_children, walk
 
 log = logging.getLogger(__name__)
 
@@ -195,22 +195,107 @@ class Universe:
         raise EvalError(f"cannot enumerate values of {t!r}")
 
 
-def enumerate_states(variables, u: Universe) -> tuple[State, ...]:
-    """All type-respecting total assignments to the machine variables."""
+def _typed_domains(variables, u: Universe) -> tuple[list[str], list[tuple]]:
     names = []
     domains = []
-    total = 1
     for ident, ty in variables:
         if ty is None:
             raise EvalError(f"variable '{ident.name}' has no resolved type")
-        vals = u.values_of_type(ty)
         names.append(ident.name)
-        domains.append(vals)
+        domains.append(u.values_of_type(ty))
+    return names, domains
+
+
+def enumerate_states(variables, u: Universe) -> tuple[State, ...]:
+    """All type-respecting total assignments to the machine variables."""
+    names, domains = _typed_domains(variables, u)
+    total = 1
+    for vals in domains:
         total *= len(vals)
     if total > u.ceiling:
         raise ResourceLimitError(total, u.ceiling)
     return tuple(
         State(zip(names, combo)) for combo in itertools.product(*domains))
+
+
+def _depth(reads, names) -> int:
+    """How many of ``names`` must be bound before a conjunct that reads
+    ``reads`` can be tested (the last binding of a repeated name counts)."""
+    return max((k + 1 for k, n in enumerate(names) if n in reads), default=0)
+
+
+def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dict]:
+    """Every extension of ``start`` binding ``names`` at which all conjuncts
+    hold, found by backtracking.
+
+    Names are bound one at a time, in order, to the values of
+    ``domain(k)``; ``charge`` is called once per value test.  ``conjuncts``
+    pairs each conjunct with its depth, the number of names bound before it
+    is tested, so a partial binding that violates a conjunct is never
+    extended.  A conjunct whose evaluation fails counts as false.
+    """
+    due: list[list] = [[] for _ in range(len(names) + 1)]
+    for conj, depth in conjuncts:
+        due[depth].append(conj)
+
+    def all_hold(conjs, partial) -> bool:
+        for conj in conjs:
+            try:
+                if not holds(conj, partial):
+                    return False
+            except EvalError as exc:
+                log.debug("conjunct failed (%s); treated as false", exc)
+                return False
+        return True
+
+    out: list[dict] = []
+
+    def extend(k: int, partial: dict) -> None:
+        if k == len(names):
+            out.append(partial)
+            return
+        for value in domain(k):
+            charge()
+            inner = dict(partial)
+            inner[names[k]] = value
+            if all_hold(due[k + 1], inner):
+                extend(k + 1, inner)
+
+    if all_hold(due[0], start):
+        extend(0, start)
+    return out
+
+
+def _invariant_states(variables, conjuncts, holds, u: Universe,
+                      budget: Budget) -> frozenset:
+    """Typed states at which every conjunct holds.
+
+    ``conjuncts`` pairs each conjunct with the variable names it reads.
+    Variables are bound in declaration order and each conjunct is tested as
+    soon as the last variable it reads is bound; each value test is charged
+    to ``budget``.
+    """
+    names, domains = _typed_domains(variables, u)
+    return frozenset(State(s) for s in _solutions(
+        names, domains.__getitem__,
+        [(conj, _depth(reads, names)) for conj, reads in conjuncts],
+        holds, {}, budget.charge))
+
+
+def _eb_conjuncts(p: eb.Predicate):
+    if isinstance(p, eb.And):
+        return _eb_conjuncts(p.left) + _eb_conjuncts(p.right)
+    return [p]
+
+
+def eb_invariant_states(invariants, variables, u: Universe,
+                        budget: Optional[Budget] = None) -> frozenset:
+    """Typed states satisfying every labelled Event-B invariant."""
+    budget = budget if budget is not None else Budget(u.ceiling)
+    conjuncts = [(c, {i.key for i in eb.free_identifiers(c)})
+                 for _lbl, p in invariants for c in _eb_conjuncts(p)]
+    return _invariant_states(variables, conjuncts,
+                             lambda c, s: eb_pred_holds(c, s, {}, u), u, budget)
 
 
 # --- Event-B evaluation ---------------------------------------------------
@@ -426,12 +511,24 @@ def _invariant_checker(invariant, u: Universe):
                        "invariant evaluation")
 
 
-def _eb_event_parts(event, invariant, variables, u, budget):
+def _state_space(variables, u, states, invariant_checker):
+    """Pre-states to iterate and the invariant test for post-states.
+
+    Without ``states`` these are the typed product and a memoised
+    evaluation of the invariant; given the invariant states, the test is
+    membership.
+    """
+    if states is None:
+        return enumerate_states(variables, u), invariant_checker()
+    return states, states.__contains__
+
+
+def _eb_event_parts(event, invariant, variables, u, budget, states):
     var_types = {ident.name: ty for ident, ty in variables}
     allowed = {ident.name: frozenset(u.values_of_type(ty))
                for ident, ty in variables}
-    states = enumerate_states(variables, u)
-    inv_holds = _invariant_checker(invariant, u)
+    states, inv_holds = _state_space(
+        variables, u, states, lambda: _invariant_checker(invariant, u))
     core: set[tuple[State, State]] = set()
     stutter: set[tuple[State, State]] = set()
     for a in states:
@@ -460,7 +557,8 @@ def _eb_event_parts(event, invariant, variables, u, budget):
 
 def eb_event_rel(event, invariant, variables, u: Universe, *,
                  stutter_requires_inv: bool = False,
-                 budget: Optional[Budget] = None) -> frozenset:
+                 budget: Optional[Budget] = None,
+                 states: Optional[frozenset] = None) -> frozenset:
     """The transition relation of an event under the machine invariant.
 
     A pair (a, b) is included when the invariant holds at a and b, some
@@ -469,20 +567,25 @@ def eb_event_rel(event, invariant, variables, u: Universe, *,
     assigned values; or, when no parameter valuation satisfies the guards
     at a, the stuttering pair (a, a).  The stuttering branch carries no
     invariant conjunct; ``stutter_requires_inv=True`` computes the variant
-    that adds one (used for sensitivity reporting).
+    that adds one (used for sensitivity reporting).  Given the invariant
+    ``states``, only pairs whose pre-state is one of them are built.
     """
     budget = budget if budget is not None else Budget(u.ceiling)
-    core, stutter, inv_holds = _eb_event_parts(event, invariant, variables, u, budget)
+    core, stutter, inv_holds = _eb_event_parts(
+        event, invariant, variables, u, budget, states)
     if stutter_requires_inv:
         stutter = frozenset(p for p in stutter if inv_holds(p[0]))
     return core | stutter
 
 
 def eb_event_rel_variants(event, invariant, variables, u: Universe,
-                          budget: Optional[Budget] = None) -> tuple[frozenset, frozenset]:
+                          budget: Optional[Budget] = None,
+                          states: Optional[frozenset] = None,
+                          ) -> tuple[frozenset, frozenset]:
     """(literal, invariant-constrained-stutter) relations in one pass."""
     budget = budget if budget is not None else Budget(u.ceiling)
-    core, stutter, inv_holds = _eb_event_parts(event, invariant, variables, u, budget)
+    core, stutter, inv_holds = _eb_event_parts(
+        event, invariant, variables, u, budget, states)
     strict = frozenset(p for p in stutter if inv_holds(p[0]))
     return core | stutter, core | strict
 
@@ -492,18 +595,22 @@ def eb_assg_rel(actions, invariant, variables, u: Universe,
     """Unguarded simultaneous-substitution relation (no stuttering branch)."""
     budget = budget if budget is not None else Budget(u.ceiling)
     ev = eb.Event(name="_assg", params=(), guards=(), actions=tuple(actions))
-    core, _stutter, _inv = _eb_event_parts(ev, invariant, variables, u, budget)
+    core, _stutter, _inv = _eb_event_parts(
+        ev, invariant, variables, u, budget, None)
     return core
 
 
 def eb_init_states(init_actions, invariant, variables, u: Universe,
-                   budget: Optional[Budget] = None) -> frozenset:
-    """Post-states reachable by the initialisation, filtered by the invariant."""
+                   budget: Optional[Budget] = None,
+                   states: Optional[frozenset] = None) -> frozenset:
+    """Post-states reachable by the initialisation, filtered by the invariant
+    (or, given the invariant ``states``, by membership)."""
     budget = budget if budget is not None else Budget(u.ceiling)
     var_types = {ident.name: ty for ident, ty in variables}
     allowed = {ident.name: frozenset(u.values_of_type(ty))
                for ident, ty in variables}
-    inv_holds = _invariant_checker(invariant, u)
+    inv_holds = (_invariant_checker(invariant, u) if states is None
+                 else states.__contains__)
     empty = State()
     out = set()
     for assignment in _action_assignments(
@@ -522,8 +629,6 @@ def eb_init_states(init_actions, invariant, variables, u: Universe,
 def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
                   u: Universe, cache: Optional[dict] = None) -> Value:
     """Evaluate with lookups in ``state``; \\old subterms switch to ``pre``."""
-    if isinstance(e, jml.JmlIntLit):
-        return e.value
     if isinstance(e, jml.JmlVar):
         if e.name in env:
             return env[e.name]
@@ -535,12 +640,15 @@ def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
     if isinstance(e, jml.JmlOldExpr):
         if cache is not None:
             key = (id(e), pre, frozenset(env.items()))
-            if key not in cache:
-                cache[key] = eval_jml_expr(e.expr, pre, pre, env, u, cache)
-            return cache[key]
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = eval_jml_expr(e.expr, pre, pre, env, u, cache)
+            return value
         return eval_jml_expr(e.expr, pre, pre, env, u, cache)
     if isinstance(e, jml.JmlMethodCall):
         return _eval_jml_call(e, pre, state, env, u, cache)
+    if isinstance(e, jml.JmlIntLit):
+        return e.value
     if isinstance(e, jml.JmlCross):
         left = _as_set(eval_jml_expr(e.left, pre, state, env, u, cache), "cross")
         right = _as_set(eval_jml_expr(e.right, pre, state, env, u, cache), "cross")
@@ -616,6 +724,11 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: State, post: State, env: Mapping,
 
 
 def _jml_holds(p, pre, state, env, u, cache) -> bool:
+    if isinstance(p, jml.JmlBoolCall):
+        v = eval_jml_expr(p.call, pre, state, env, u, cache)
+        if not isinstance(v, bool):
+            raise EvalError(f"method '{p.call.method}' is not boolean-valued")
+        return v
     if isinstance(p, jml.JmlTrue):
         return True
     if isinstance(p, jml.JmlFalse):
@@ -638,6 +751,18 @@ def _jml_holds(p, pre, state, env, u, cache) -> bool:
             return cache[key]
         return _jml_holds(p.operand, pre, pre, env, u, cache)
     if isinstance(p, jml.JmlExists):
+        if cache is not None:
+            rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, cache)
+            for inner in bindings:
+                try:
+                    for c in rest:
+                        if not _jml_holds(c, pre, state, inner, u, cache):
+                            break
+                    else:
+                        return True
+                except EvalError as exc:
+                    log.debug("witness %s failed (%s)", fmt_value(inner[p.var]), exc)
+            return False
         for y in u.values_of_jml_type(p.ty):
             inner = dict(env)
             inner[p.var] = y
@@ -665,15 +790,77 @@ def _jml_holds(p, pre, state, env, u, cache) -> bool:
         if p.op == "<=":
             return _as_int(left, "<=") <= _as_int(right, "<=")
         raise EvalError(f"unknown comparison '{p.op}'")
-    if isinstance(p, jml.JmlBoolCall):
-        v = eval_jml_expr(p.call, pre, state, env, u, cache)
-        if not isinstance(v, bool):
-            raise EvalError(f"method '{p.call.method}' is not boolean-valued")
-        return v
     if isinstance(p, jml.JmlGuardCall):
         raise EvalError(
             f"guard method call '{p.method}()' must be inlined before evaluation")
     raise EvalError(f"cannot evaluate {type(p).__name__}")
+
+
+def _jml_conjuncts(p: jml.JmlPredicate) -> list:
+    """The conjunction spine of ``p``, left to right, through grouping."""
+    if isinstance(p, jml.JmlAnd):
+        return _jml_conjuncts(p.left) + _jml_conjuncts(p.right)
+    if isinstance(p, jml.JmlParen):
+        return _jml_conjuncts(p.operand)
+    return [p]
+
+
+def _jml_reads(p: jml.JmlPredicate) -> set[str]:
+    """Every name ``p`` looks up, state variable or bound."""
+    out = set()
+    for n in walk(p):
+        if isinstance(n, jml.JmlVar):
+            out.add(n.name)
+        elif isinstance(n, jml.JmlBecomes):
+            out.update((n.var, n.primed))
+    return out
+
+
+def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, cache):
+    """The witnesses of ``p`` that can still hold, with the conjuncts left
+    to test; cached per (node, pre-state, binding).
+
+    A body's conjuncts are evaluated left to right and a false or undefined
+    one fails the witness, so a witness at which a leading pre-state
+    conjunct does not hold fails at every post-state: dropping it is exact.
+    The pre-state conjuncts are the leading \\old ones, or every conjunct
+    when ``at_pre`` says the post-state is the pre-state.  When the rest of
+    a body is a single nested \\exists, the two quantifiers are searched as
+    one, and each pre-state conjunct is tested as soon as the variables it
+    reads are bound.
+    """
+    key = (id(p), pre, at_pre, frozenset(env.items()))
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    names, types, tests = [], [], []
+    node = p
+    while True:
+        names.append(node.var)
+        types.append(node.ty)
+        spine = _jml_conjuncts(node.body)
+        lead = 0
+        for c in spine:
+            if isinstance(c, jml.JmlOld):
+                c = c.operand
+            elif not at_pre or isinstance(c, jml.JmlExists):
+                break
+            tests += [(t, _depth(_jml_reads(t), names)) for t in _jml_conjuncts(c)]
+            lead += 1
+        rest = tuple(spine[lead:])
+        if len(rest) != 1 or not isinstance(rest[0], jml.JmlExists):
+            break
+        node = rest[0]
+    bindings = _solutions(
+        names, lambda k: u.values_of_jml_type(types[k]), tests,
+        lambda c, e: _jml_holds(c, pre, pre, e, u, cache), dict(env),
+        _no_charge)
+    hit = cache[key] = (rest, bindings)
+    return hit
+
+
+def _no_charge() -> None:
+    pass
 
 
 def eval_expr(e, pre, post, env, u: Universe) -> Value:
@@ -701,15 +888,11 @@ def inline_guard_calls(p: jml.JmlPredicate,
     return inline(p)
 
 
-def _frame_names(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
+def _outside_frame(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
+    """The variables a specification case may not change."""
     if isinstance(assignable, jml.AssignNothing):
-        return ()
-    return tuple(n for n in assignable.names if n in var_names)
-
-
-def _agree_outside(a: State, b: State, frame, var_names) -> bool:
-    frame_set = set(frame)
-    return all(a[v] == b[v] for v in var_names if v not in frame_set)
+        return var_names
+    return tuple(n for n in var_names if n not in assignable.names)
 
 
 def _jml_invariant_checker(invariant, u, cache):
@@ -717,94 +900,99 @@ def _jml_invariant_checker(invariant, u, cache):
                        "class invariant")
 
 
+def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
+                         budget: Optional[Budget] = None) -> frozenset:
+    """Typed states satisfying every conjunct of the class invariant."""
+    budget = budget if budget is not None else Budget(u.ceiling)
+    conjuncts = [(c, _jml_reads(c)) for c in _jml_conjuncts(invariant)]
+    return _invariant_states(
+        variables, conjuncts, lambda c, s: _jml_holds(c, s, s, {}, u, None),
+        u, budget)
+
+
 def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
                    guard_spec: jml.JmlMethodSpec, variables, u: Universe,
-                   budget: Optional[Budget] = None) -> frozenset:
+                   budget: Optional[Budget] = None,
+                   states: Optional[frozenset] = None) -> frozenset:
     """The transition relation admitted by a translated run method.
 
     A pair (a, b) is in the relation when the class invariant holds at both
     states and, for each specification case whose requires clause holds in
     the pre-state, the ensures clause holds over (a, b) and b agrees with a
     outside the case's assignable set.  Guard-method calls in requires
-    clauses are resolved by inlining the guard predicate.
+    clauses are resolved by inlining the guard predicate.  Given the
+    invariant ``states``, pre- and post-states are drawn from them alone.
     """
     budget = budget if budget is not None else Budget(u.ceiling)
     cache: dict = {}
-    cases = [(inline_guard_calls(run_spec.normal.requires, guard_spec),
-              run_spec.normal)]
-    if run_spec.exceptional is not None:
-        cases.append((inline_guard_calls(run_spec.exceptional.requires, guard_spec),
-                      run_spec.exceptional))
-
-    states = enumerate_states(variables, u)
+    states, inv_holds = _state_space(
+        variables, u, states, lambda: _jml_invariant_checker(invariant, u, cache))
     var_names = tuple(ident.name for ident, _ty in variables)
-    domains = {ident.name: u.values_of_type(ty) for ident, ty in variables}
-    inv_holds = _jml_invariant_checker(invariant, u, cache)
+    cases = [run_spec.normal]
+    if run_spec.exceptional is not None:
+        cases.append(run_spec.exceptional)
+    cases = [(inline_guard_calls(case.requires, guard_spec), case.ensures,
+              _outside_frame(case.assignable, var_names)) for case in cases]
+    index: dict = {}
 
     rel: set[tuple[State, State]] = set()
     for a in states:
         if not inv_holds(a):
             continue
         active = []
-        for req, case in cases:
+        for req, ensures, outside in cases:
             try:
                 if _jml_holds(req, a, a, {}, u, cache):
-                    active.append(case)
+                    active.append((ensures, outside))
             except EvalError as exc:
                 log.debug("requires evaluation failed (%s); case inactive", exc)
-        candidates = _candidates(a, active, states, var_names, domains)
-        for b in candidates:
+        for b in _candidates(a, active, states, index):
             budget.charge()
             if not inv_holds(b):
                 continue
-            ok = True
-            for case in active:
-                frame = _frame_names(case.assignable, var_names)
-                if not _agree_outside(a, b, frame, var_names):
-                    ok = False
+            for ensures, outside in active:
+                if any(a[v] != b[v] for v in outside):
                     break
                 try:
-                    if not _jml_holds(case.ensures, a, b, {}, u, cache):
-                        ok = False
+                    if not _jml_holds(ensures, a, b, {}, u, cache):
                         break
                 except EvalError as exc:
                     log.debug("ensures evaluation failed (%s)", exc)
-                    ok = False
                     break
-            if ok:
+            else:
                 rel.add((a, b))
     return frozenset(rel)
 
 
-def _candidates(a: State, active, states, var_names, domains):
-    """Post-state candidates: all states reachable within the tightest frame."""
+def _candidates(a: State, active, states, index: dict):
+    """Post-state candidates: the states that agree with ``a`` outside the
+    tightest frame, looked up in ``index`` (built once per frame)."""
     if not active:
         return states
-    frames = [_frame_names(case.assignable, var_names) for case in active]
-    tight = min(frames, key=len)
-    if not tight:
-        return (a,)
-    if len(tight) == len(var_names):
-        return states
-    changing = [(name, domains[name]) for name in tight]
-    names = [name for name, _d in changing]
-    return tuple(
-        a.override(dict(zip(names, combo)))
-        for combo in itertools.product(*(d for _n, d in changing)))
+    outside = max((out for _ensures, out in active), key=len)
+    by_outside = index.get(outside)
+    if by_outside is None:
+        by_outside = index[outside] = {}
+        for s in states:
+            by_outside.setdefault(tuple(s[n] for n in outside), []).append(s)
+    return by_outside.get(tuple(a[n] for n in outside), ())
 
 
 def jml_initially_states(initially: jml.JmlPredicate, invariant: jml.JmlPredicate,
                          variables, u: Universe,
-                         budget: Optional[Budget] = None) -> frozenset:
-    """States satisfying the initially clause and the class invariant."""
+                         budget: Optional[Budget] = None,
+                         states: Optional[frozenset] = None) -> frozenset:
+    """States satisfying the initially clause and the class invariant
+    (drawn from the invariant ``states`` when given)."""
     budget = budget if budget is not None else Budget(u.ceiling)
     cache: dict = {}
+    states, inv_holds = _state_space(
+        variables, u, states, lambda: _jml_invariant_checker(invariant, u, cache))
     out = set()
-    for b in enumerate_states(variables, u):
+    for b in states:
         budget.charge()
         try:
-            if _jml_holds(initially, b, b, {}, u, cache) and \
-                    _jml_holds(invariant, b, b, {}, u, cache):
+            if _jml_holds(initially, b, b, {}, u, cache) and inv_holds(b):
                 out.add(b)
         except EvalError as exc:
             log.debug("initially evaluation failed at %r (%s)", b, exc)

@@ -22,7 +22,8 @@ from eb2jml.checker import (
 from eb2jml.ebast import BTrue, Ident, IntType, mod_set
 from eb2jml.parser import render_machine
 from eb2jml.semantics import (
-    State, Universe, eb_assg_rel, eb_event_rel, guard_holds, jml_method_rel,
+    DEFAULT_CEILING, State, Universe, eb_assg_rel, eb_event_rel, guard_holds,
+    jml_method_rel,
 )
 
 from conftest import GOLDEN_DIR
@@ -182,3 +183,20 @@ def test_criterion_7_frame_properties(flagship):
                     assert all(a[n] == b[n] for n in untouched), (event.name, a, b)
                 else:
                     assert a == b, (event.name, a, b)
+
+
+def test_criterion_8_refinement_machine_decided(social_ref1, social_abstract):
+    """The paper's refinement machine at |PERSON| = |CONTENTS| = 2 and the
+    abstract machine at |PERSON| = 2, |CONTENTS| = 3 pass on every verdict
+    under the default ceiling."""
+    with _criterion(8, "social_ref1 2x2 and social_abstract 2x3 decided"):
+        cells = ((social_ref1, {"PERSON": 2, "CONTENTS": 2}),
+                 (social_abstract, {"PERSON": 2, "CONTENTS": 3}))
+        for machine, carriers in cells:
+            universe = Universe(int_lo=0, int_hi=2, carriers=carriers)
+            assert universe.ceiling == DEFAULT_CEILING
+            report = check_machine(machine, universe)
+            statuses = {v.name: v.status for v in report.verdicts}
+            assert statuses == {name: PASS for name in
+                                ["initialisation"] +
+                                [e.name for e in machine.events]}, statuses

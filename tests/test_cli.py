@@ -161,3 +161,25 @@ def test_negative_witness_cap_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("eb2jml: ") and "--witnesses" in err
     assert main(["check", str(src), "--int-range", "0..1", "--witnesses", "0"]) == 0
+
+
+def test_undeclared_carrier_exits_2(tmp_path, capsys):
+    src = _copy(tmp_path, "social_abstract.ebm")
+    # a typo must not check PERSON at the default size and pass
+    assert main(["check", str(src), "--carrier", "PERSONS=3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eb2jml: ") and "'PERSONS'" in err
+    assert "CONTENTS, PERSON" in err
+    counter = _copy(tmp_path, "counter.ebm")
+    assert main(["check", str(counter), "--int-range", "0..1",
+                 "--carrier", "PERSON=1"]) == 2
+    assert "'PERSON'" in capsys.readouterr().err
+
+
+def test_repeated_carrier_exits_2(tmp_path, capsys):
+    src = _copy(tmp_path, "social_abstract.ebm")
+    assert main(["check", str(src), "--carrier", "PERSON=2",
+                 "--carrier", "PERSON=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eb2jml: ") and "'PERSON'" in err
+    assert "more than once" in err

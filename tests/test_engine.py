@@ -1,0 +1,234 @@
+"""The invariant-first state engine and the checker built on it agree with
+brute force over the typed product.
+
+Each side's invariant states are the typed states at which the whole
+invariant holds; the checker's JML relation is the one a double loop over
+every typed pair admits; its Event-B relation is the literal relation
+restricted to invariant pre-states.  An invariant conjunct whose evaluation
+fails counts as false.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from eb2jml import translate_machine
+from eb2jml import checker
+from eb2jml.checker import (
+    PASS, RESOURCE_LIMIT, check_event, check_init, check_machine,
+    state_spaces, universe_for,
+)
+from eb2jml.ebast import Ident, IntType, RelType
+from eb2jml.jmlast import (
+    JmlCmp, JmlIntLit, JmlMethodCall, JmlTrue, JmlVar,
+)
+from eb2jml.parser import parse_predicate
+from eb2jml.semantics import (
+    Budget, EvalError, State, Universe, eb_event_rel, eb_invariant_states,
+    eb_pred_holds, enumerate_states, inline_guard_calls,
+    jml_invariant_states, jml_method_rel, jml_pred_holds,
+)
+
+from conftest import load_machine
+
+CELLS = [
+    ("counter", Universe(int_lo=0, int_hi=2)),
+    ("swap", Universe(int_lo=0, int_hi=3)),
+    ("social_abstract", Universe(carriers={"PERSON": 1, "CONTENTS": 2})),
+    ("social_abstract", Universe(carriers={"PERSON": 2, "CONTENTS": 2})),
+    ("social_ref1", Universe(carriers={"PERSON": 1, "CONTENTS": 2})),
+]
+CELL_IDS = [f"{name}-{u.int_lo}..{u.int_hi}-{sorted(u.carriers.items())}"
+            for name, u in CELLS]
+
+
+def _holds(test, *args) -> bool:
+    try:
+        return test(*args)
+    except EvalError:
+        return False
+
+
+def _brute_eb_inv(machine, u):
+    inv = checker._machine_invariant(machine)
+    return frozenset(s for s in enumerate_states(machine.variables, u)
+                     if _holds(eb_pred_holds, inv, s, {}, u))
+
+
+def _brute_jml_inv(machine, unit, u):
+    inv = unit.result.class_invariant
+    return frozenset(s for s in enumerate_states(machine.variables, u)
+                     if _holds(jml_pred_holds, inv, s, s, {}, u))
+
+
+def _brute_jml_rel(machine, unit, event, u):
+    """Every typed pair admitted by the run method, tested one by one with
+    the uncached evaluator."""
+    guard, run = unit.method_pair(event.name)
+    var_names = machine.variable_names()
+    cases = [c for c in (run.normal, run.exceptional) if c is not None]
+    inv = _brute_jml_inv(machine, unit, u)
+    out = set()
+    for a in enumerate_states(machine.variables, u):
+        if a not in inv:
+            continue
+        active = [c for c in cases if _holds(
+            jml_pred_holds, inline_guard_calls(c.requires, guard), a, a, {}, u)]
+        for b in enumerate_states(machine.variables, u):
+            if b not in inv:
+                continue
+            if all(all(a[n] == b[n] for n in var_names
+                       if n not in getattr(c.assignable, "names", ()))
+                   and _holds(jml_pred_holds, c.ensures, a, b, {}, u)
+                   for c in active):
+                out.add((a, b))
+    return frozenset(out)
+
+
+def _checker_relations(monkeypatch, machine, unit, event, u):
+    """The JML and Event-B relations check_event computes."""
+    seen = {}
+
+    def spy(name, fn):
+        def recorded(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(checker, name, recorded)
+
+    spy("jml_method_rel", checker.jml_method_rel)
+    spy("eb_event_rel_variants", checker.eb_event_rel_variants)
+    assert check_event(event, machine, u, unit).status == PASS
+    literal, strict = seen["eb_event_rel_variants"]
+    assert literal == strict  # every stutter pair starts at an invariant state
+    return seen["jml_method_rel"], literal
+
+
+@pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
+def test_invariant_sets_equal_the_filtered_product(name, universe):
+    machine = load_machine(f"{name}.ebm")
+    unit = translate_machine(machine)
+    u = universe_for(machine, universe)
+    spaces = state_spaces(machine, unit, u)
+    assert spaces.limit is None
+    assert spaces.eb == _brute_eb_inv(machine, u)
+    assert spaces.jml == _brute_jml_inv(machine, unit, u)
+    assert spaces.eb  # the initial state at least
+
+
+@pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
+def test_checker_relations_equal_brute_force(monkeypatch, name, universe):
+    machine = load_machine(f"{name}.ebm")
+    unit = translate_machine(machine)
+    u = universe_for(machine, universe)
+    eb_inv = _brute_eb_inv(machine, u)
+    inv = checker._machine_invariant(machine)
+    for event in machine.events:
+        jml_rel, eb_rel = _checker_relations(monkeypatch, machine, unit, event, u)
+        assert jml_rel == _brute_jml_rel(machine, unit, event, u), event.name
+        literal = eb_event_rel(event, inv, machine.variables, u)
+        assert eb_rel == frozenset(p for p in literal if p[0] in eb_inv), event.name
+        monkeypatch.undo()
+
+
+def test_without_a_state_set_the_builders_keep_non_invariant_stutters(counter):
+    # the oracle relation (criterion 4) still has the stutter pairs at
+    # states outside the invariant; only the checker restricts pre-states
+    inv = parse_predicate("v = 0")
+    u = Universe(int_lo=0, int_hi=1)
+    event = counter.event("incr")
+    literal = eb_event_rel(event, inv, counter.variables, u)
+    restricted = eb_event_rel(event, inv, counter.variables, u,
+                              states=frozenset({State({"v": 0})}))
+    assert (State({"v": 1}), State({"v": 1})) in literal
+    assert restricted == frozenset(p for p in literal if p[0] == State({"v": 0}))
+
+
+# --- undefined conjuncts -----------------------------------------------------
+
+R = (Ident("r"), RelType(IntType(), IntType()))
+U01 = Universe(int_lo=0, int_hi=1)
+
+
+def _functional_at_zero_to_one():
+    # r(0) = 1 is defined only where r maps 0 to exactly one value
+    return frozenset(s for s in enumerate_states((R,), U01)
+                     if {y for x, y in s["r"] if x == 0} == {1})
+
+
+def test_undefined_eb_conjunct_counts_as_false():
+    invariants = (("inv1", parse_predicate("r(0) = 1")),)
+    out = eb_invariant_states(invariants, (R,), U01)
+    assert out == _functional_at_zero_to_one()
+    assert len(out) == 4
+    # an undefined conjunct is false even behind one that holds everywhere
+    invariants = (("inv0", parse_predicate("r <: r")),) + invariants
+    assert eb_invariant_states(invariants, (R,), U01) == out
+
+
+def test_undefined_jml_conjunct_counts_as_false():
+    apply0 = JmlCmp("==", JmlMethodCall(JmlVar("r"), "apply", (JmlIntLit(0),)),
+                    JmlIntLit(1))
+    assert jml_invariant_states(apply0, (R,), U01) == _functional_at_zero_to_one()
+
+
+def test_engine_charges_each_value_test():
+    budget = Budget(10 ** 6)
+    eb_invariant_states((("inv1", parse_predicate("r(0) = 1")),), (R,), U01,
+                        budget)
+    assert budget.spent == 16  # one variable, 16 relation values
+
+
+# --- RESOURCE_LIMIT names the phase ------------------------------------------
+
+U22 = Universe(int_lo=0, int_hi=2, carriers={"PERSON": 2, "CONTENTS": 2})
+
+
+def _with_ceiling(ceiling):
+    return Universe(U22.int_lo, U22.int_hi, dict(U22.carriers), ceiling)
+
+
+def test_shared_enumeration_limit_reaches_every_verdict(social_abstract):
+    report = check_machine(social_abstract, _with_ceiling(100))
+    assert [v.status for v in report.verdicts] == [RESOURCE_LIMIT] * 3
+    for v in report.verdicts:
+        assert v.detail == ("Event-B invariant enumeration needs 101 work "
+                            "units, exceeding the ceiling of 100")
+
+
+def test_jml_enumeration_limit_is_named(social_abstract):
+    unit = translate_machine(social_abstract)
+    # without a class invariant the JML side enumerates the whole product
+    loose = replace(unit, result=replace(unit.result, class_invariant=JmlTrue()))
+    report = check_machine(social_abstract, _with_ceiling(1000), loose)
+    assert all(v.detail.startswith("JML invariant enumeration needs")
+               and "ceiling of 1000" in v.detail for v in report.verdicts)
+
+
+def test_relation_limits_name_the_event_and_side(social_abstract):
+    unit = translate_machine(social_abstract)
+    spaces = state_spaces(social_abstract, unit, U22)
+    event = social_abstract.event("create_account")
+    v = check_event(event, social_abstract, _with_ceiling(10), unit,
+                    spaces=spaces)
+    assert v.status == RESOURCE_LIMIT
+    assert v.detail.startswith("event create_account's JML relation needs 11")
+    guard, run = unit.method_pair("create_account")
+    jml_work = Budget(10 ** 6)
+    jml_method_rel(run, unit.result.class_invariant, guard,
+                   social_abstract.variables, universe_for(social_abstract, U22),
+                   jml_work, states=spaces.jml)
+    v = check_event(event, social_abstract, _with_ceiling(jml_work.spent), unit,
+                    spaces=spaces)
+    assert v.detail.startswith("event create_account's Event-B relation needs")
+    v = check_init(social_abstract, _with_ceiling(1), unit, spaces=spaces)
+    assert v.detail.startswith("initialisation's JML state set needs 2")
+
+
+def test_checked_counts_only_the_verdicts_own_work(social_abstract):
+    unit = translate_machine(social_abstract)
+    spaces = state_spaces(social_abstract, unit, U22)
+    v = check_init(social_abstract, U22, unit, spaces=spaces)
+    # one candidate per JML invariant state, one Event-B initial assignment
+    assert v.checked_pairs == len(spaces.jml) + 1
+    assert v.status == PASS
+

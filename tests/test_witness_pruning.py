@@ -1,0 +1,117 @@
+"""Pre-state witness pruning is exact.
+
+With a cache, each \\exists keeps per (node, pre-state, binding) only the
+witnesses whose leading \\old conjuncts hold (every conjunct when the
+post-state is the pre-state), and searches directly nested quantifiers as
+one.  Every evaluation here is compared with the uncached evaluator, which
+tries every witness in full.
+"""
+
+import pytest
+
+from eb2jml import translate_machine
+from eb2jml.checker import MUTATIONS, mutate_translation, state_spaces, universe_for
+from eb2jml.ebast import Ident, IntType, RelType
+from eb2jml.jmlast import (
+    JInt, JmlAnd, JmlBecomes, JmlCmp, JmlExists, JmlIntLit, JmlMethodCall, JmlOld,
+    JmlParen, JmlVar,
+)
+from eb2jml.semantics import (
+    EvalError, State, Universe, enumerate_states, inline_guard_calls,
+    jml_pred_holds,
+)
+
+
+def _outcome(p, a, b, u, cache):
+    try:
+        return jml_pred_holds(p, a, b, {}, u, cache)
+    except EvalError:
+        return "undefined"
+
+
+def _agree(p, pairs, u):
+    cache: dict = {}
+    for a, b in pairs:
+        assert _outcome(p, a, b, u, cache) == _outcome(p, a, b, u, None), (a, b)
+
+
+@pytest.mark.parametrize("mutation", (None,) + MUTATIONS)
+def test_run_methods_of_the_flagship(social_abstract, mutation):
+    unit = translate_machine(social_abstract)
+    if mutation is not None:
+        unit = mutate_translation(unit, mutation)
+    u = universe_for(social_abstract,
+                     Universe(carriers={"PERSON": 2, "CONTENTS": 2}))
+    inv = state_spaces(social_abstract, unit, u).jml
+    pairs = [(a, b) for a in inv for b in inv]
+    for event in social_abstract.events:
+        guard, run = unit.method_pair(event.name)
+        for case in (run.normal, run.exceptional):
+            _agree(case.ensures, pairs, u)
+            _agree(inline_guard_calls(case.requires, guard),
+                   [(a, a) for a in inv], u)
+
+
+def _var(name):
+    return JmlVar(name)
+
+
+def _int(n):
+    return JmlIntLit(n)
+
+
+def _apply(x):
+    return JmlMethodCall(_var("r"), "apply", (x,))
+
+
+def _exists(var, body):
+    return JmlExists(var, JInt(), body)
+
+
+def _and(*parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out = JmlAnd(out, p)
+    return out
+
+
+HAND_BUILT = {
+    # r.apply(x) is undefined wherever r is not functional at x
+    "leading old undefined": _exists("x", _and(
+        JmlOld(JmlCmp("==", _apply(_var("x")), _int(1))),
+        JmlCmp("==", _var("v"), _var("x")))),
+    "no old conjunct": _exists("x", _and(
+        JmlCmp("==", _var("v"), _apply(_var("x"))),
+        JmlCmp("<", _var("x"), _int(1)))),
+    "old conjuncts at two levels": _exists("x", _and(
+        JmlOld(JmlCmp("<=", _var("x"), _var("v"))),
+        _exists("y", _and(JmlOld(JmlCmp("!=", _var("y"), _var("x"))),
+                          JmlCmp("==", _var("v"), _var("y")))))),
+    "inner binding shadows the outer": _exists("x", _and(
+        JmlOld(JmlCmp("==", _var("x"), _int(0))),
+        JmlParen(_exists("x", _and(JmlOld(JmlCmp("==", _var("x"), _int(1))),
+                                   JmlCmp("==", _var("v"), _var("x"))))))),
+    "nested quantifier followed by a conjunct": _exists("x", _and(
+        JmlOld(JmlCmp("==", _var("x"), _var("v"))),
+        _exists("y", JmlCmp("==", _var("v"), _var("y"))),
+        JmlCmp("==", _var("v"), _var("x")))),
+    # the translation of a becomes-such-that action, v :| v' <= v
+    "after-value binding": _exists("v'", _and(
+        JmlOld(JmlCmp("<=", _var("v'"), _var("v"))), JmlBecomes("v", "v'"))),
+    "quantifier inside old": JmlOld(_exists("x", JmlCmp(
+        "==", _apply(_var("x")), _var("v")))),
+    "old conjunct after a post-state conjunct": _exists("x", _and(
+        JmlCmp("==", _var("v"), _var("x")),
+        JmlOld(JmlCmp("==", _apply(_var("x")), _int(0))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_specs(name):
+    u = Universe(int_lo=0, int_hi=1)
+    variables = ((Ident("v"), IntType()), (Ident("r"), RelType(IntType(), IntType())))
+    states = enumerate_states(variables, u)
+    # (a, a) takes the pre-state path, (a, copy of a) the post-state path
+    pairs = [(a, b) for a in states for b in states] + \
+        [(a, State(a)) for a in states]
+    _agree(HAND_BUILT[name], pairs, u)
