@@ -161,7 +161,7 @@ def _machine_invariant(machine: Machine) -> eb.Predicate:
 
 
 def universe_for(machine: Machine, universe: Universe) -> Universe:
-    """A copy of ``universe`` covering every carrier set of the machine."""
+    """``universe``, or a copy of it, covering every carrier set of the machine."""
     return universe.with_carriers(machine.carrier_sets)
 
 

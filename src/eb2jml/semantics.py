@@ -7,7 +7,8 @@ universe; all arithmetic is exact, there are no tolerances.
 
 Evaluation can fail (function application at a non-functional point,
 unbound identifiers); a guard or predicate whose evaluation fails counts
-as unsatisfied for that valuation and the failure is logged.
+as unsatisfied for that valuation, and ``_defined`` alone applies this
+rule and logs the failure.
 """
 
 from __future__ import annotations
@@ -126,10 +127,13 @@ class Universe:
                 raise ValueError(f"carrier set '{name}' needs cardinality >= 1")
 
     def with_carriers(self, names: Iterable[str]) -> "Universe":
-        """A copy whose carrier table covers ``names`` (defaulting sizes)."""
+        """A universe whose carrier table covers ``names``: ``self`` (and its
+        value cache) when it already does, else a copy with default sizes."""
         carriers = dict(self.carriers)
         for name in names:
             carriers.setdefault(name, DEFAULT_CARRIER_SIZE)
+        if carriers == self.carriers:
+            return self
         return Universe(self.int_lo, self.int_hi, carriers, self.ceiling)
 
     def ints(self) -> tuple[int, ...]:
@@ -218,6 +222,16 @@ def enumerate_states(variables, u: Universe) -> tuple[State, ...]:
         State(zip(names, combo)) for combo in itertools.product(*domains))
 
 
+def _defined(test, *args) -> bool:
+    """``test(*args)``, or False when its evaluation is undefined: the one
+    place where an undefined guard, predicate or conjunct counts as false."""
+    try:
+        return test(*args)
+    except EvalError as exc:
+        log.debug("undefined evaluation counts as false (%s)", exc)
+        return False
+
+
 def _depth(reads, names) -> int:
     """How many of ``names`` must be bound before a conjunct that reads
     ``reads`` can be tested (the last binding of a repeated name counts)."""
@@ -240,11 +254,7 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dic
 
     def all_hold(conjs, partial) -> bool:
         for conj in conjs:
-            try:
-                if not holds(conj, partial):
-                    return False
-            except EvalError as exc:
-                log.debug("conjunct failed (%s); treated as false", exc)
+            if not _defined(holds, conj, partial):
                 return False
         return True
 
@@ -451,11 +461,10 @@ def _param_valuations(params, u: Universe):
 
 
 def _guards_hold(guards, state, env, u) -> bool:
-    try:
-        return all(eb_pred_holds(g, state, env, u) for _lbl, g in guards)
-    except EvalError as exc:
-        log.debug("guard evaluation failed (%s); treated as unsatisfied", exc)
-        return False
+    for _lbl, g in guards:
+        if not _defined(eb_pred_holds, g, state, env, u):
+            return False
+    return True
 
 
 def _action_assignments(actions, state, env, var_types, u: Universe, budget: Budget):
@@ -477,12 +486,8 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
                 budget.charge()
                 bap_env = dict(env)
                 bap_env[prime] = y
-                try:
-                    if eb_pred_holds(act.predicate, state, bap_env, u):
-                        choices.append((target, y))
-                except EvalError as exc:
-                    log.debug("action %s failed at %s (%s)",
-                              act.label, fmt_value(y), exc)
+                if _defined(eb_pred_holds, act.predicate, state, bap_env, u):
+                    choices.append((target, y))
             if not choices:
                 return
             per_action.append(choices)
@@ -490,25 +495,20 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
         yield dict(combo)
 
 
-def _memo_holds(evaluate, what: str):
+def _memo_holds(evaluate):
     """Memoised truth per state; an evaluation error counts as false."""
     memo: dict[State, bool] = {}
 
     def holds(s: State) -> bool:
         if s not in memo:
-            try:
-                memo[s] = evaluate(s)
-            except EvalError as exc:
-                log.debug("%s failed (%s); treated as false", what, exc)
-                memo[s] = False
+            memo[s] = _defined(evaluate, s)
         return memo[s]
 
     return holds
 
 
 def _invariant_checker(invariant, u: Universe):
-    return _memo_holds(lambda s: eb_pred_holds(invariant, s, {}, u),
-                       "invariant evaluation")
+    return _memo_holds(lambda s: eb_pred_holds(invariant, s, {}, u))
 
 
 def _state_space(variables, u, states, invariant_checker):
@@ -523,10 +523,32 @@ def _state_space(variables, u, states, invariant_checker):
     return states, states.__contains__
 
 
-def _eb_event_parts(event, invariant, variables, u, budget, states):
+def _eb_post_states(actions, variables, u, budget):
+    """``posts(a, env, inv_holds)`` yields each state that one simultaneous
+    execution of ``actions`` at (a, env) reaches and ``inv_holds`` accepts.
+
+    Each action result is one unit of work, and a result outside the
+    bounded universe is dropped.  The value domains are built here, once.
+    """
     var_types = {ident.name: ty for ident, ty in variables}
     allowed = {ident.name: frozenset(u.values_of_type(ty))
                for ident, ty in variables}
+
+    def posts(a, env, inv_holds):
+        for assignment in _action_assignments(
+                actions, a, env, var_types, u, budget):
+            budget.charge()
+            if any(val not in allowed[name] for name, val in assignment.items()):
+                continue  # the transition leaves the bounded universe
+            b = a.override(assignment)
+            if inv_holds(b):
+                yield b
+
+    return posts
+
+
+def _eb_event_parts(event, invariant, variables, u, budget, states):
+    posts = _eb_post_states(event.actions, variables, u, budget)
     states, inv_holds = _state_space(
         variables, u, states, lambda: _invariant_checker(invariant, u))
     core: set[tuple[State, State]] = set()
@@ -544,14 +566,8 @@ def _eb_event_parts(event, invariant, variables, u, budget, states):
         if not inv_holds(a):
             continue
         for env in sat_envs:
-            for assignment in _action_assignments(
-                    event.actions, a, env, var_types, u, budget):
-                budget.charge()
-                if any(val not in allowed[name] for name, val in assignment.items()):
-                    continue  # the transition leaves the bounded universe
-                b = a.override(assignment)
-                if inv_holds(b):
-                    core.add((a, b))
+            for b in posts(a, env, inv_holds):
+                core.add((a, b))
     return frozenset(core), frozenset(stutter), inv_holds
 
 
@@ -606,22 +622,10 @@ def eb_init_states(init_actions, invariant, variables, u: Universe,
     """Post-states reachable by the initialisation, filtered by the invariant
     (or, given the invariant ``states``, by membership)."""
     budget = budget if budget is not None else Budget(u.ceiling)
-    var_types = {ident.name: ty for ident, ty in variables}
-    allowed = {ident.name: frozenset(u.values_of_type(ty))
-               for ident, ty in variables}
+    posts = _eb_post_states(init_actions, variables, u, budget)
     inv_holds = (_invariant_checker(invariant, u) if states is None
                  else states.__contains__)
-    empty = State()
-    out = set()
-    for assignment in _action_assignments(
-            init_actions, empty, {}, var_types, u, budget):
-        budget.charge()
-        if any(val not in allowed[name] for name, val in assignment.items()):
-            continue
-        b = State(assignment)
-        if inv_holds(b):
-            out.add(b)
-    return frozenset(out)
+    return frozenset(posts(State(), {}, inv_holds))
 
 
 # --- JML evaluation --------------------------------------------------------
@@ -754,23 +758,17 @@ def _jml_holds(p, pre, state, env, u, cache) -> bool:
         if cache is not None:
             rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, cache)
             for inner in bindings:
-                try:
-                    for c in rest:
-                        if not _jml_holds(c, pre, state, inner, u, cache):
-                            break
-                    else:
-                        return True
-                except EvalError as exc:
-                    log.debug("witness %s failed (%s)", fmt_value(inner[p.var]), exc)
+                for c in rest:
+                    if not _defined(_jml_holds, c, pre, state, inner, u, cache):
+                        break
+                else:
+                    return True
             return False
         for y in u.values_of_jml_type(p.ty):
             inner = dict(env)
             inner[p.var] = y
-            try:
-                if _jml_holds(p.body, pre, state, inner, u, cache):
-                    return True
-            except EvalError as exc:
-                log.debug("witness %s failed (%s)", fmt_value(y), exc)
+            if _defined(_jml_holds, p.body, pre, state, inner, u, cache):
+                return True
         return False
     if isinstance(p, jml.JmlBecomes):
         if p.var not in state:
@@ -896,8 +894,7 @@ def _outside_frame(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _jml_invariant_checker(invariant, u, cache):
-    return _memo_holds(lambda s: _jml_holds(invariant, s, s, {}, u, cache),
-                       "class invariant")
+    return _memo_holds(lambda s: _jml_holds(invariant, s, s, {}, u, cache))
 
 
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
@@ -939,25 +936,15 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
     for a in states:
         if not inv_holds(a):
             continue
-        active = []
-        for req, ensures, outside in cases:
-            try:
-                if _jml_holds(req, a, a, {}, u, cache):
-                    active.append((ensures, outside))
-            except EvalError as exc:
-                log.debug("requires evaluation failed (%s); case inactive", exc)
+        active = [(ensures, outside) for req, ensures, outside in cases
+                  if _defined(_jml_holds, req, a, a, {}, u, cache)]
         for b in _candidates(a, active, states, index):
             budget.charge()
             if not inv_holds(b):
                 continue
             for ensures, outside in active:
-                if any(a[v] != b[v] for v in outside):
-                    break
-                try:
-                    if not _jml_holds(ensures, a, b, {}, u, cache):
-                        break
-                except EvalError as exc:
-                    log.debug("ensures evaluation failed (%s)", exc)
+                if any(a[v] != b[v] for v in outside) or \
+                        not _defined(_jml_holds, ensures, a, b, {}, u, cache):
                     break
             else:
                 rel.add((a, b))
@@ -991,17 +978,11 @@ def jml_initially_states(initially: jml.JmlPredicate, invariant: jml.JmlPredicat
     out = set()
     for b in states:
         budget.charge()
-        try:
-            if _jml_holds(initially, b, b, {}, u, cache) and inv_holds(b):
-                out.add(b)
-        except EvalError as exc:
-            log.debug("initially evaluation failed at %r (%s)", b, exc)
+        if _defined(_jml_holds, initially, b, b, {}, u, cache) and inv_holds(b):
+            out.add(b)
     return frozenset(out)
 
 
 def guard_holds(guard_spec: jml.JmlMethodSpec, state: State, u: Universe) -> bool:
     """Whether the translated guard is satisfied in a state (pre = post)."""
-    try:
-        return _jml_holds(guard_spec.normal.ensures, state, state, {}, u, {})
-    except EvalError:
-        return False
+    return _defined(_jml_holds, guard_spec.normal.ensures, state, state, {}, u, {})

@@ -17,7 +17,7 @@ from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine, Span
 from .ebcheck import (
-    RelSpaceType, TypeProblem, base_type_env, expr_type,
+    RelSpaceType, TypeProblem, _check_action, base_type_env, expr_type,
     resolve_types, unify,
 )
 
@@ -329,22 +329,19 @@ def translate_invariants(invariants, env) -> jml.JmlPredicate:
 
 
 def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
-    """Post-state-only conjunction; the initialisation has no pre-state."""
+    """Post-state-only conjunction; the initialisation has no pre-state.
+
+    Each action must pass the well-formedness rules for initialisation
+    actions; the first violation raises TranslationError.
+    """
+    def reject(message: str, span) -> None:
+        raise TranslationError(message, span)
+
     var_names = set(variable_names)
     parts: list[jml.JmlPredicate] = []
     for a in actions:
-        node = a.rhs if isinstance(a, eb.BecomesEqual) else a.predicate
-        own_prime = a.target.name + "'"
-        for ident in sorted(eb.free_identifiers(node), key=lambda i: i.key):
-            if not ident.primed and ident.name in var_names:
-                raise TranslationError(
-                    f"initialisation of '{a.target.name}' reads variable "
-                    f"'{ident.name}' (there is no pre-state)", a.span)
-            if ident.primed and ident.key != own_prime:
-                raise TranslationError(
-                    f"'{ident.key}' cannot appear in the initialisation of "
-                    f"'{a.target.name}'", a.span)
         t = env[a.target.name]
+        _check_action(a, t, env, var_names, reject)
         if isinstance(a, eb.BecomesEqual):
             if isinstance(a.rhs, eb.EmptySet):
                 parts.append(jml.JmlBoolCall(
@@ -356,6 +353,7 @@ def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
                 parts.append(jml.JmlBoolCall(jml.JmlMethodCall(
                     jml.JmlVar(a.target.name), "equals", (_tr_expr(a.rhs, env, t),))))
         else:
+            own_prime = a.target.name + "'"
             bap_env = dict(env)
             bap_env[own_prime] = t
             parts.append(jml.JmlExists(

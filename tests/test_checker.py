@@ -189,6 +189,24 @@ def test_universe_for_fills_missing_carriers(social_abstract):
     assert u.carriers == {"PERSON": 2, "CONTENTS": 2}
 
 
+@pytest.mark.parametrize("carriers", [{}, {"PERSON": 2, "CONTENTS": 2}])
+def test_one_check_computes_each_value_domain_once(monkeypatch, social_abstract,
+                                                   carriers):
+    u = Universe(carriers=carriers)
+    assert (universe_for(social_abstract, u) is u) == bool(carriers)
+    computed = []
+    for method in ("_compute_eb", "_compute_jml"):
+        original = getattr(Universe, method)
+
+        def counted(self, t, original=original, method=method):
+            computed.append((method, t))
+            return original(self, t)
+        monkeypatch.setattr(Universe, method, counted)
+    report = check_machine(social_abstract, u)
+    assert report.status == PASS
+    assert computed and len(computed) == len(set(computed)), computed
+
+
 def test_flagship_bisimulation_flag_and_sensitivity(counter):
     v = check_event(counter.event("incr"), counter, U01)
     assert v.bisimulation is True

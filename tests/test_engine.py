@@ -19,14 +19,17 @@ from eb2jml.checker import (
     state_spaces, universe_for,
 )
 from eb2jml.ebast import Ident, IntType, RelType
+from eb2jml.ebcheck import resolve_types
 from eb2jml.jmlast import (
-    JmlCmp, JmlIntLit, JmlMethodCall, JmlTrue, JmlVar,
+    AssignNothing, AssignVars, JInt, JmlCmp, JmlExists, JmlFalse, JmlIntLit,
+    JmlMethodCall, JmlMethodSpec, JmlTrue, JmlVar, SpecCase,
 )
-from eb2jml.parser import parse_predicate
+from eb2jml.parser import parse_machine, parse_predicate
 from eb2jml.semantics import (
-    Budget, EvalError, State, Universe, eb_event_rel, eb_invariant_states,
-    eb_pred_holds, enumerate_states, inline_guard_calls,
-    jml_invariant_states, jml_method_rel, jml_pred_holds,
+    Budget, EvalError, State, Universe, eb_event_rel, eb_init_states,
+    eb_invariant_states, eb_pred_holds, enumerate_states, guard_holds,
+    inline_guard_calls, jml_initially_states, jml_invariant_states,
+    jml_method_rel, jml_pred_holds,
 )
 
 from conftest import load_machine
@@ -169,6 +172,124 @@ def test_undefined_jml_conjunct_counts_as_false():
     apply0 = JmlCmp("==", JmlMethodCall(JmlVar("r"), "apply", (JmlIntLit(0),)),
                     JmlIntLit(1))
     assert jml_invariant_states(apply0, (R,), U01) == _functional_at_zero_to_one()
+
+
+# One case per place where an undefined evaluation counts as false.  Each
+# evaluates r(0), which is undefined wherever r does not map 0 to exactly
+# one value; F is the set of states where r(0) = 1, D where r(0) is defined.
+
+PARTIAL = """
+machine partial
+  variables r
+  invariants
+    inv1: r : INT <-> INT
+  events
+    initialisation
+      begin
+        act1: r := {}
+      end
+    guarded
+      when
+        grd1: r(0) = 1
+      then
+        act1: r := {}
+      end
+    such_that
+      begin
+        act1: r :| r'(0) = 1
+      end
+    deterministic
+      begin
+        act1: r := {0 |-> r(0)}
+      end
+end
+"""
+
+R_STATES = enumerate_states((R,), U01)
+F = _functional_at_zero_to_one()
+D = frozenset(s for s in R_STATES if len({y for x, y in s["r"] if x == 0}) == 1)
+APPLY0 = JmlCmp("==", JmlMethodCall(JmlVar("r"), "apply", (JmlIntLit(0),)),
+                JmlIntLit(1))
+# \exists Integer x; r.apply(x) == 1
+EXISTS = JmlExists("x", JInt(), JmlCmp(
+    "==", JmlMethodCall(JmlVar("r"), "apply", (JmlVar("x"),)), JmlIntLit(1)))
+
+
+def _r(*pairs):
+    return State({"r": frozenset(pairs)})
+
+
+def _partial():
+    machine, _diags = resolve_types(parse_machine(PARTIAL))
+    return machine
+
+
+def _partial_rel(event, invariant="r : INT <-> INT"):
+    machine = _partial()
+    return eb_event_rel(machine.event(event), parse_predicate(invariant),
+                        machine.variables, U01)
+
+
+def _run_rel(requires=JmlTrue(), ensures=JmlTrue(), invariant=JmlTrue(),
+             assignable=AssignVars(("r",))):
+    run = JmlMethodSpec("run_e", "run", SpecCase(requires, assignable, ensures))
+    guard = JmlMethodSpec("guard_e", "guard",
+                          SpecCase(JmlTrue(), AssignNothing(), JmlTrue()))
+    return jml_method_rel(run, invariant, guard, (R,), U01)
+
+
+def _exists_outcomes(cache, same_object):
+    return {a: jml_pred_holds(EXISTS, a, a if same_object else State(a), {},
+                              U01, cache) for a in R_STATES}
+
+
+def _exists_expected():
+    return {a: any(
+        {y for x, y in a["r"] if x == w} == {1} for w in U01.all_ints())
+        for a in R_STATES}
+
+
+UNDEFINED_SITES = {
+    "eb invariant, memoised": lambda: (
+        _partial_rel("deterministic", "r(0) = 1"), {(a, _r((0, 1))) for a in F}),
+    "eb invariant at an initial state": lambda: (
+        eb_init_states(_partial().initialisation, parse_predicate("r(0) = 1"),
+                       (R,), U01), frozenset()),
+    "eb guard": lambda: (
+        _partial_rel("guarded"),
+        {(a, _r()) for a in F} | {(a, a) for a in R_STATES if a not in F}),
+    "eb becomes-such-that predicate": lambda: (
+        _partial_rel("such_that"), {(a, b) for a in R_STATES for b in F}),
+    # no transition at all where r(0) is undefined, not even a stutter
+    "eb deterministic action": lambda: (
+        _partial_rel("deterministic"),
+        {(a, _r(*((0, y) for x, y in a["r"] if x == 0))) for a in D}),
+    "jml class invariant, memoised": lambda: (
+        _run_rel(invariant=APPLY0), {(a, b) for a in F for b in F}),
+    "jml requires": lambda: (
+        _run_rel(requires=APPLY0, assignable=AssignNothing(), ensures=JmlFalse()),
+        {(a, b) for a in R_STATES if a not in F for b in R_STATES}),
+    "jml ensures": lambda: (
+        _run_rel(ensures=APPLY0), {(a, b) for a in R_STATES for b in F}),
+    "jml initially": lambda: (
+        jml_initially_states(APPLY0, JmlTrue(), (R,), U01), F),
+    "jml exists, cached, pre-state": lambda: (
+        _exists_outcomes({}, True), _exists_expected()),
+    "jml exists, cached, post-state": lambda: (
+        _exists_outcomes({}, False), _exists_expected()),
+    "jml exists, uncached": lambda: (
+        _exists_outcomes(None, False), _exists_expected()),
+    "guard_holds": lambda: (
+        {a: guard_holds(JmlMethodSpec("guard_e", "guard", SpecCase(
+            JmlTrue(), AssignNothing(), APPLY0)), a, U01) for a in R_STATES},
+        {a: a in F for a in R_STATES}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNDEFINED_SITES))
+def test_undefined_counts_as_false_at_each_site(site):
+    actual, expected = UNDEFINED_SITES[site]()
+    assert actual == expected
 
 
 def test_engine_charges_each_value_test():

@@ -189,6 +189,22 @@ def test_translate_initialisation_rejects_variable_reads():
         translate_initialisation(acts, env, ("v", "w"))
 
 
+@pytest.mark.parametrize("action,message", [
+    (BecomesEqual("act1", Ident("v"), Ref(Ident("w", primed=True))),
+     "primed identifier 'w'' is not allowed in a deterministic action"),
+    (BecomesEqual("act1", Ident("v"), Ref(Ident("v", primed=True))),
+     "primed identifier 'v'' is not allowed in a deterministic action"),
+    (BecomesSuchThat("act1", Ident("v"), Cmp(
+        "eq", Ref(Ident("w", primed=True)), IntLit(0))),
+     "'w'' cannot appear here; only 'v'' may be primed"),
+])
+def test_translate_initialisation_rejects_primed_identifiers(action, message):
+    # the well-formedness rules for initialisation actions, one copy of them
+    env = {"v": IntType(), "w": IntType()}
+    with pytest.raises(TranslationError, match=message):
+        translate_initialisation((action,), env, ("v", "w"))
+
+
 def test_jml_type_of_examples():
     assert jml_type_of(SetType(CarrierType("PERSON"))) == JSet(JInt())
     assert render_jml_type(jml_type_of(
