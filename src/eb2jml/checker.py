@@ -326,7 +326,8 @@ def check_machine(machine: Machine, universe: Universe,
     for event in machine.events:
         verdicts.append(check_event(event, machine, u, unit, witness_cap, spaces))
     elapsed = time.perf_counter() - started
-    return Report(machine=machine.name, universe=u,
+    # the report keeps the bounds, not the value domains computed for them
+    return Report(machine=machine.name, universe=replace(u, _cache={}),
                   verdicts=tuple(verdicts), elapsed=elapsed)
 
 

@@ -79,6 +79,9 @@ class State(Mapping):
     def __iter__(self):
         return iter(self._d)
 
+    def __contains__(self, key):
+        return key in self._d
+
     def __len__(self):
         return len(self._d)
 
@@ -453,20 +456,6 @@ def _relspace_holds(member: eb.Expr, rs: eb.RelSpace, state, env, u) -> bool:
 
 # --- Event-B transition relations ------------------------------------------
 
-def _param_valuations(params, u: Universe):
-    names = [ident.name for ident, _ty in params]
-    domains = [u.values_of_type(ty) for _ident, ty in params]
-    for combo in itertools.product(*domains):
-        yield dict(zip(names, combo))
-
-
-def _guards_hold(guards, state, env, u) -> bool:
-    for _lbl, g in guards:
-        if not _defined(eb_pred_holds, g, state, env, u):
-            return False
-    return True
-
-
 def _action_assignments(actions, state, env, var_types, u: Universe, budget: Budget):
     """All simultaneous result assignments for the actions at one valuation."""
     per_action: list[list[tuple[str, Value]]] = []
@@ -551,14 +540,16 @@ def _eb_event_parts(event, invariant, variables, u, budget, states):
     posts = _eb_post_states(event.actions, variables, u, budget)
     states, inv_holds = _state_space(
         variables, u, states, lambda: _invariant_checker(invariant, u))
+    names = [ident.name for ident, _ty in event.params]
+    types = [ty for _ident, ty in event.params]
+    guards = [(c, _depth({i.key for i in eb.free_identifiers(c)}, names))
+              for _lbl, g in event.guards for c in _eb_conjuncts(g)]
     core: set[tuple[State, State]] = set()
     stutter: set[tuple[State, State]] = set()
     for a in states:
-        sat_envs = []
-        for env in _param_valuations(event.params, u):
-            budget.charge()
-            if _guards_hold(event.guards, a, env, u):
-                sat_envs.append(env)
+        sat_envs = _solutions(
+            names, lambda k: u.values_of_type(types[k]), guards,
+            lambda c, env: eb_pred_holds(c, a, env, u), {}, budget.charge)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
             stutter.add((a, a))
@@ -814,6 +805,30 @@ def _jml_reads(p: jml.JmlPredicate) -> set[str]:
     return out
 
 
+def _exists_chain(p: jml.JmlExists, at_pre: bool):
+    """The variables and types that ``p`` and the quantifiers directly
+    nested in it bind, the pre-state conjuncts with their depths, and the
+    conjuncts left to test (see ``_exists_witnesses``)."""
+    names, types, tests = [], [], []
+    node = p
+    while True:
+        names.append(node.var)
+        types.append(node.ty)
+        spine = _jml_conjuncts(node.body)
+        lead = 0
+        for c in spine:
+            if isinstance(c, jml.JmlOld):
+                c = c.operand
+            elif not at_pre or isinstance(c, jml.JmlExists):
+                break
+            tests += [(t, _depth(_jml_reads(t), names)) for t in _jml_conjuncts(c)]
+            lead += 1
+        rest = tuple(spine[lead:])
+        if len(rest) != 1 or not isinstance(rest[0], jml.JmlExists):
+            return names, types, tests, rest
+        node = rest[0]
+
+
 def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, cache):
     """The witnesses of ``p`` that can still hold, with the conjuncts left
     to test; cached per (node, pre-state, binding).
@@ -831,24 +846,11 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, cache):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    names, types, tests = [], [], []
-    node = p
-    while True:
-        names.append(node.var)
-        types.append(node.ty)
-        spine = _jml_conjuncts(node.body)
-        lead = 0
-        for c in spine:
-            if isinstance(c, jml.JmlOld):
-                c = c.operand
-            elif not at_pre or isinstance(c, jml.JmlExists):
-                break
-            tests += [(t, _depth(_jml_reads(t), names)) for t in _jml_conjuncts(c)]
-            lead += 1
-        rest = tuple(spine[lead:])
-        if len(rest) != 1 or not isinstance(rest[0], jml.JmlExists):
-            break
-        node = rest[0]
+    chain_key = ("chain", id(p), at_pre)
+    chain = cache.get(chain_key)
+    if chain is None:
+        chain = cache[chain_key] = _exists_chain(p, at_pre)
+    names, types, tests, rest = chain
     bindings = _solutions(
         names, lambda k: u.values_of_jml_type(types[k]), tests,
         lambda c, e: _jml_holds(c, pre, pre, e, u, cache), dict(env),
@@ -930,19 +932,25 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
         cases.append(run_spec.exceptional)
     cases = [(inline_guard_calls(case.requires, guard_spec), case.ensures,
               _outside_frame(case.assignable, var_names)) for case in cases]
+    cases = [(req, ensures, outside, _Lookup(ensures, outside, var_names))
+             for req, ensures, outside in cases]
     index: dict = {}
 
     rel: set[tuple[State, State]] = set()
     for a in states:
         if not inv_holds(a):
             continue
-        active = [(ensures, outside) for req, ensures, outside in cases
-                  if _defined(_jml_holds, req, a, a, {}, u, cache)]
-        for b in _candidates(a, active, states, index):
+        active = [case for case in cases
+                  if _defined(_jml_holds, case[0], a, a, {}, u, cache)]
+        candidates = states
+        if active:
+            lookup = max((case[3] for case in active), key=lambda k: len(k.names))
+            candidates = lookup.candidates(a, states, index, u, cache)
+        for b in candidates:
             budget.charge()
             if not inv_holds(b):
                 continue
-            for ensures, outside in active:
+            for _req, ensures, outside, _lookup in active:
                 if any(a[v] != b[v] for v in outside) or \
                         not _defined(_jml_holds, ensures, a, b, {}, u, cache):
                     break
@@ -951,18 +959,63 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
     return frozenset(rel)
 
 
-def _candidates(a: State, active, states, index: dict):
-    """Post-state candidates: the states that agree with ``a`` outside the
-    tightest frame, looked up in ``index`` (built once per frame)."""
-    if not active:
-        return states
-    outside = max((out for _ensures, out in active), key=len)
-    by_outside = index.get(outside)
-    if by_outside is None:
-        by_outside = index[outside] = {}
-        for s in states:
-            by_outside.setdefault(tuple(s[n] for n in outside), []).append(s)
-    return by_outside.get(tuple(a[n] for n in outside), ())
+class _Lookup:
+    """Post-state candidates for one specification case: a superset of the
+    states it accepts from a pre-state.
+
+    The key holds the names outside the case's frame, whose values come
+    from the pre-state.  When the ensures clause is an \\exists chain, the
+    key also holds the names its witnesses pin: a state variable ``v`` in
+    the frame, not bound by the chain, with a remaining conjunct
+    ``v.equals(\\old(E))`` or ``v == \\old(E)`` (the first one per name).
+    Every binding ``_exists_witnesses`` keeps then gives one lookup, with
+    the values of those \\old expressions; a binding at which one of them is
+    undefined fails the ensures clause and gives none.
+    """
+
+    def __init__(self, ensures, outside, var_names):
+        self.outside = outside
+        self.exists = ensures if isinstance(ensures, jml.JmlExists) else None
+        self.pins: dict[str, jml.JmlOldExpr] = {}
+        if self.exists is not None:
+            bound, _types, _tests, rest = _exists_chain(self.exists, False)
+            for c in rest:
+                if isinstance(c, jml.JmlBoolCall) and c.call.method == "equals":
+                    target, value = c.call.recv, c.call.args[0]
+                elif isinstance(c, jml.JmlCmp) and c.op == "==":
+                    target, value = c.left, c.right
+                else:
+                    continue
+                if isinstance(target, jml.JmlVar) and \
+                        isinstance(value, jml.JmlOldExpr) and \
+                        target.name in var_names and \
+                        target.name not in outside and target.name not in bound:
+                    self.pins.setdefault(target.name, value)
+        self.names = outside + tuple(self.pins)
+
+    def candidates(self, a: State, states, index: dict, u, cache):
+        """The states matching ``a``'s lookups, from ``index`` (one table
+        per key, built on first use)."""
+        table = index.get(self.names)
+        if table is None:
+            table = index[self.names] = {}
+            for s in states:
+                table.setdefault(tuple(s[n] for n in self.names), []).append(s)
+        fixed = tuple(a[n] for n in self.outside)
+        if self.exists is None:
+            return table.get(fixed, ())
+        _rest, bindings = _exists_witnesses(self.exists, a, False, {}, u, cache)
+        pins = tuple(self.pins.values())
+        found: dict[State, None] = {}
+        for binding in bindings:
+            values = _defined(_old_values, pins, a, binding, u, cache)
+            if values is not False:
+                found.update(dict.fromkeys(table.get(fixed + values, ())))
+        return found
+
+
+def _old_values(exprs, pre, env, u, cache) -> tuple:
+    return tuple(eval_jml_expr(e, pre, pre, env, u, cache) for e in exprs)
 
 
 def jml_initially_states(initially: jml.JmlPredicate, invariant: jml.JmlPredicate,

@@ -207,6 +207,15 @@ def test_one_check_computes_each_value_domain_once(monkeypatch, social_abstract,
     assert computed and len(computed) == len(set(computed)), computed
 
 
+def test_report_keeps_the_universe_without_its_value_domains(social_abstract):
+    # a kept report must not keep every value domain the check computed
+    u = Universe(carriers={"PERSON": 2, "CONTENTS": 2})
+    report = check_machine(social_abstract, u)
+    assert u._cache  # the check filled the caller's universe
+    assert report.universe == u
+    assert report.universe._cache == {}
+
+
 def test_flagship_bisimulation_flag_and_sensitivity(counter):
     v = check_event(counter.event("incr"), counter, U01)
     assert v.bisimulation is True

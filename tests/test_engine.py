@@ -8,6 +8,7 @@ restricted to invariant pre-states.  An invariant conjunct whose evaluation
 fails counts as false.
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from eb2jml.checker import (
     PASS, RESOURCE_LIMIT, check_event, check_init, check_machine,
     state_spaces, universe_for,
 )
-from eb2jml.ebast import Ident, IntType, RelType
+from eb2jml.ebast import BecomesEqual, Ident, IntType, RelType
 from eb2jml.ebcheck import resolve_types
 from eb2jml.jmlast import (
     AssignNothing, AssignVars, JInt, JmlCmp, JmlExists, JmlFalse, JmlIntLit,
@@ -27,9 +28,9 @@ from eb2jml.jmlast import (
 from eb2jml.parser import parse_machine, parse_predicate
 from eb2jml.semantics import (
     Budget, EvalError, State, Universe, eb_event_rel, eb_init_states,
-    eb_invariant_states, eb_pred_holds, enumerate_states, guard_holds,
-    inline_guard_calls, jml_initially_states, jml_invariant_states,
-    jml_method_rel, jml_pred_holds,
+    eb_invariant_states, eb_pred_holds, enumerate_states, eval_eb_expr,
+    guard_holds, inline_guard_calls, jml_initially_states,
+    jml_invariant_states, jml_method_rel, jml_pred_holds,
 )
 
 from conftest import load_machine
@@ -131,6 +132,52 @@ def test_checker_relations_equal_brute_force(monkeypatch, name, universe):
         literal = eb_event_rel(event, inv, machine.variables, u)
         assert eb_rel == frozenset(p for p in literal if p[0] in eb_inv), event.name
         monkeypatch.undo()
+
+
+def _reference_eb_rel(machine, event, u, pre_states):
+    """The Event-B relation from ``pre_states``, by a plain loop over every
+    parameter valuation in ``itertools.product`` with every guard (the
+    corpus has deterministic actions only)."""
+    assert all(isinstance(act, BecomesEqual) for act in event.actions)
+    inv = checker._machine_invariant(machine)
+    allowed = {ident.name: u.values_of_type(ty) for ident, ty in machine.variables}
+    names = [ident.name for ident, _ty in event.params]
+    domains = [u.values_of_type(ty) for _ident, ty in event.params]
+    out = set()
+    for a in pre_states:
+        envs = [env for env in (dict(zip(names, combo))
+                                for combo in itertools.product(*domains))
+                if all(_holds(eb_pred_holds, g, a, env, u)
+                       for _lbl, g in event.guards)]
+        if not envs:
+            out.add((a, a))
+            continue
+        if not _holds(eb_pred_holds, inv, a, {}, u):
+            continue
+        for env in envs:
+            try:
+                b = a.override({act.target.name: eval_eb_expr(act.rhs, a, env, u)
+                                for act in event.actions})
+            except EvalError:
+                continue
+            if all(b[n] in allowed[n] for n in b) and \
+                    _holds(eb_pred_holds, inv, b, {}, u):
+                out.add((a, b))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
+def test_eb_relation_equals_a_loop_over_every_parameter_valuation(name, universe):
+    machine = load_machine(f"{name}.ebm")
+    u = universe_for(machine, universe)
+    inv = checker._machine_invariant(machine)
+    eb_inv = _brute_eb_inv(machine, u)
+    typed = enumerate_states(machine.variables, u)
+    for event in machine.events:
+        assert eb_event_rel(event, inv, machine.variables, u) == \
+            _reference_eb_rel(machine, event, u, typed), event.name
+        assert eb_event_rel(event, inv, machine.variables, u, states=eb_inv) == \
+            _reference_eb_rel(machine, event, u, eb_inv), event.name
 
 
 def test_without_a_state_set_the_builders_keep_non_invariant_stutters(counter):

@@ -1,0 +1,210 @@
+"""The JML relation's witness-pinned post-state lookup is exact.
+
+Given a witness binding of an ensures clause's \\exists chain, each
+conjunct ``v.equals(\\old(E))`` or ``v == \\old(E)`` on a state variable in
+the frame fixes ``v``'s post-value, so ``jml_method_rel`` looks post-states
+up instead of scanning every state with the right values outside the
+frame.  Every candidate is still tested in full, so the relation must equal
+a double loop over every pair of invariant states, evaluated without a
+cache; where the pins fix every assigned variable, each candidate is a
+transition, and the relation's work equals its size.
+"""
+
+import pytest
+
+from eb2jml import translate_machine
+from eb2jml.checker import (
+    MUTATIONS, MutationError, mutate_translation, state_spaces, universe_for,
+)
+from eb2jml.ebast import Ident, IntType, RelType
+from eb2jml.jmlast import (
+    AssignNothing, AssignVars, JInt, JmlAnd, JmlArith, JmlBoolCall, JmlCmp,
+    JmlExists, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlOld, JmlOldExpr,
+    JmlTrue, JmlVar, SpecCase,
+)
+from eb2jml.semantics import (
+    Budget, EvalError, Universe, enumerate_states, inline_guard_calls,
+    jml_method_rel, jml_pred_holds,
+)
+
+from conftest import load_machine
+
+
+def _holds(p, a, b, u) -> bool:
+    try:
+        return jml_pred_holds(p, a, b, {}, u)
+    except EvalError:
+        return False
+
+
+def _brute_rel(run, guard, var_names, inv_states, u):
+    """Every pair of invariant states the run method admits, tested one by
+    one with the uncached evaluator."""
+    cases = [c for c in (run.normal, run.exceptional) if c is not None]
+    out = set()
+    for a in inv_states:
+        active = [c for c in cases
+                  if _holds(inline_guard_calls(c.requires, guard), a, a, u)]
+        for b in inv_states:
+            if all(all(a[n] == b[n] for n in var_names
+                       if n not in getattr(c.assignable, "names", ()))
+                   and _holds(c.ensures, a, b, u) for c in active):
+                out.add((a, b))
+    return frozenset(out)
+
+
+# --- the corpus, unmutated and under every mutation that applies -------------
+
+CELLS = [
+    ("counter", Universe(int_lo=0, int_hi=2)),
+    ("swap", Universe(int_lo=0, int_hi=3)),
+    ("social_abstract", Universe(carriers={"PERSON": 1, "CONTENTS": 2})),
+    ("social_abstract", Universe(carriers={"PERSON": 2, "CONTENTS": 2})),
+    ("social_ref1", Universe(carriers={"PERSON": 1, "CONTENTS": 2})),
+]
+
+
+def _corpus_cases():
+    for name, universe in CELLS:
+        unit = translate_machine(load_machine(f"{name}.ebm"))
+        for mutation in (None,) + MUTATIONS:
+            try:
+                if mutation is not None:
+                    mutate_translation(unit, mutation)
+            except MutationError:
+                continue
+            yield pytest.param(
+                name, universe, mutation,
+                id=f"{name}-{universe.int_lo}..{universe.int_hi}-"
+                   f"{sorted(universe.carriers.items())}-{mutation}")
+
+
+@pytest.mark.parametrize("name,universe,mutation", _corpus_cases())
+def test_corpus_relations_equal_brute_force(name, universe, mutation):
+    machine = load_machine(f"{name}.ebm")
+    unit = translate_machine(machine)
+    if mutation is not None:
+        unit = mutate_translation(unit, mutation)
+    u = universe_for(machine, universe)
+    inv = unit.result.class_invariant
+    inv_states = frozenset(s for s in enumerate_states(machine.variables, u)
+                           if _holds(inv, s, s, u))
+    assert state_spaces(machine, unit, u).jml == inv_states
+    for event in machine.events:
+        guard, run = unit.method_pair(event.name)
+        rel = jml_method_rel(run, inv, guard, machine.variables, u,
+                             states=inv_states)
+        assert rel == _brute_rel(run, guard, machine.variable_names(),
+                                 inv_states, u), event.name
+
+
+@pytest.mark.parametrize("name,carriers", [
+    ("social_abstract", {"PERSON": 2, "CONTENTS": 2}),
+    ("social_abstract", {"PERSON": 2, "CONTENTS": 3}),
+    ("social_ref1", {"PERSON": 2, "CONTENTS": 2}),
+])
+def test_each_candidate_is_a_transition(name, carriers):
+    # every assigned variable of the corpus events is pinned, so the lookup
+    # tries exactly the transitions (the frame index alone tried every
+    # invariant state with the pre-state's values outside the frame)
+    machine = load_machine(f"{name}.ebm")
+    unit = translate_machine(machine)
+    u = universe_for(machine, Universe(carriers=carriers))
+    spaces = state_spaces(machine, unit, u)
+    for event in machine.events:
+        guard, run = unit.method_pair(event.name)
+        budget = Budget(u.ceiling)
+        rel = jml_method_rel(run, unit.result.class_invariant, guard,
+                             machine.variables, u, budget, states=spaces.jml)
+        assert rel and budget.spent == len(rel), event.name
+
+
+# --- hand-built specifications -------------------------------------------------
+
+U01 = Universe(int_lo=0, int_hi=1)
+VARIABLES = ((Ident("x"), IntType()), (Ident("y"), IntType()),
+             (Ident("r"), RelType(IntType(), IntType())))
+STATES = frozenset(enumerate_states(VARIABLES, U01))
+
+
+def _var(name):
+    return JmlVar(name)
+
+
+def _old(e):
+    return JmlOldExpr(e)
+
+
+def _eq(name, e):
+    return JmlCmp("==", _var(name), e)
+
+
+def _equals(name, e):
+    return JmlBoolCall(JmlMethodCall(_var(name), "equals", (e,)))
+
+
+def _exists(var, *conjuncts):
+    body = conjuncts[0]
+    for c in conjuncts[1:]:
+        body = JmlAnd(body, c)
+    return JmlExists(var, JInt(), body)
+
+
+def _case(ensures, *assigned):
+    assignable = AssignVars(assigned) if assigned else AssignNothing()
+    return SpecCase(JmlTrue(), assignable, ensures)
+
+
+# name -> (normal case, exceptional case or None, whether the pins fix every
+# assigned variable, so that each candidate is a transition)
+HAND_BUILT = {
+    # r.apply(k) is undefined where r is not functional at k: that binding
+    # gives no candidate, the others still do
+    "undefined pinned value": (
+        _case(_exists("k", _equals(
+            "x", _old(JmlMethodCall(_var("r"), "apply", (_var("k"),))))), "x"),
+        None, True),
+    # k + 1 = 2 lies outside the typed domain of x: no state has it
+    "pinned value outside the typed domain": (
+        _case(_exists("k", _eq("x", _old(JmlArith("+", _var("k"),
+                                                   JmlIntLit(1))))), "x"),
+        None, True),
+    # the bound x shadows the state variable x: nothing is pinned, and
+    # every post-value of x is a transition
+    "bound name shadows a state variable": (
+        _case(_exists("x", _eq("x", _old(_var("y")))), "x"), None, True),
+    # the first equality pins x; only the full ensures rejects the second
+    "two conflicting equalities on one variable": (
+        _case(_exists("k", _eq("x", _old(_var("k"))),
+                      _eq("x", _old(_var("y")))), "x"),
+        None, False),
+    # y is outside the frame, so its equality only constrains the witness
+    "equality on a variable outside the frame": (
+        _case(_exists("k", _eq("y", _old(_var("k"))),
+                      _eq("x", _old(_var("y")))), "x"),
+        None, True),
+    # both requires clauses hold: a pair needs both frames and both ensures
+    "both cases active": (
+        _case(_exists("k", _eq("x", _old(_var("k"))),
+                      _eq("y", _old(_var("y")))), "x", "y"),
+        _case(_exists("k", JmlOld(JmlCmp("<=", _var("k"), _var("x"))),
+                      _eq("x", _old(_var("y")))), "x"),
+        False),
+    "int == pin inside exists": (
+        _case(_exists("k", _eq("x", _old(JmlArith("*", _var("k"),
+                                                   _var("y"))))), "x"),
+        None, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_specs(name):
+    normal, exceptional, every_candidate_a_transition = HAND_BUILT[name]
+    run = JmlMethodSpec("run_e", "run", normal, exceptional)
+    guard = JmlMethodSpec("guard_e", "guard", _case(JmlTrue()))
+    budget = Budget(10 ** 6)
+    rel = jml_method_rel(run, JmlTrue(), guard, VARIABLES, U01, budget,
+                         states=STATES)
+    assert rel == _brute_rel(run, guard, ("x", "y", "r"), STATES, U01)
+    assert rel  # every spec admits some pair
+    assert (budget.spent == len(rel)) == every_candidate_a_transition
