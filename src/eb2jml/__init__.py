@@ -15,9 +15,8 @@ from .translate import (
 )
 from .semantics import (
     Budget, EvalError, ResourceLimitError, State, Universe,
-    eb_assg_rel, eb_event_rel, eb_init_states, eb_pred_holds,
-    enumerate_states, eval_expr, jml_initially_states, jml_method_rel,
-    jml_pred_holds,
+    eb_event_rel, eb_init_states, eb_pred_holds, enumerate_states,
+    jml_initially_states, jml_method_rel, jml_pred_holds,
 )
 from .checker import (
     Counterexample, MutationError, Report, Verdict, check_event,

@@ -58,7 +58,7 @@ class Verdict:
     eb_size: Optional[int] = None
     witnesses: tuple[Counterexample, ...] = ()
     bisimulation: Optional[bool] = None      # informational: eb side also contained?
-    stutter_sensitive: Optional[bool] = None  # does inv on the stutter branch flip the verdict?
+    stutter_sensitive: Optional[bool] = None  # kept for the report layout; never true
     detail: str = ""
 
 
@@ -90,9 +90,6 @@ class Report:
             if v.bisimulation is not None:
                 lines.append(f"  bisimulation (informational): "
                              f"{'yes' if v.bisimulation else 'no'}")
-            if v.stutter_sensitive:
-                lines.append("  note: adding the invariant to the stuttering "
-                             "branch changes this verdict")
             if v.detail:
                 lines.append(f"  {v.detail}")
             for w in v.witnesses:
@@ -148,16 +145,6 @@ class Report:
             "overall": self.status,
             "elapsed": self.elapsed,
         }
-
-
-def _machine_invariant(machine: Machine) -> eb.Predicate:
-    preds = [p for _lbl, p in machine.invariants]
-    if not preds:
-        return eb.BTrue()
-    out = preds[0]
-    for p in preds[1:]:
-        out = eb.And(out, p)
-    return out
 
 
 def universe_for(machine: Machine, universe: Universe) -> Universe:
@@ -220,33 +207,29 @@ def check_event(event: eb.Event, machine: Machine, universe: Universe,
     if spaces.limit is not None:
         return _limit_verdict(event.name, *spaces.limit)
     guard_spec, run_spec = unit.method_pair(event.name)
-    inv_eb = _machine_invariant(machine)
     budget = Budget(u.ceiling)
     phase = f"event {event.name}'s JML relation"
     try:
-        jml_rel = jml_method_rel(run_spec, unit.result.class_invariant,
-                                 guard_spec, machine.variables, u, budget,
-                                 states=spaces.jml)
+        jml_rel = jml_method_rel(run_spec, spaces.jml, guard_spec,
+                                 machine.variables, u, budget)
         phase = f"event {event.name}'s Event-B relation"
-        eb_literal, eb_strict = eb_event_rel_variants(
-            event, inv_eb, machine.variables, u, budget, states=spaces.eb)
+        eb_rel, _same = eb_event_rel_variants(
+            event, spaces.eb, machine.variables, u, budget)
     except ResourceLimitError as exc:
         return _limit_verdict(event.name, phase, exc)
 
-    missing = sorted(jml_rel - eb_literal, key=_pair_sort_key)
-    pass_literal = not missing
-    pass_strict = jml_rel <= eb_strict
+    missing = sorted(jml_rel - eb_rel, key=_pair_sort_key)
     witnesses = tuple(
         _explain_pair(event, pair, guard_spec, u) for pair in missing[:witness_cap])
     return Verdict(
         name=event.name,
-        status=PASS if pass_literal else FAIL,
+        status=PASS if not missing else FAIL,
         checked_pairs=budget.spent,
         jml_size=len(jml_rel),
-        eb_size=len(eb_literal),
+        eb_size=len(eb_rel),
         witnesses=witnesses,
-        bisimulation=eb_literal <= jml_rel,
-        stutter_sensitive=pass_literal != pass_strict,
+        bisimulation=eb_rel <= jml_rel,
+        stutter_sensitive=False,
     )
 
 
@@ -276,17 +259,14 @@ def check_init(machine: Machine, universe: Universe,
     spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
     if spaces.limit is not None:
         return _limit_verdict("initialisation", *spaces.limit)
-    inv_eb = _machine_invariant(machine)
     budget = Budget(u.ceiling)
     phase = "initialisation's JML state set"
     try:
         jml_states = jml_initially_states(
-            unit.result.initially, unit.result.class_invariant,
-            machine.variables, u, budget, states=spaces.jml)
+            unit.result.initially, spaces.jml, u, budget)
         phase = "initialisation's Event-B state set"
         eb_states = eb_init_states(
-            machine.initialisation, inv_eb, machine.variables, u, budget,
-            states=spaces.eb)
+            machine.initialisation, spaces.eb, machine.variables, u, budget)
     except ResourceLimitError as exc:
         return _limit_verdict("initialisation", phase, exc)
 

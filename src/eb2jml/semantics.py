@@ -484,37 +484,9 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
         yield dict(combo)
 
 
-def _memo_holds(evaluate):
-    """Memoised truth per state; an evaluation error counts as false."""
-    memo: dict[State, bool] = {}
-
-    def holds(s: State) -> bool:
-        if s not in memo:
-            memo[s] = _defined(evaluate, s)
-        return memo[s]
-
-    return holds
-
-
-def _invariant_checker(invariant, u: Universe):
-    return _memo_holds(lambda s: eb_pred_holds(invariant, s, {}, u))
-
-
-def _state_space(variables, u, states, invariant_checker):
-    """Pre-states to iterate and the invariant test for post-states.
-
-    Without ``states`` these are the typed product and a memoised
-    evaluation of the invariant; given the invariant states, the test is
-    membership.
-    """
-    if states is None:
-        return enumerate_states(variables, u), invariant_checker()
-    return states, states.__contains__
-
-
-def _eb_post_states(actions, variables, u, budget):
-    """``posts(a, env, inv_holds)`` yields each state that one simultaneous
-    execution of ``actions`` at (a, env) reaches and ``inv_holds`` accepts.
+def _eb_post_states(actions, variables, u, budget, states):
+    """``posts(a, env)`` yields each invariant state in ``states`` that one
+    simultaneous execution of ``actions`` at (a, env) reaches.
 
     Each action result is one unit of work, and a result outside the
     bounded universe is dropped.  The value domains are built here, once.
@@ -523,100 +495,64 @@ def _eb_post_states(actions, variables, u, budget):
     allowed = {ident.name: frozenset(u.values_of_type(ty))
                for ident, ty in variables}
 
-    def posts(a, env, inv_holds):
+    def posts(a, env):
         for assignment in _action_assignments(
                 actions, a, env, var_types, u, budget):
             budget.charge()
             if any(val not in allowed[name] for name, val in assignment.items()):
                 continue  # the transition leaves the bounded universe
             b = a.override(assignment)
-            if inv_holds(b):
+            if b in states:
                 yield b
 
     return posts
 
 
-def _eb_event_parts(event, invariant, variables, u, budget, states):
-    posts = _eb_post_states(event.actions, variables, u, budget)
-    states, inv_holds = _state_space(
-        variables, u, states, lambda: _invariant_checker(invariant, u))
+def eb_event_rel(event, states: frozenset, variables, u: Universe,
+                 budget: Optional[Budget] = None) -> frozenset:
+    """The transition relation of an event over the invariant ``states``.
+
+    A pair (a, b) of invariant states is included when some parameter
+    valuation satisfies every guard at a and some after-value choice
+    satisfies every action, with b equal to a overridden by the assigned
+    values; or, when no parameter valuation satisfies the guards at a, the
+    stuttering pair (a, a).
+    """
+    budget = budget if budget is not None else Budget(u.ceiling)
+    posts = _eb_post_states(event.actions, variables, u, budget, states)
     names = [ident.name for ident, _ty in event.params]
     types = [ty for _ident, ty in event.params]
     guards = [(c, _depth({i.key for i in eb.free_identifiers(c)}, names))
               for _lbl, g in event.guards for c in _eb_conjuncts(g)]
-    core: set[tuple[State, State]] = set()
-    stutter: set[tuple[State, State]] = set()
+    rel: set[tuple[State, State]] = set()
     for a in states:
         sat_envs = _solutions(
             names, lambda k: u.values_of_type(types[k]), guards,
             lambda c, env: eb_pred_holds(c, a, env, u), {}, budget.charge)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
-            stutter.add((a, a))
-            continue
-        if not inv_holds(a):
-            continue
+            rel.add((a, a))
         for env in sat_envs:
-            for b in posts(a, env, inv_holds):
-                core.add((a, b))
-    return frozenset(core), frozenset(stutter), inv_holds
+            for b in posts(a, env):
+                rel.add((a, b))
+    return frozenset(rel)
 
 
-def eb_event_rel(event, invariant, variables, u: Universe, *,
-                 stutter_requires_inv: bool = False,
-                 budget: Optional[Budget] = None,
-                 states: Optional[frozenset] = None) -> frozenset:
-    """The transition relation of an event under the machine invariant.
-
-    A pair (a, b) is included when the invariant holds at a and b, some
-    parameter valuation satisfies every guard at a, and some after-value
-    choice satisfies every action, with b equal to a overridden by the
-    assigned values; or, when no parameter valuation satisfies the guards
-    at a, the stuttering pair (a, a).  The stuttering branch carries no
-    invariant conjunct; ``stutter_requires_inv=True`` computes the variant
-    that adds one (used for sensitivity reporting).  Given the invariant
-    ``states``, only pairs whose pre-state is one of them are built.
-    """
-    budget = budget if budget is not None else Budget(u.ceiling)
-    core, stutter, inv_holds = _eb_event_parts(
-        event, invariant, variables, u, budget, states)
-    if stutter_requires_inv:
-        stutter = frozenset(p for p in stutter if inv_holds(p[0]))
-    return core | stutter
-
-
-def eb_event_rel_variants(event, invariant, variables, u: Universe,
+def eb_event_rel_variants(event, states: frozenset, variables, u: Universe,
                           budget: Optional[Budget] = None,
-                          states: Optional[frozenset] = None,
                           ) -> tuple[frozenset, frozenset]:
-    """(literal, invariant-constrained-stutter) relations in one pass."""
+    """``eb_event_rel`` twice: over invariant pre-states, adding the
+    invariant to the stuttering branch changes nothing."""
+    rel = eb_event_rel(event, states, variables, u, budget)
+    return rel, rel
+
+
+def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
+                   budget: Optional[Budget] = None) -> frozenset:
+    """The invariant ``states`` reachable by the initialisation."""
     budget = budget if budget is not None else Budget(u.ceiling)
-    core, stutter, inv_holds = _eb_event_parts(
-        event, invariant, variables, u, budget, states)
-    strict = frozenset(p for p in stutter if inv_holds(p[0]))
-    return core | stutter, core | strict
-
-
-def eb_assg_rel(actions, invariant, variables, u: Universe,
-                budget: Optional[Budget] = None) -> frozenset:
-    """Unguarded simultaneous-substitution relation (no stuttering branch)."""
-    budget = budget if budget is not None else Budget(u.ceiling)
-    ev = eb.Event(name="_assg", params=(), guards=(), actions=tuple(actions))
-    core, _stutter, _inv = _eb_event_parts(
-        ev, invariant, variables, u, budget, None)
-    return core
-
-
-def eb_init_states(init_actions, invariant, variables, u: Universe,
-                   budget: Optional[Budget] = None,
-                   states: Optional[frozenset] = None) -> frozenset:
-    """Post-states reachable by the initialisation, filtered by the invariant
-    (or, given the invariant ``states``, by membership)."""
-    budget = budget if budget is not None else Budget(u.ceiling)
-    posts = _eb_post_states(init_actions, variables, u, budget)
-    inv_holds = (_invariant_checker(invariant, u) if states is None
-                 else states.__contains__)
-    return frozenset(posts(State(), {}, inv_holds))
+    posts = _eb_post_states(init_actions, variables, u, budget, states)
+    return frozenset(posts(State(), {}))
 
 
 # --- JML evaluation --------------------------------------------------------
@@ -863,14 +799,6 @@ def _no_charge() -> None:
     pass
 
 
-def eval_expr(e, pre, post, env, u: Universe) -> Value:
-    """Evaluate either language's expression over (pre, post) states."""
-    if isinstance(e, eb.Expr):
-        return eval_eb_expr(e, pre, env or {}, u)
-    target = post if post is not None else pre
-    return eval_jml_expr(e, pre, target, env or {}, u)
-
-
 # --- JML transition relations ----------------------------------------------
 
 def inline_guard_calls(p: jml.JmlPredicate,
@@ -895,10 +823,6 @@ def _outside_frame(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(n for n in var_names if n not in assignable.names)
 
 
-def _jml_invariant_checker(invariant, u, cache):
-    return _memo_holds(lambda s: _jml_holds(invariant, s, s, {}, u, cache))
-
-
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
                          budget: Optional[Budget] = None) -> frozenset:
     """Typed states satisfying every conjunct of the class invariant."""
@@ -909,23 +833,20 @@ def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
         u, budget)
 
 
-def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
+def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
                    guard_spec: jml.JmlMethodSpec, variables, u: Universe,
-                   budget: Optional[Budget] = None,
-                   states: Optional[frozenset] = None) -> frozenset:
-    """The transition relation admitted by a translated run method.
+                   budget: Optional[Budget] = None) -> frozenset:
+    """The transition relation admitted by a translated run method over the
+    class-invariant ``states``.
 
-    A pair (a, b) is in the relation when the class invariant holds at both
-    states and, for each specification case whose requires clause holds in
-    the pre-state, the ensures clause holds over (a, b) and b agrees with a
-    outside the case's assignable set.  Guard-method calls in requires
-    clauses are resolved by inlining the guard predicate.  Given the
-    invariant ``states``, pre- and post-states are drawn from them alone.
+    A pair (a, b) of invariant states is in the relation when, for each
+    specification case whose requires clause holds in the pre-state, the
+    ensures clause holds over (a, b) and b agrees with a outside the case's
+    assignable set.  Guard-method calls in requires clauses are resolved by
+    inlining the guard predicate.
     """
     budget = budget if budget is not None else Budget(u.ceiling)
     cache: dict = {}
-    states, inv_holds = _state_space(
-        variables, u, states, lambda: _jml_invariant_checker(invariant, u, cache))
     var_names = tuple(ident.name for ident, _ty in variables)
     cases = [run_spec.normal]
     if run_spec.exceptional is not None:
@@ -938,8 +859,6 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
 
     rel: set[tuple[State, State]] = set()
     for a in states:
-        if not inv_holds(a):
-            continue
         active = [case for case in cases
                   if _defined(_jml_holds, case[0], a, a, {}, u, cache)]
         candidates = states
@@ -948,8 +867,6 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, invariant: jml.JmlPredicate,
             candidates = lookup.candidates(a, states, index, u, cache)
         for b in candidates:
             budget.charge()
-            if not inv_holds(b):
-                continue
             for _req, ensures, outside, _lookup in active:
                 if any(a[v] != b[v] for v in outside) or \
                         not _defined(_jml_holds, ensures, a, b, {}, u, cache):
@@ -1018,20 +935,16 @@ def _old_values(exprs, pre, env, u, cache) -> tuple:
     return tuple(eval_jml_expr(e, pre, pre, env, u, cache) for e in exprs)
 
 
-def jml_initially_states(initially: jml.JmlPredicate, invariant: jml.JmlPredicate,
-                         variables, u: Universe,
-                         budget: Optional[Budget] = None,
-                         states: Optional[frozenset] = None) -> frozenset:
-    """States satisfying the initially clause and the class invariant
-    (drawn from the invariant ``states`` when given)."""
+def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
+                         u: Universe,
+                         budget: Optional[Budget] = None) -> frozenset:
+    """The class-invariant ``states`` satisfying the initially clause."""
     budget = budget if budget is not None else Budget(u.ceiling)
     cache: dict = {}
-    states, inv_holds = _state_space(
-        variables, u, states, lambda: _jml_invariant_checker(invariant, u, cache))
     out = set()
     for b in states:
         budget.charge()
-        if _defined(_jml_holds, initially, b, b, {}, u, cache) and inv_holds(b):
+        if _defined(_jml_holds, initially, b, b, {}, u, cache):
             out.add(b)
     return frozenset(out)
 

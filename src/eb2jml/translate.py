@@ -10,7 +10,7 @@ invariant and the initialisation becomes the ``initially`` clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import ebast as eb
@@ -20,6 +20,7 @@ from .ebcheck import (
     RelSpaceType, TypeProblem, _check_action, base_type_env, expr_type,
     resolve_types, unify,
 )
+from .nodes import map_children
 
 
 class TranslationError(Exception):
@@ -244,33 +245,51 @@ def _tr_cmp(p: eb.Cmp, env) -> jml.JmlPredicate:
     return equals if p.op == "eq" else jml.JmlNot(equals)
 
 
-def translate_predicate(p: eb.Predicate, env, mode: str = "post") -> jml.JmlPredicate:
-    """Translate a predicate; ``mode="pre"`` wraps the result in \\old."""
-    body = _tr_pred(p, env)
-    if mode == "pre":
-        return jml.JmlOld(body)
-    if mode != "post":
-        raise ValueError(f"unknown mode {mode!r}")
-    return body
+def translate_predicate(p: eb.Predicate, env) -> jml.JmlPredicate:
+    """The JML form of an Event-B predicate over the names typed in ``env``."""
+    return _tr_pred(p, env)
+
+
+def _tr_becomes_such_that(a: eb.BecomesSuchThat, env, at_pre: bool) -> jml.JmlExists:
+    """``v :| P`` as ``\\exists T y; P[y/v'] && v == y``.
+
+    ``'`` is not legal in a JML identifier, so the after-value ``v'`` is
+    bound as ``v_after`` (or ``v_after2``, ...), the first such name that
+    is not in ``env``.  With ``at_pre``, P is read in the pre-state.
+    """
+    target = a.target.name
+    t = env[target]
+    name = target + "_after"
+    k = 1
+    while name in env:
+        k += 1
+        name = f"{target}_after{k}"
+
+    def rename(node):
+        if isinstance(node, eb.Ref) and node.ident.primed and \
+                node.ident.name == target:
+            return replace(node, ident=eb.Ident(name, span=node.ident.span))
+        return map_children(node, rename)
+
+    bap_env = dict(env)
+    bap_env[name] = t
+    body = _tr_pred(rename(a.predicate), bap_env)
+    return jml.JmlExists(
+        name, jml_type_of(t),
+        jml.JmlAnd(jml.JmlOld(body) if at_pre else body,
+                   jml.JmlBecomes(target, name, _is_primitive(t))))
 
 
 def translate_action(a: eb.Action, env) -> jml.JmlPredicate:
+    if isinstance(a, eb.BecomesSuchThat):
+        return _tr_becomes_such_that(a, env, at_pre=True)
     target = a.target.name
     t = env[target]
-    if isinstance(a, eb.BecomesEqual):
-        old_rhs = jml.JmlOldExpr(_tr_expr(a.rhs, env, t))
-        if _is_primitive(t):
-            return jml.JmlCmp("==", jml.JmlVar(target), old_rhs)
-        return jml.JmlBoolCall(jml.JmlMethodCall(
-            jml.JmlVar(target), "equals", (old_rhs,)))
-    prime = target + "'"
-    bap_env = dict(env)
-    bap_env[prime] = t
-    body = _tr_pred(a.predicate, bap_env)
-    return jml.JmlExists(
-        prime, jml_type_of(t),
-        jml.JmlAnd(jml.JmlOld(body),
-                   jml.JmlBecomes(target, prime, _is_primitive(t))))
+    old_rhs = jml.JmlOldExpr(_tr_expr(a.rhs, env, t))
+    if _is_primitive(t):
+        return jml.JmlCmp("==", jml.JmlVar(target), old_rhs)
+    return jml.JmlBoolCall(jml.JmlMethodCall(
+        jml.JmlVar(target), "equals", (old_rhs,)))
 
 
 def translate_actions(actions, env) -> jml.JmlPredicate:
@@ -353,13 +372,7 @@ def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
                 parts.append(jml.JmlBoolCall(jml.JmlMethodCall(
                     jml.JmlVar(a.target.name), "equals", (_tr_expr(a.rhs, env, t),))))
         else:
-            own_prime = a.target.name + "'"
-            bap_env = dict(env)
-            bap_env[own_prime] = t
-            parts.append(jml.JmlExists(
-                own_prime, jml_type_of(t),
-                jml.JmlAnd(_tr_pred(a.predicate, bap_env),
-                           jml.JmlBecomes(a.target.name, own_prime, _is_primitive(t)))))
+            parts.append(_tr_becomes_such_that(a, env, at_pre=False))
     return _conj(parts)
 
 

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from eb2jml import parse_machine
+from eb2jml import (
+    EvalError, eb_pred_holds, enumerate_states, jml_pred_holds, parse_machine,
+)
 
 TESTS_DIR = Path(__file__).resolve().parent
 MACHINES_DIR = TESTS_DIR.parent / "machines"
@@ -11,6 +13,31 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 
 def load_machine(name: str):
     return parse_machine((MACHINES_DIR / name).read_text(encoding="utf-8"))
+
+
+def states_where(variables, u, holds) -> frozenset:
+    """The typed product filtered by ``holds``, an undefined evaluation
+    counting as false: the brute-force reference for invariant states."""
+    out = set()
+    for s in enumerate_states(variables, u):
+        try:
+            if holds(s):
+                out.add(s)
+        except EvalError:
+            pass
+    return frozenset(out)
+
+
+def eb_inv_states(machine, u) -> frozenset:
+    """Typed states at which every Event-B invariant of ``machine`` holds."""
+    return states_where(machine.variables, u, lambda s: all(
+        eb_pred_holds(p, s, {}, u) for _lbl, p in machine.invariants))
+
+
+def jml_inv_states(invariant, variables, u) -> frozenset:
+    """Typed states at which the JML class ``invariant`` holds."""
+    return states_where(
+        variables, u, lambda s: jml_pred_holds(invariant, s, s, {}, u))
 
 
 @pytest.fixture(scope="session")

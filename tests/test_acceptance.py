@@ -19,14 +19,14 @@ from eb2jml import (
 from eb2jml.checker import (
     FAIL, PASS, check_event, check_machine, universe_for,
 )
-from eb2jml.ebast import BTrue, Ident, IntType, mod_set
+from eb2jml.ebast import Ident, IntType, mod_set
 from eb2jml.parser import render_machine
 from eb2jml.semantics import (
-    DEFAULT_CEILING, State, Universe, eb_assg_rel, eb_event_rel, guard_holds,
+    DEFAULT_CEILING, State, Universe, eb_event_rel, eb_pred_holds, guard_holds,
     jml_method_rel,
 )
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, eb_inv_states, jml_inv_states, states_where
 
 
 class _criterion:
@@ -94,7 +94,8 @@ def test_criterion_3_mutation_kill(counter):
         u = Universe(int_lo=0, int_hi=1)
         unit = translate_machine(counter)
         event = counter.event("incr")
-        inv = BTrue()
+        eb_rel = eb_event_rel(event, eb_inv_states(counter, u),
+                              counter.variables, u)
 
         for mutation in ("widen_ensures_true", "drop_old"):
             mutated = mutate_translation(unit, mutation)
@@ -102,9 +103,10 @@ def test_criterion_3_mutation_kill(counter):
             assert verdict.status == FAIL, mutation
             assert verdict.witnesses, mutation
             guard, run = mutated.method_pair("incr")
-            jml_rel = jml_method_rel(run, mutated.result.class_invariant,
-                                     guard, counter.variables, u)
-            eb_rel = eb_event_rel(event, inv, counter.variables, u)
+            jml_rel = jml_method_rel(
+                run, jml_inv_states(mutated.result.class_invariant,
+                                    counter.variables, u),
+                guard, counter.variables, u)
             for w in verdict.witnesses:
                 assert (w.pre, w.post) in jml_rel, mutation
                 assert (w.pre, w.post) not in eb_rel, mutation
@@ -114,8 +116,9 @@ def test_criterion_3_mutation_kill(counter):
 
 
 def test_criterion_4_event_semantics_against_oracle():
-    """For 100 random single-variable events over [0, 2] the constructed
-    transition relation equals an independent brute-force enumeration."""
+    """For 100 random single-variable events over [0, 2] the transition
+    relation constructed from the invariant states equals an independent
+    brute-force enumeration restricted to invariant pre-states."""
     with _criterion(4, "event semantics vs. brute-force oracle"):
         rng = random.Random(42424242)
         u = Universe(int_lo=0, int_hi=2)
@@ -123,8 +126,11 @@ def test_criterion_4_event_semantics_against_oracle():
         discrepancies = 0
         for i in range(100):
             event, inv = random_int_event(rng)
-            ours = eb_event_rel(event, inv, variables, u)
-            reference = oracle_event_rel(event, inv, 0, 2)
+            states = states_where(
+                variables, u, lambda s: eb_pred_holds(inv, s, {}, u))
+            ours = eb_event_rel(event, states, variables, u)
+            reference = frozenset(p for p in oracle_event_rel(event, inv, 0, 2)
+                                  if p[0] in states)
             if ours != reference:
                 discrepancies += 1
         assert discrepancies == 0
@@ -136,7 +142,7 @@ def test_criterion_5_simultaneous_swap(swap):
     with _criterion(5, "simultaneity of the swap body"):
         u = Universe(int_lo=0, int_hi=2)
         event = swap.event("exchange")
-        eb_rel = eb_assg_rel(event.actions, BTrue(), swap.variables, u)
+        eb_rel = eb_event_rel(event, eb_inv_states(swap, u), swap.variables, u)
         expected = frozenset(
             (State({"x": a, "y": b}), State({"x": b, "y": a}))
             for a in (0, 1, 2) for b in (0, 1, 2))
@@ -144,11 +150,10 @@ def test_criterion_5_simultaneous_swap(swap):
         assert len(eb_rel) == 9
         unit = translate_machine(swap)
         guard, run = unit.method_pair("exchange")
-        jml_rel = jml_method_rel(run, unit.result.class_invariant, guard,
-                                 swap.variables, u)
+        jml_rel = jml_method_rel(
+            run, jml_inv_states(unit.result.class_invariant, swap.variables, u),
+            guard, swap.variables, u)
         assert jml_rel == eb_rel
-        # the guarded event relation agrees with the bare substitution
-        assert eb_event_rel(event, BTrue(), swap.variables, u) == eb_rel
 
 
 def test_criterion_6_parser_round_trip():
@@ -174,8 +179,10 @@ def test_criterion_7_frame_properties(flagship):
         var_names = machine.variable_names()
         for event in machine.events:
             guard_spec, run_spec = unit.method_pair(event.name)
-            rel = jml_method_rel(run_spec, unit.result.class_invariant,
-                                 guard_spec, machine.variables, u)
+            rel = jml_method_rel(
+                run_spec, jml_inv_states(unit.result.class_invariant,
+                                         machine.variables, u),
+                guard_spec, machine.variables, u)
             assigned = {v.name for v in mod_set(event.actions)}
             for a, b in rel:
                 if guard_holds(guard_spec, a, u):

@@ -1,11 +1,14 @@
 """The traced benchmark run wraps program functions by name; a rename must
 fail here rather than drop per-layer metrics from the benchmark record."""
 
+import ast
+import importlib
 import importlib.util
 
 from conftest import TESTS_DIR
 
-TRACING = TESTS_DIR.parent / "bench" / "tracing.py"
+BENCH_DIR = TESTS_DIR.parent / "bench"
+TRACING = BENCH_DIR / "tracing.py"
 
 
 def _load_tracing():
@@ -30,3 +33,32 @@ def test_tracer_installs_without_missing_targets():
     with tracer.installed():
         pass
     assert tracer.missing == []
+
+
+def _program_imports():
+    """(file, module, name) for each ``from eb2jml... import name`` in
+    ``bench/*.py``, and (file, module, None) for each ``import eb2jml...``."""
+    found = []
+    for path in sorted(BENCH_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                    node.module.split(".")[0] == "eb2jml":
+                found += [(path.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name, None) for a in node.names
+                          if a.name.split(".")[0] == "eb2jml"]
+    return found
+
+
+def test_every_name_the_benchmark_imports_exists():
+    imports = _program_imports()
+    assert {(f, n) for f, _m, n in imports} >= {
+        ("run.py", "enumerate_states"), ("run.py", "eb_pred_holds"),
+        ("run.py", "EvalError"), ("run.py", "universe_for"),
+        ("workloads.py", "mutate_translation")}
+    missing = []
+    for f, m, n in imports:
+        module = importlib.import_module(m)  # a missing module fails here
+        if n is not None and not hasattr(module, n):
+            missing.append(f"{f}: {m}.{n}")
+    assert missing == []

@@ -13,6 +13,8 @@ from eb2jml.semantics import (
     Universe, eb_event_rel, jml_method_rel,
 )
 
+from conftest import eb_inv_states, jml_inv_states
+
 U01 = Universe(int_lo=0, int_hi=1)
 
 
@@ -33,19 +35,20 @@ def test_widen_ensures_true_fails_with_replayable_witness(counter):
     assert dict(w.pre) == {"v": 0} and dict(w.post) == {"v": 0}
     # replay: the pair really is in the mutated JML relation and
     # really is absent from the Event-B relation
-    guard, run = mutated.method_pair("incr")
-    jml_rel = jml_method_rel(run, mutated.result.class_invariant, guard,
-                             counter.variables, U01)
-    eb_rel = eb_event_rel(counter.event("incr"), _inv(counter),
-                          counter.variables, U01)
+    jml_rel, eb_rel = _relations(counter, mutated, "incr")
     for w in v.witnesses:
         assert (w.pre, w.post) in jml_rel
         assert (w.pre, w.post) not in eb_rel
 
 
-def _inv(machine):
-    from eb2jml.checker import _machine_invariant
-    return _machine_invariant(machine)
+def _relations(machine, unit, event_name, u=U01):
+    """Both relations of an event, built from the invariant states found
+    by brute force over the typed product."""
+    guard, run = unit.method_pair(event_name)
+    jml_states = jml_inv_states(unit.result.class_invariant, machine.variables, u)
+    return (jml_method_rel(run, jml_states, guard, machine.variables, u),
+            eb_event_rel(machine.event(event_name), eb_inv_states(machine, u),
+                         machine.variables, u))
 
 
 def test_drop_old_fails(counter):
@@ -53,11 +56,7 @@ def test_drop_old_fails(counter):
     mutated = mutate_translation(unit, "drop_old")
     v = check_event(counter.event("incr"), counter, U01, mutated)
     assert v.status == FAIL
-    guard, run = mutated.method_pair("incr")
-    jml_rel = jml_method_rel(run, mutated.result.class_invariant, guard,
-                             counter.variables, U01)
-    eb_rel = eb_event_rel(counter.event("incr"), _inv(counter),
-                          counter.variables, U01)
+    jml_rel, eb_rel = _relations(counter, mutated, "incr")
     for w in v.witnesses:
         assert (w.pre, w.post) in jml_rel and (w.pre, w.post) not in eb_rel
 
@@ -228,9 +227,6 @@ def test_pass_means_literal_containment(counter, swap):
         unit = translate_machine(machine)
         for event in machine.events:
             assert check_event(event, machine, U01, unit).status == PASS
-            guard, run = unit.method_pair(event.name)
-            jml_rel = jml_method_rel(run, unit.result.class_invariant, guard,
-                                     machine.variables, U01)
-            eb_rel = eb_event_rel(event, _inv(machine), machine.variables, U01)
+            jml_rel, eb_rel = _relations(machine, unit, event.name)
             for a, b in jml_rel:
                 assert (a, b) in eb_rel

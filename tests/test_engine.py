@@ -33,7 +33,7 @@ from eb2jml.semantics import (
     jml_invariant_states, jml_method_rel, jml_pred_holds,
 )
 
-from conftest import load_machine
+from conftest import eb_inv_states, jml_inv_states, load_machine
 
 CELLS = [
     ("counter", Universe(int_lo=0, int_hi=2)),
@@ -53,25 +53,13 @@ def _holds(test, *args) -> bool:
         return False
 
 
-def _brute_eb_inv(machine, u):
-    inv = checker._machine_invariant(machine)
-    return frozenset(s for s in enumerate_states(machine.variables, u)
-                     if _holds(eb_pred_holds, inv, s, {}, u))
-
-
-def _brute_jml_inv(machine, unit, u):
-    inv = unit.result.class_invariant
-    return frozenset(s for s in enumerate_states(machine.variables, u)
-                     if _holds(jml_pred_holds, inv, s, s, {}, u))
-
-
 def _brute_jml_rel(machine, unit, event, u):
     """Every typed pair admitted by the run method, tested one by one with
     the uncached evaluator."""
     guard, run = unit.method_pair(event.name)
     var_names = machine.variable_names()
     cases = [c for c in (run.normal, run.exceptional) if c is not None]
-    inv = _brute_jml_inv(machine, unit, u)
+    inv = jml_inv_states(unit.result.class_invariant, machine.variables, u)
     out = set()
     for a in enumerate_states(machine.variables, u):
         if a not in inv:
@@ -114,8 +102,8 @@ def test_invariant_sets_equal_the_filtered_product(name, universe):
     u = universe_for(machine, universe)
     spaces = state_spaces(machine, unit, u)
     assert spaces.limit is None
-    assert spaces.eb == _brute_eb_inv(machine, u)
-    assert spaces.jml == _brute_jml_inv(machine, unit, u)
+    assert spaces.eb == eb_inv_states(machine, u)
+    assert spaces.jml == jml_inv_states(unit.result.class_invariant, machine.variables, u)
     assert spaces.eb  # the initial state at least
 
 
@@ -124,12 +112,12 @@ def test_checker_relations_equal_brute_force(monkeypatch, name, universe):
     machine = load_machine(f"{name}.ebm")
     unit = translate_machine(machine)
     u = universe_for(machine, universe)
-    eb_inv = _brute_eb_inv(machine, u)
-    inv = checker._machine_invariant(machine)
+    eb_inv = eb_inv_states(machine, u)
+    typed = enumerate_states(machine.variables, u)
     for event in machine.events:
         jml_rel, eb_rel = _checker_relations(monkeypatch, machine, unit, event, u)
         assert jml_rel == _brute_jml_rel(machine, unit, event, u), event.name
-        literal = eb_event_rel(event, inv, machine.variables, u)
+        literal = _reference_eb_rel(machine, event, u, typed)
         assert eb_rel == frozenset(p for p in literal if p[0] in eb_inv), event.name
         monkeypatch.undo()
 
@@ -139,7 +127,7 @@ def _reference_eb_rel(machine, event, u, pre_states):
     parameter valuation in ``itertools.product`` with every guard (the
     corpus has deterministic actions only)."""
     assert all(isinstance(act, BecomesEqual) for act in event.actions)
-    inv = checker._machine_invariant(machine)
+    inv = eb_inv_states(machine, u)
     allowed = {ident.name: u.values_of_type(ty) for ident, ty in machine.variables}
     names = [ident.name for ident, _ty in event.params]
     domains = [u.values_of_type(ty) for _ident, ty in event.params]
@@ -152,7 +140,7 @@ def _reference_eb_rel(machine, event, u, pre_states):
         if not envs:
             out.add((a, a))
             continue
-        if not _holds(eb_pred_holds, inv, a, {}, u):
+        if a not in inv:
             continue
         for env in envs:
             try:
@@ -160,8 +148,7 @@ def _reference_eb_rel(machine, event, u, pre_states):
                                 for act in event.actions})
             except EvalError:
                 continue
-            if all(b[n] in allowed[n] for n in b) and \
-                    _holds(eb_pred_holds, inv, b, {}, u):
+            if all(b[n] in allowed[n] for n in b) and b in inv:
                 out.add((a, b))
     return frozenset(out)
 
@@ -170,27 +157,10 @@ def _reference_eb_rel(machine, event, u, pre_states):
 def test_eb_relation_equals_a_loop_over_every_parameter_valuation(name, universe):
     machine = load_machine(f"{name}.ebm")
     u = universe_for(machine, universe)
-    inv = checker._machine_invariant(machine)
-    eb_inv = _brute_eb_inv(machine, u)
-    typed = enumerate_states(machine.variables, u)
+    eb_inv = eb_inv_states(machine, u)
     for event in machine.events:
-        assert eb_event_rel(event, inv, machine.variables, u) == \
-            _reference_eb_rel(machine, event, u, typed), event.name
-        assert eb_event_rel(event, inv, machine.variables, u, states=eb_inv) == \
+        assert eb_event_rel(event, eb_inv, machine.variables, u) == \
             _reference_eb_rel(machine, event, u, eb_inv), event.name
-
-
-def test_without_a_state_set_the_builders_keep_non_invariant_stutters(counter):
-    # the oracle relation (criterion 4) still has the stutter pairs at
-    # states outside the invariant; only the checker restricts pre-states
-    inv = parse_predicate("v = 0")
-    u = Universe(int_lo=0, int_hi=1)
-    event = counter.event("incr")
-    literal = eb_event_rel(event, inv, counter.variables, u)
-    restricted = eb_event_rel(event, inv, counter.variables, u,
-                              states=frozenset({State({"v": 0})}))
-    assert (State({"v": 1}), State({"v": 1})) in literal
-    assert restricted == frozenset(p for p in literal if p[0] == State({"v": 0}))
 
 
 # --- undefined conjuncts -----------------------------------------------------
@@ -252,7 +222,7 @@ machine partial
 end
 """
 
-R_STATES = enumerate_states((R,), U01)
+R_STATES = frozenset(enumerate_states((R,), U01))
 F = _functional_at_zero_to_one()
 D = frozenset(s for s in R_STATES if len({y for x, y in s["r"] if x == 0}) == 1)
 APPLY0 = JmlCmp("==", JmlMethodCall(JmlVar("r"), "apply", (JmlIntLit(0),)),
@@ -271,18 +241,16 @@ def _partial():
     return machine
 
 
-def _partial_rel(event, invariant="r : INT <-> INT"):
+def _partial_rel(event):
     machine = _partial()
-    return eb_event_rel(machine.event(event), parse_predicate(invariant),
-                        machine.variables, U01)
+    return eb_event_rel(machine.event(event), R_STATES, machine.variables, U01)
 
 
-def _run_rel(requires=JmlTrue(), ensures=JmlTrue(), invariant=JmlTrue(),
-             assignable=AssignVars(("r",))):
+def _run_rel(requires=JmlTrue(), ensures=JmlTrue(), assignable=AssignVars(("r",))):
     run = JmlMethodSpec("run_e", "run", SpecCase(requires, assignable, ensures))
     guard = JmlMethodSpec("guard_e", "guard",
                           SpecCase(JmlTrue(), AssignNothing(), JmlTrue()))
-    return jml_method_rel(run, invariant, guard, (R,), U01)
+    return jml_method_rel(run, R_STATES, guard, (R,), U01)
 
 
 def _exists_outcomes(cache, same_object):
@@ -297,11 +265,10 @@ def _exists_expected():
 
 
 UNDEFINED_SITES = {
-    "eb invariant, memoised": lambda: (
-        _partial_rel("deterministic", "r(0) = 1"), {(a, _r((0, 1))) for a in F}),
     "eb invariant at an initial state": lambda: (
-        eb_init_states(_partial().initialisation, parse_predicate("r(0) = 1"),
-                       (R,), U01), frozenset()),
+        eb_init_states(_partial().initialisation, eb_invariant_states(
+            (("inv1", parse_predicate("r(0) = 1")),), (R,), U01), (R,), U01),
+        frozenset()),
     "eb guard": lambda: (
         _partial_rel("guarded"),
         {(a, _r()) for a in F} | {(a, a) for a in R_STATES if a not in F}),
@@ -311,15 +278,13 @@ UNDEFINED_SITES = {
     "eb deterministic action": lambda: (
         _partial_rel("deterministic"),
         {(a, _r(*((0, y) for x, y in a["r"] if x == 0))) for a in D}),
-    "jml class invariant, memoised": lambda: (
-        _run_rel(invariant=APPLY0), {(a, b) for a in F for b in F}),
     "jml requires": lambda: (
         _run_rel(requires=APPLY0, assignable=AssignNothing(), ensures=JmlFalse()),
         {(a, b) for a in R_STATES if a not in F for b in R_STATES}),
     "jml ensures": lambda: (
         _run_rel(ensures=APPLY0), {(a, b) for a in R_STATES for b in F}),
     "jml initially": lambda: (
-        jml_initially_states(APPLY0, JmlTrue(), (R,), U01), F),
+        jml_initially_states(APPLY0, R_STATES, U01), F),
     "jml exists, cached, pre-state": lambda: (
         _exists_outcomes({}, True), _exists_expected()),
     "jml exists, cached, post-state": lambda: (
@@ -382,9 +347,8 @@ def test_relation_limits_name_the_event_and_side(social_abstract):
     assert v.detail.startswith("event create_account's JML relation needs 11")
     guard, run = unit.method_pair("create_account")
     jml_work = Budget(10 ** 6)
-    jml_method_rel(run, unit.result.class_invariant, guard,
-                   social_abstract.variables, universe_for(social_abstract, U22),
-                   jml_work, states=spaces.jml)
+    jml_method_rel(run, spaces.jml, guard, social_abstract.variables,
+                   universe_for(social_abstract, U22), jml_work)
     v = check_event(event, social_abstract, _with_ceiling(jml_work.spent), unit,
                     spaces=spaces)
     assert v.detail.startswith("event create_account's Event-B relation needs")

@@ -92,8 +92,7 @@ def test_corpus_relations_equal_brute_force(name, universe, mutation):
     assert state_spaces(machine, unit, u).jml == inv_states
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
-        rel = jml_method_rel(run, inv, guard, machine.variables, u,
-                             states=inv_states)
+        rel = jml_method_rel(run, inv_states, guard, machine.variables, u)
         assert rel == _brute_rel(run, guard, machine.variable_names(),
                                  inv_states, u), event.name
 
@@ -114,8 +113,8 @@ def test_each_candidate_is_a_transition(name, carriers):
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
         budget = Budget(u.ceiling)
-        rel = jml_method_rel(run, unit.result.class_invariant, guard,
-                             machine.variables, u, budget, states=spaces.jml)
+        rel = jml_method_rel(run, spaces.jml, guard, machine.variables, u,
+                             budget)
         assert rel and budget.spent == len(rel), event.name
 
 
@@ -203,8 +202,7 @@ def test_hand_built_specs(name):
     run = JmlMethodSpec("run_e", "run", normal, exceptional)
     guard = JmlMethodSpec("guard_e", "guard", _case(JmlTrue()))
     budget = Budget(10 ** 6)
-    rel = jml_method_rel(run, JmlTrue(), guard, VARIABLES, U01, budget,
-                         states=STATES)
+    rel = jml_method_rel(run, STATES, guard, VARIABLES, U01, budget)
     assert rel == _brute_rel(run, guard, ("x", "y", "r"), STATES, U01)
     assert rel  # every spec admits some pair
     assert (budget.spent == len(rel)) == every_candidate_a_transition

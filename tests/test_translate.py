@@ -1,23 +1,31 @@
+import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from eb2jml import normalize_jml, parse_predicate
+from eb2jml import Universe, check_machine, normalize_jml, parse_machine
+from eb2jml import parse_predicate
 from eb2jml.ebast import (
     BecomesEqual, BecomesSuchThat, CarrierType, Cmp, Event, Ident, IntLit,
     IntType, Ref, RelType, SetType,
 )
 from eb2jml.ebcheck import base_type_env
-from eb2jml.checker import _contains_old
+from eb2jml.checker import PASS, _contains_old
 from eb2jml.jmlast import (
-    AssignNothing, AssignVars, JInt, JmlExists, JmlGuardCall,
-    JmlNot, JmlTrue, JSet, render_jml_predicate, render_jml_type,
+    AssignNothing, AssignVars, JInt, JmlBecomes, JmlExists, JmlGuardCall,
+    JmlNot, JmlOld, JmlTrue, JSet, render_class, render_jml_predicate,
+    render_jml_type,
 )
+from eb2jml.nodes import walk
 from eb2jml.translate import (
     TranslationError, jml_type_of, translate_action, translate_actions,
     translate_event, translate_initialisation, translate_invariants,
     translate_machine as tr_machine, translate_predicate,
 )
+from genmachines import random_machine
+
+from conftest import load_machine
 
 PERSONS_ENV = {
     "PERSON": SetType(CarrierType("PERSON")),
@@ -31,9 +39,8 @@ PERSONS_ENV = {
 INT_ENV = {"v": IntType(), "x": IntType(), "y": IntType()}
 
 
-def tr(text, env, mode="post"):
-    return render_jml_predicate(
-        translate_predicate(parse_predicate(text), env, mode))
+def tr(text, env):
+    return render_jml_predicate(translate_predicate(parse_predicate(text), env))
 
 
 def test_subset_translation():
@@ -50,8 +57,9 @@ def test_truth_translation():
     assert tr("true", {}) == "true"
 
 
-def test_pre_state_mode_wraps_old():
-    assert tr("v = 0", INT_ENV, mode="pre") == "\\old(v == 0)"
+def test_pre_state_translation_wraps_old():
+    pre = JmlOld(translate_predicate(parse_predicate("v = 0"), INT_ENV))
+    assert render_jml_predicate(pre) == "\\old(v == 0)"
 
 
 def test_relation_arrow_only_under_membership():
@@ -75,7 +83,81 @@ def test_translate_action_integer_assignment():
 def test_translate_action_nondeterministic():
     a = BecomesSuchThat("act1", Ident("v"), parse_predicate("v' = v + 1"))
     out = render_jml_predicate(translate_action(a, INT_ENV))
-    assert out == "(\\exists Integer v'; \\old(v' == v + 1) && v == v')"
+    assert out == ("(\\exists Integer v_after; \\old(v_after == v + 1) "
+                   "&& v == v_after)")
+    # the after-value name avoids every name in scope
+    out = render_jml_predicate(translate_action(a, dict(INT_ENV, v_after=IntType())))
+    assert out == ("(\\exists Integer v_after2; \\old(v_after2 == v + 1) "
+                   "&& v == v_after2)")
+
+
+LEGAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# after-values whose first fresh names are taken by a variable and a parameter
+AFTER = """
+machine after
+  variables v v_after
+  invariants
+    inv1: v : INT
+    inv2: v_after : INT
+  events
+    initialisation
+      begin
+        act1: v :| v' = 0
+        act2: v_after := 0
+      end
+    e
+      any v_after2
+      where
+        grd1: v_after2 : INT
+      then
+        act1: v :| v' = v_after2 + v_after
+      end
+end
+"""
+
+
+def test_renamed_after_values_keep_the_check_passing():
+    report = check_machine(parse_machine(AFTER), Universe(0, 2))
+    assert [(v.name, v.status, v.bisimulation) for v in report.verdicts] == [
+        ("initialisation", PASS, True), ("e", PASS, True)]
+
+
+def _translated_machines():
+    """The corpus and seeded generated machines that translate."""
+    machines = [load_machine(f"{name}.ebm") for name in
+                ("counter", "swap", "social_abstract", "social_ref1")]
+    machines.append(parse_machine(AFTER))
+    rng = random.Random(20261018)
+    machines.extend(random_machine(rng) for _ in range(300))
+    for machine in machines:
+        try:
+            yield machine, tr_machine(machine)
+        except TranslationError:
+            continue
+
+
+def test_bound_names_are_legal_and_fresh():
+    # an after-value name differs from every name in its scope: the
+    # variables and carriers, and in a run method the event's parameters
+    after_values = 0
+    for machine, unit in _translated_machines():
+        names = set(machine.carrier_sets) | set(machine.variable_names())
+        scopes = [(unit.result.initially, names)]
+        for event in machine.events:
+            _guard, run = unit.method_pair(event.name)
+            scopes.append((run.normal.ensures, names | {
+                ident.name for ident, _ty in event.params}))
+        for predicate, in_scope in scopes:
+            for node in walk(predicate):
+                if isinstance(node, JmlExists):
+                    assert LEGAL_NAME.fullmatch(node.var), (machine.name, node.var)
+                if isinstance(node, JmlBecomes):
+                    assert LEGAL_NAME.fullmatch(node.primed), machine.name
+                    assert node.primed not in in_scope, (machine.name, node.primed)
+                    after_values += 1
+        assert "'" not in render_class(unit.result), machine.name
+    assert after_values > 100
 
 
 def test_translate_action_set_difference_union(social_ref1):
@@ -180,6 +262,14 @@ def test_translate_initialisation_integer(counter):
     out = render_jml_predicate(translate_initialisation(
         counter.initialisation, env, counter.variable_names()))
     assert out == "v == 0"
+
+
+def test_translate_initialisation_becomes_such_that():
+    acts = (BecomesSuchThat("act1", Ident("who"), parse_predicate("who' : PERSON")),)
+    env = {"who": CarrierType("PERSON"), "PERSON": SetType(CarrierType("PERSON"))}
+    out = render_jml_predicate(translate_initialisation(acts, env, ("who",)))
+    assert out == ("(\\exists Integer who_after; PERSON.has(who_after) "
+                   "&& who == who_after)")
 
 
 def test_translate_initialisation_rejects_variable_reads():

@@ -96,8 +96,9 @@ HAND_BUILT = {
         _exists("y", JmlCmp("==", _var("v"), _var("y"))),
         JmlCmp("==", _var("v"), _var("x")))),
     # the translation of a becomes-such-that action, v :| v' <= v
-    "after-value binding": _exists("v'", _and(
-        JmlOld(JmlCmp("<=", _var("v'"), _var("v"))), JmlBecomes("v", "v'"))),
+    "after-value binding": _exists("v_after", _and(
+        JmlOld(JmlCmp("<=", _var("v_after"), _var("v"))),
+        JmlBecomes("v", "v_after"))),
     "quantifier inside old": JmlOld(_exists("x", JmlCmp(
         "==", _apply(_var("x")), _var("v")))),
     "old conjunct after a post-state conjunct": _exists("x", _and(
