@@ -58,7 +58,6 @@ class Verdict:
     eb_size: Optional[int] = None
     witnesses: tuple[Counterexample, ...] = ()
     bisimulation: Optional[bool] = None      # informational: eb side also contained?
-    stutter_sensitive: Optional[bool] = None  # kept for the report layout; never true
     detail: str = ""
 
 
@@ -127,7 +126,6 @@ class Report:
                     "jml_size": v.jml_size,
                     "eb_size": v.eb_size,
                     "bisimulation": v.bisimulation,
-                    "stutter_sensitive": v.stutter_sensitive,
                     "detail": v.detail,
                     "witnesses": [
                         {
@@ -229,7 +227,6 @@ def check_event(event: eb.Event, machine: Machine, universe: Universe,
         eb_size=len(eb_rel),
         witnesses=witnesses,
         bisimulation=eb_rel <= jml_rel,
-        stutter_sensitive=False,
     )
 
 

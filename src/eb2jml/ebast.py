@@ -104,16 +104,9 @@ class SetEnum(Expr):
     span: Optional[Span] = _span()
 
 
-#: Binary operator names accepted by :class:`BinOp`.
-BINARY_OPS = (
-    "union", "inter", "diff", "domsub", "domres", "cross",
-    "maplet", "image", "apply", "add", "sub", "mul",
-)
-
-
 @dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
+    op: str  # a name in parser._BINARY, "apply" or "image"
     left: Expr
     right: Expr
     span: Optional[Span] = _span()
@@ -145,12 +138,9 @@ class Predicate:
     __slots__ = ()
 
 
-CMP_OPS = ("eq", "neq", "in", "subset", "lt", "le")
-
-
 @dataclass(frozen=True)
 class Cmp(Predicate):
-    op: str
+    op: str  # a name in parser._CMP_SYMBOL
     left: Expr
     right: Expr
     span: Optional[Span] = _span()

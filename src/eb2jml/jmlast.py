@@ -242,44 +242,40 @@ class JmlClass:
 # --- rendering ----------------------------------------------------------
 
 def render_jml_expr(e: JmlExpr) -> str:
-    return _expr(e, 0)
-
-
-def _expr(e: JmlExpr, parent_level: int) -> str:
-    # levels: additive 1, multiplicative 2, postfix/primary 3
     if isinstance(e, JmlIntLit):
         return str(e.value)
     if isinstance(e, JmlVar):
         return e.name
     if isinstance(e, JmlOldExpr):
-        return f"\\old({_expr(e.expr, 0)})"
+        return f"\\old({render_jml_expr(e.expr)})"
     if isinstance(e, JmlMethodCall):
-        recv = _expr(e.recv, 3)
+        recv = render_jml_expr(e.recv)
         if _expr_level(e.recv) < 3:
             recv = f"({recv})"
-        args = ", ".join(_expr(a, 0) for a in e.args)
+        args = ", ".join(render_jml_expr(a) for a in e.args)
         return f"{recv}.{e.method}({args})"
     if isinstance(e, JmlCross):
-        return f"Utils.cross({_expr(e.left, 0)}, {_expr(e.right, 0)})"
+        return f"Utils.cross({render_jml_expr(e.left)}, {render_jml_expr(e.right)})"
     if isinstance(e, JmlNewSet):
-        args = ", ".join(_expr(a, 0) for a in e.items)
+        args = ", ".join(render_jml_expr(a) for a in e.items)
         return f"new BSet<{render_jml_type(e.elem)}>({args})"
     if isinstance(e, JmlNewRelation):
         generics = f"{render_jml_type(e.dom)},{render_jml_type(e.ran)}"
         args = ", ".join(
-            f"new JMLEqualsEqualsPair<{generics}>({_expr(a, 0)},{_expr(b, 0)})"
+            f"new JMLEqualsEqualsPair<{generics}>"
+            f"({render_jml_expr(a)},{render_jml_expr(b)})"
             for a, b in e.pairs)
         return f"new BRelation<{generics}>({args})"
     if isinstance(e, JmlNewPair):
         generics = f"{render_jml_type(e.dom)},{render_jml_type(e.ran)}"
         return (f"new JMLEqualsEqualsPair<{generics}>"
-                f"({_expr(e.left, 0)},{_expr(e.right, 0)})")
+                f"({render_jml_expr(e.left)},{render_jml_expr(e.right)})")
     if isinstance(e, JmlArith):
-        lvl = 2 if e.op == "*" else 1
-        left = _expr(e.left, lvl)
+        lvl = _expr_level(e)
+        left = render_jml_expr(e.left)
         if _expr_level(e.left) < lvl:
             left = f"({left})"
-        right = _expr(e.right, lvl)
+        right = render_jml_expr(e.right)
         if _expr_level(e.right) <= lvl and isinstance(e.right, JmlArith):
             right = f"({right})"
         return f"{left} {e.op} {right}"
@@ -287,6 +283,7 @@ def _expr(e: JmlExpr, parent_level: int) -> str:
 
 
 def _expr_level(e: JmlExpr) -> int:
+    # levels: additive 1, multiplicative 2, postfix/primary 3
     if isinstance(e, JmlArith):
         return 2 if e.op == "*" else 1
     return 3
@@ -314,9 +311,9 @@ def _pred(p: JmlPredicate, parent_level: int) -> str:
             return f"{p.var} == {p.primed}"
         return f"{p.var}.equals({p.primed})"
     if isinstance(p, JmlCmp):
-        return f"{_expr(p.left, 0)} {p.op} {_expr(p.right, 0)}"
+        return f"{render_jml_expr(p.left)} {p.op} {render_jml_expr(p.right)}"
     if isinstance(p, JmlBoolCall):
-        return _expr(p.call, 0)
+        return render_jml_expr(p.call)
     if isinstance(p, JmlGuardCall):
         return f"{p.method}()"
     if isinstance(p, JmlNot):
@@ -325,7 +322,7 @@ def _pred(p: JmlPredicate, parent_level: int) -> str:
             inner = f"({inner})"
         return f"!{inner}"
     if isinstance(p, (JmlAnd, JmlOr)):
-        lvl = 2 if isinstance(p, JmlAnd) else 1
+        lvl = _pred_level(p)
         word = "&&" if isinstance(p, JmlAnd) else "||"
         left = _pred(p.left, lvl)
         right = _pred(p.right, lvl + 1)  # right child at same level gets parens

@@ -1,7 +1,7 @@
 """Parser and canonical renderer for the textual Event-B subset (.ebm).
 
-The grammar is hand-written recursive descent over an ASCII operator
-table (one token per mathematical symbol):
+The grammar is hand-written recursive descent over ASCII tokens, one per
+mathematical symbol, cut by the single pattern ``_TOKEN``:
 
     :    membership          <:   subset            =    equality
     /=   disequality         <    less              <=   less-or-equal
@@ -13,18 +13,21 @@ table (one token per mathematical symbol):
     x'   primed identifier   <->, -->, -->>, <<->>  relation arrows
 
 Precedence, high to low: application/image, `*`, `+`/`-`, set operators,
-`|->`, comparisons, `not`, `&`, `or`.  `#` starts a line comment.  The full
-grammar is published in docs/grammar.ebnf.
+`|->`, comparisons, `not`, `&`, `or`.  The binary expression operators and
+their levels are the one table ``_BINARY``, which both the parser and the
+renderer read.  `#` starts a line comment.  The full grammar is published
+in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from . import ebast as ast
 from .ebast import Ident, Machine, Predicate, Span
-from .ebcheck import resolve_types
+from .ebcheck import resolve_types, type_name
 
 KEYWORDS = frozenset({
     "machine", "sets", "variables", "invariant", "invariants", "events",
@@ -39,19 +42,29 @@ OUT_OF_SUBSET = frozenset({
     "axioms", "context", "convergent", "anticipated",
 })
 
-_SYMBOLS = [
-    "<<->>", "-->>", "<<|", "-->", "<->", "|->",
-    "<=", "<:", "<|", ":=", ":|", "/=", "\\/", "/\\", "**",
-    "(", ")", "{", "}", "[", "]", ",", ":", "=", "<", "+", "-", "*",
-    "\\", "&",
-]
-
 _CMP_SYMBOL = {"eq": "=", "neq": "/=", "in": ":", "subset": "<:",
                "lt": "<", "le": "<="}
-_CMP_OPS = {sym: op for op, sym in _CMP_SYMBOL.items()}
+_CMP_OP = {sym: op for op, sym in _CMP_SYMBOL.items()}
 
-_SETOPS = {"\\/": "union", "/\\": "inter", "\\": "diff",
-           "<|": "domres", "<<|": "domsub", "**": "cross"}
+#: Binary expression operators: symbol -> (BinOp name, precedence level).
+#: Higher levels bind tighter; every level associates to the left.
+_BINARY = {"|->": ("maplet", 1),
+           "\\/": ("union", 2), "/\\": ("inter", 2), "\\": ("diff", 2),
+           "<|": ("domres", 2), "<<|": ("domsub", 2), "**": ("cross", 2),
+           "+": ("add", 3), "-": ("sub", 3),
+           "*": ("mul", 4)}
+
+_SYMBOLS = sorted({*_BINARY, *_CMP_SYMBOL.values(), *ast.REL_ARROWS,
+                   ":=", ":|", "&", "(", ")", "{", "}", "[", "]", ","},
+                  key=lambda sym: (-len(sym), sym))
+
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*'?)",
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<bad>.)",
+]), re.DOTALL)
 
 
 class ParseError(Exception):
@@ -96,57 +109,31 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, begin, end = m.lastgroup, m.start(), m.end()
+        if kind == "skip":
+            newlines = text.count("\n", begin, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", begin, end) + 1
+            continue
+        column = begin - line_start + 1
+        word, primed = m.group(), False
+        if kind == "word":
+            primed = word.endswith("'")
+            word = word.rstrip("'")
+            kind = ("kw" if word in KEYWORDS else
+                    "reserved" if word in OUT_OF_SUBSET else "ident")
+            if primed and kind != "ident":
+                # a keyword takes no prime, and no token starts with one
+                begin, column, kind = end - 1, column + len(word), "bad"
+        if kind == "bad":
+            raise ParseError(Span(begin, begin + 1, line, column),
+                             "a token", repr(text[begin]))
+        toks.append(_Token(kind, word, begin, end, line, column, primed=primed))
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, sline, scol = i, line, col
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            col += i - start
-            toks.append(_Token("int", text[start:i], start, i, sline, scol))
-            continue
-        if ch.isalpha() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            primed = False
-            if i < n and text[i] == "'" and word not in KEYWORDS and word not in OUT_OF_SUBSET:
-                primed = True
-                i += 1
-            col += i - start
-            if word in KEYWORDS:
-                kind = "kw"
-            elif word in OUT_OF_SUBSET:
-                kind = "reserved"
-            else:
-                kind = "ident"
-            toks.append(_Token(kind, word, start, i, sline, scol, primed=primed))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                i += len(sym)
-                col += len(sym)
-                toks.append(_Token("sym", sym, start, i, sline, scol))
-                break
-        else:
-            raise ParseError(Span(start, start + 1, sline, scol),
-                             "a token", repr(ch))
-    toks.append(_Token("eof", "end of input", n, n, line, col))
+    toks.append(_Token("eof", "end of input", n, n, line, n - line_start + 1))
     return toks
 
 
@@ -365,21 +352,27 @@ class _Parser:
 
     # -- predicates --------------------------------------------------------
 
-    def _predicate(self) -> Predicate:
+    def _nested(self, parse):
         # keeps pathological nesting a ParseError instead of a stack overflow
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ParseError(self.cur().span, "shallower nesting",
                              f"more than {_MAX_NESTING} nested levels")
         try:
-            left = self._and_pred()
-            while self.at_kw("or"):
-                self.advance()
-                right = self._and_pred()
-                left = ast.Or(left, right, span=self._span_of(left, right))
-            return left
+            return parse()
         finally:
             self.depth -= 1
+
+    def _predicate(self) -> Predicate:
+        return self._nested(self._or_pred)
+
+    def _or_pred(self) -> Predicate:
+        left = self._and_pred()
+        while self.at_kw("or"):
+            self.advance()
+            right = self._and_pred()
+            left = ast.Or(left, right, span=self._span_of(left, right))
+        return left
 
     def _and_pred(self) -> Predicate:
         left = self._not_pred()
@@ -417,9 +410,9 @@ class _Parser:
 
     def _comparison(self) -> Predicate:
         left = self._expr()
-        if not self.at_sym(*_CMP_OPS):
+        if not self.at_sym(*_CMP_OP):
             self.fail("a comparison operator")
-        op = _CMP_OPS[self.advance().text]
+        op = _CMP_OP[self.advance().text]
         right = self._rel_rhs() if op == "in" else self._expr()
         return ast.Cmp(op, left, right, span=self._span_of(left, right))
 
@@ -441,44 +434,20 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def _expr(self) -> ast.Expr:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ParseError(self.cur().span, "shallower nesting",
-                             f"more than {_MAX_NESTING} nested levels")
-        try:
-            left = self._setop_expr()
-            while self.at_sym("|->"):
-                self.advance()
-                right = self._setop_expr()
-                left = ast.BinOp("maplet", left, right,
-                                 span=self._span_of(left, right))
-            return left
-        finally:
-            self.depth -= 1
+        return self._nested(self._binary)
 
-    def _setop_expr(self) -> ast.Expr:
-        left = self._additive()
-        while self.at_sym(*_SETOPS):
-            op = _SETOPS[self.advance().text]
-            right = self._additive()
-            left = ast.BinOp(op, left, right, span=self._span_of(left, right))
-        return left
-
-    def _additive(self) -> ast.Expr:
-        left = self._term()
-        while self.at_sym("+", "-"):
-            op = "add" if self.advance().text == "+" else "sub"
-            right = self._term()
-            left = ast.BinOp(op, left, right, span=self._span_of(left, right))
-        return left
-
-    def _term(self) -> ast.Expr:
+    def _binary(self, min_level: int = 1) -> ast.Expr:
+        """Precedence climbing over ``_BINARY``: operators of ``min_level``
+        and above, each level left-associative."""
         left = self._postfix()
-        while self.at_sym("*"):
+        while True:
+            t = self.cur()
+            op, level = _BINARY.get(t.text, (None, 0))
+            if t.kind != "sym" or level < min_level:
+                return left
             self.advance()
-            right = self._postfix()
-            left = ast.BinOp("mul", left, right, span=self._span_of(left, right))
-        return left
+            right = self._binary(level + 1)
+            left = ast.BinOp(op, left, right, span=self._span_of(left, right))
 
     def _postfix(self) -> ast.Expr:
         e = self._primary()
@@ -560,22 +529,13 @@ def parse_predicate(text: str) -> Predicate:
 
 # --- canonical rendering ------------------------------------------------
 
-_BIN_SYMBOL = {"union": "\\/", "inter": "/\\", "diff": "\\",
-               "domres": "<|", "domsub": "<<|", "cross": "**",
-               "add": "+", "sub": "-", "mul": "*", "maplet": "|->"}
-
-# precedence levels used by the renderer; mirrors the parser
-_LEVEL = {"maplet": 1,
-          "union": 2, "inter": 2, "diff": 2, "domres": 2, "domsub": 2,
-          "cross": 2,
-          "add": 3, "sub": 3,
-          "mul": 4,
-          "apply": 5, "image": 5}
+_OP_SYMBOL = {op: sym for sym, (op, _level) in _BINARY.items()}
+_OP_LEVEL = {op: level for op, level in _BINARY.values()} | {"apply": 5, "image": 5}
 
 
 def _expr_level(e: ast.Expr) -> int:
     if isinstance(e, ast.BinOp):
-        return _LEVEL[e.op]
+        return _OP_LEVEL[e.op]
     return 6
 
 
@@ -599,8 +559,8 @@ def render_expr(e: ast.Expr) -> str:
             return f"{_child(e.left, 5, False)}({render_expr(e.right)})"
         if e.op == "image":
             return f"{_child(e.left, 5, False)}[{render_expr(e.right)}]"
-        lvl = _LEVEL[e.op]
-        return (f"{_child(e.left, lvl, False)} {_BIN_SYMBOL[e.op]} "
+        lvl = _OP_LEVEL[e.op]
+        return (f"{_child(e.left, lvl, False)} {_OP_SYMBOL[e.op]} "
                 f"{_child(e.right, lvl, True)}")
     raise ValueError(f"cannot render {type(e).__name__}")
 
@@ -638,18 +598,6 @@ def _render_pred(p: Predicate, parent_level: int) -> str:
     raise ValueError(f"cannot render {type(p).__name__}")
 
 
-def render_type(t: ast.EbType) -> str:
-    if isinstance(t, ast.IntType):
-        return "INT"
-    if isinstance(t, ast.CarrierType):
-        return t.set_name
-    if isinstance(t, ast.SetType):
-        return f"pow({render_type(t.elem)})"
-    if isinstance(t, ast.RelType):
-        return f"rel({render_type(t.dom)}, {render_type(t.ran)})"
-    raise ValueError(f"cannot render type {t!r}")
-
-
 def _render_action(a: ast.Action) -> str:
     if isinstance(a, ast.BecomesEqual):
         return f"{a.label}: {a.target.name} := {render_expr(a.rhs)}"
@@ -669,7 +617,7 @@ def render_machine(m: Machine) -> str:
     for ident, ty in m.variables:
         if ty is None:
             raise ValueError(f"variable '{ident.name}' has no resolved type")
-        out.append(f"    {ident.name} : {render_type(ty)}")
+        out.append(f"    {ident.name} : {type_name(ty)}")
     if m.invariants:
         out.append("  invariants")
         for lbl, p in m.invariants:
@@ -687,7 +635,7 @@ def render_machine(m: Machine) -> str:
             for ident, ty in ev.params:
                 if ty is None:
                     raise ValueError(f"parameter '{ident.name}' has no resolved type")
-                decls.append(f"{ident.name} : {render_type(ty)}")
+                decls.append(f"{ident.name} : {type_name(ty)}")
             out.append("      any " + ", ".join(decls))
         if ev.guards:
             out.append("      where" if ev.params else "      when")

@@ -488,19 +488,16 @@ def _eb_post_states(actions, variables, u, budget, states):
     """``posts(a, env)`` yields each invariant state in ``states`` that one
     simultaneous execution of ``actions`` at (a, env) reaches.
 
-    Each action result is one unit of work, and a result outside the
-    bounded universe is dropped.  The value domains are built here, once.
+    Each action result is one unit of work.  ``states`` holds typed states
+    only, so a result outside the bounded universe is dropped with the
+    states that break the invariant.
     """
     var_types = {ident.name: ty for ident, ty in variables}
-    allowed = {ident.name: frozenset(u.values_of_type(ty))
-               for ident, ty in variables}
 
     def posts(a, env):
         for assignment in _action_assignments(
                 actions, a, env, var_types, u, budget):
             budget.charge()
-            if any(val not in allowed[name] for name, val in assignment.items()):
-                continue  # the transition leaves the bounded universe
             b = a.override(assignment)
             if b in states:
                 yield b

@@ -215,10 +215,9 @@ def test_report_keeps_the_universe_without_its_value_domains(social_abstract):
     assert report.universe._cache == {}
 
 
-def test_flagship_bisimulation_flag_and_sensitivity(counter):
+def test_flagship_bisimulation_flag(counter):
     v = check_event(counter.event("incr"), counter, U01)
     assert v.bisimulation is True
-    assert v.stutter_sensitive is False
 
 
 def test_pass_means_literal_containment(counter, swap):

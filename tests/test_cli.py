@@ -137,6 +137,16 @@ def test_parse_error_cites_line(tmp_path, capsys):
     assert "8:" in capsys.readouterr().err
 
 
+def test_parse_non_ascii_digit_exits_2(tmp_path, capsys):
+    src = tmp_path / "digit.ebm"
+    src.write_text("machine m variables v invariants i1: v = \u00b2 events "
+                   "initialisation begin a1: v := 0 end end", encoding="utf-8")
+    assert main(["parse", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "1:42: expected a token, found '\u00b2'" in err
+    assert "Traceback" not in err
+
+
 def test_bad_universe_flags(tmp_path, capsys):
     src = _copy(tmp_path, "counter.ebm")
     assert main(["check", str(src), "--int-range", "nope"]) == 2

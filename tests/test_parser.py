@@ -116,6 +116,24 @@ def test_message_reproducible_from_fields():
                       f"{e.expected}, found {e.found}")
 
 
+def test_non_ascii_characters_are_parse_errors():
+    # '²' is a Unicode digit and '٣' a decimal digit, yet neither is Event-B
+    for text, column in [("x\u00b2 = 1", 2), ("v = \u0663", 5)]:
+        with pytest.raises(ParseError) as exc:
+            parse_predicate(text)
+        assert exc.value.expected == "a token"
+        assert exc.value.found == repr(text[column - 1])
+        assert exc.value.span.column == column
+
+
+def test_end_of_input_after_a_trailing_comment_cites_its_own_column():
+    with pytest.raises(ParseError) as exc:
+        parse_machine("machine m # no newline")
+    span = exc.value.span
+    assert exc.value.found == "end of input"
+    assert (span.line, span.column) == (1, span.begin + 1)
+
+
 def test_line_comments_are_skipped():
     m = parse_machine("# heading\n" + MINIMAL + "\n# trailing\n")
     assert m.name == "m"
@@ -151,3 +169,9 @@ def test_render_predicate_preserves_grouping():
                  "a \\/ (b /\\ c) <: d", "x |-> y = z |-> w"]:
         p = parse_predicate(text)
         assert parse_predicate(render_predicate(p)) == p
+
+
+def test_render_prints_only_the_needed_parentheses():
+    for text in ["x * r(y) = r[s](x)", "x - (y - z) * 2 = 0",
+                 "a |-> b |-> c : r \\/ s ** t"]:
+        assert render_predicate(parse_predicate(text)) == text
