@@ -317,7 +317,7 @@ def _pred(p: JmlPredicate, parent_level: int) -> str:
     if isinstance(p, JmlGuardCall):
         return f"{p.method}()"
     if isinstance(p, JmlNot):
-        inner = _pred(p.operand, 4)
+        inner = _pred(p.operand, 1)
         if _pred_level(p.operand) < 4:
             inner = f"({inner})"
         return f"!{inner}"
@@ -338,7 +338,8 @@ def _pred_level(p: JmlPredicate) -> int:
         return 1
     if isinstance(p, JmlAnd):
         return 2
-    if isinstance(p, JmlNot):
+    # a comparison binds looser than !, so it is wrapped when negated
+    if isinstance(p, (JmlNot, JmlCmp)):
         return 3
     return 4
 

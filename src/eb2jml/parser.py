@@ -354,10 +354,10 @@ class _Parser:
 
     def _nested(self, parse):
         # keeps pathological nesting a ParseError instead of a stack overflow
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
+        if self.depth == _MAX_NESTING:
             raise ParseError(self.cur().span, "shallower nesting",
                              f"more than {_MAX_NESTING} nested levels")
+        self.depth += 1
         try:
             return parse()
         finally:

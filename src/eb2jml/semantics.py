@@ -245,8 +245,9 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dic
     """Every extension of ``start`` binding ``names`` at which all conjuncts
     hold, found by backtracking.
 
-    Names are bound one at a time, in order, to the values of
-    ``domain(k)``; ``charge`` is called once per value test.  ``conjuncts``
+    Names are bound one at a time, in order: the k-th to each value of
+    ``domain(k, partial)``, where ``partial`` binds the names before it;
+    ``charge`` is called once per value test.  ``conjuncts``
     pairs each conjunct with its depth, the number of names bound before it
     is tested, so a partial binding that violates a conjunct is never
     extended.  A conjunct whose evaluation fails counts as false.
@@ -267,7 +268,7 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dic
         if k == len(names):
             out.append(partial)
             return
-        for value in domain(k):
+        for value in domain(k, partial):
             charge()
             inner = dict(partial)
             inner[names[k]] = value
@@ -279,20 +280,106 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dic
     return out
 
 
-def _invariant_states(variables, conjuncts, holds, u: Universe,
+def _invariant_states(variables, conjuncts, holds, bounds, value, u: Universe,
                       budget: Budget) -> frozenset:
     """Typed states at which every conjunct holds.
 
     ``conjuncts`` pairs each conjunct with the variable names it reads.
-    Variables are bound in declaration order and each conjunct is tested as
-    soon as the last variable it reads is bound; each value test is charged
-    to ``budget``.
+    Variables are bound in declaration order, each to the values its
+    ``bounds`` allow (see ``_bounded_domain``), and each conjunct is tested
+    as soon as the last variable it reads is bound; each value test is
+    charged to ``budget``.
     """
-    names, domains = _typed_domains(variables, u)
+    names = [ident.name for ident, _ty in variables]
     return frozenset(State(s) for s in _solutions(
-        names, domains.__getitem__,
+        names, _bounded_domain(variables, bounds, value, u),
         [(conj, _depth(reads, names)) for conj, reads in conjuncts],
         holds, {}, budget.charge))
+
+
+def _bounded_domain(variables, bounds, value, u: Universe):
+    """``domain(k, partial)`` for ``_solutions``: the typed values of the
+    k-th variable that its bounds allow.
+
+    ``bounds`` holds (kind, name, expression, reads) found in one side's
+    conjuncts, and ``value(expression, partial)`` evaluates an expression
+    with that side's evaluator.  A bound counts only when its expression
+    reads variables bound before its own, and when its kind fits the
+    variable's type (see ``_bounded_values``).  The bounds only decide what
+    is tried: every conjunct is still tested.
+    """
+    names = [ident.name for ident, _ty in variables]
+    used: list[list] = [[] for _ in names]
+    for kind, name, expr, reads in bounds:
+        if name in names:
+            k = names.index(name)
+            if _depth(reads, names) <= k:
+                used[k].append((kind, expr))
+    domains = []
+    for (ident, ty), mine in zip(variables, used):
+        if ty is None:
+            raise EvalError(f"variable '{ident.name}' has no resolved type")
+        element = isinstance(ty, (eb.IntType, eb.CarrierType))
+        kinds = ("member",) if element else ("upper", "lower", "dom", "ran") \
+            if isinstance(ty, eb.RelType) else ("upper", "lower")
+        mine = [(kind, expr) for kind, expr in mine if kind in kinds]
+        if mine:
+            domains.append(_bounded_values(ty, element, mine, value, u))
+        else:
+            typed = u.values_of_type(ty)
+            domains.append(lambda _partial, typed=typed: typed)
+    return lambda k, partial: domains[k](partial)
+
+
+def _bounded_values(ty, element: bool, bounds, value, u: Universe):
+    """``values(partial)``: the values of type ``ty`` within ``bounds``.
+
+    An element takes the values of its type in every "member" set.  A set
+    or relation takes ``L | X`` for each subset X of the rest of its pool,
+    the elements of its type in every "upper" set, with first components in
+    every "dom" set and second components in every "ran" set; L is the
+    union of the "lower" sets, and no value is taken when L is not inside
+    the pool.  Where a bound is undefined, every value of the type.
+    """
+    if element:
+        base = u.values_of_type(ty)
+    elif isinstance(ty, eb.SetType):
+        base = u.values_of_type(ty.elem)
+    else:
+        base = tuple(itertools.product(
+            u.values_of_type(ty.dom), u.values_of_type(ty.ran)))
+
+    def values(partial):
+        allowed = _defined(_pool, base, bounds, partial, value)
+        if allowed is False:
+            return u.values_of_type(ty)
+        pool, lower = allowed
+        if element:
+            return pool
+        return _supersets(lower, pool) if lower <= frozenset(pool) else ()
+
+    return values
+
+
+def _pool(base, bounds, partial, value):
+    """The elements of ``base`` inside every upper bound, and the union of
+    the lower bounds, at ``partial``."""
+    sets: dict[str, list] = {"member": [], "upper": [], "lower": [],
+                             "dom": [], "ran": []}
+    for kind, expr in bounds:
+        sets[kind].append(_as_set(value(expr, partial), "bound"))
+    pool = tuple(e for e in base
+                 if all(e in s for s in sets["member"] + sets["upper"])
+                 and all(e[0] in s for s in sets["dom"])
+                 and all(e[1] in s for s in sets["ran"]))
+    return pool, frozenset().union(*sets["lower"])
+
+
+def _supersets(lower: frozenset, pool: tuple):
+    """``lower`` joined with each subset of the rest of ``pool``."""
+    free = [e for e in pool if e not in lower]
+    for mask in range(2 ** len(free)):
+        yield lower.union(free[i] for i in range(len(free)) if mask >> i & 1)
 
 
 def _eb_conjuncts(p: eb.Predicate):
@@ -301,14 +388,39 @@ def _eb_conjuncts(p: eb.Predicate):
     return [p]
 
 
+def _eb_bounds(c: eb.Predicate) -> list:
+    """The (kind, name, expression) bounds an Event-B conjunct states:
+    ``x <: S`` bounds x above and S below, ``r : A <-> B`` (any arrow)
+    bounds r's domain by A and its range by B, and ``x : S`` makes x a
+    member of S."""
+    if not isinstance(c, eb.Cmp):
+        return []
+    out = []
+    if c.op == "subset":
+        if isinstance(c.left, eb.Ref):
+            out.append(("upper", c.left.ident.key, c.right))
+        if isinstance(c.right, eb.Ref):
+            out.append(("lower", c.right.ident.key, c.left))
+    elif c.op == "in" and isinstance(c.left, eb.Ref):
+        if isinstance(c.right, eb.RelSpace):
+            out += [("dom", c.left.ident.key, c.right.left),
+                    ("ran", c.left.ident.key, c.right.right)]
+        else:
+            out.append(("member", c.left.ident.key, c.right))
+    return out
+
+
 def eb_invariant_states(invariants, variables, u: Universe,
                         budget: Optional[Budget] = None) -> frozenset:
     """Typed states satisfying every labelled Event-B invariant."""
     budget = budget if budget is not None else Budget(u.ceiling)
-    conjuncts = [(c, {i.key for i in eb.free_identifiers(c)})
-                 for _lbl, p in invariants for c in _eb_conjuncts(p)]
-    return _invariant_states(variables, conjuncts,
-                             lambda c, s: eb_pred_holds(c, s, {}, u), u, budget)
+    conjs = [c for _lbl, p in invariants for c in _eb_conjuncts(p)]
+    conjuncts = [(c, {i.key for i in eb.free_identifiers(c)}) for c in conjs]
+    bounds = [(kind, name, e, {i.key for i in eb.free_identifiers(e)})
+              for c in conjs for kind, name, e in _eb_bounds(c)]
+    return _invariant_states(
+        variables, conjuncts, lambda c, s: eb_pred_holds(c, s, {}, u), bounds,
+        lambda e, s: eval_eb_expr(e, s, {}, u), u, budget)
 
 
 # --- Event-B evaluation ---------------------------------------------------
@@ -524,7 +636,7 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     rel: set[tuple[State, State]] = set()
     for a in states:
         sat_envs = _solutions(
-            names, lambda k: u.values_of_type(types[k]), guards,
+            names, lambda k, _partial: u.values_of_type(types[k]), guards,
             lambda c, env: eb_pred_holds(c, a, env, u), {}, budget.charge)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
@@ -785,7 +897,7 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, cache):
         chain = cache[chain_key] = _exists_chain(p, at_pre)
     names, types, tests, rest = chain
     bindings = _solutions(
-        names, lambda k: u.values_of_jml_type(types[k]), tests,
+        names, lambda k, _partial: u.values_of_jml_type(types[k]), tests,
         lambda c, e: _jml_holds(c, pre, pre, e, u, cache), dict(env),
         _no_charge)
     hit = cache[key] = (rest, bindings)
@@ -820,14 +932,40 @@ def _outside_frame(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(n for n in var_names if n not in assignable.names)
 
 
+def _jml_bounds(c: jml.JmlPredicate) -> list:
+    """The (kind, name, expression) bounds a JML conjunct states:
+    ``x.isSubset(S)`` bounds x above and S below, ``r.domain()`` or
+    ``r.range()`` with ``.isSubset(A)`` or ``.equals(A)`` bounds r's domain
+    or range by A, and ``S.has(x)`` makes x a member of S."""
+    if not isinstance(c, jml.JmlBoolCall) or len(c.call.args) != 1:
+        return []
+    recv, method, arg = c.call.recv, c.call.method, c.call.args[0]
+    out = []
+    if method == "has" and isinstance(arg, jml.JmlVar):
+        out.append(("member", arg.name, recv))
+    if method == "isSubset":
+        if isinstance(recv, jml.JmlVar):
+            out.append(("upper", recv.name, arg))
+        if isinstance(arg, jml.JmlVar):
+            out.append(("lower", arg.name, recv))
+    if method in ("isSubset", "equals") and \
+            isinstance(recv, jml.JmlMethodCall) and not recv.args and \
+            recv.method in ("domain", "range") and isinstance(recv.recv, jml.JmlVar):
+        out.append(("dom" if recv.method == "domain" else "ran", recv.recv.name, arg))
+    return out
+
+
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
                          budget: Optional[Budget] = None) -> frozenset:
     """Typed states satisfying every conjunct of the class invariant."""
     budget = budget if budget is not None else Budget(u.ceiling)
-    conjuncts = [(c, _jml_reads(c)) for c in _jml_conjuncts(invariant)]
+    conjs = _jml_conjuncts(invariant)
+    bounds = [(kind, name, e, _jml_reads(e))
+              for c in conjs for kind, name, e in _jml_bounds(c)]
     return _invariant_states(
-        variables, conjuncts, lambda c, s: _jml_holds(c, s, s, {}, u, None),
-        u, budget)
+        variables, [(c, _jml_reads(c)) for c in conjs],
+        lambda c, s: _jml_holds(c, s, s, {}, u, None), bounds,
+        lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
 
 
 def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,

@@ -321,11 +321,12 @@ def _with_ceiling(ceiling):
 
 
 def test_shared_enumeration_limit_reaches_every_verdict(social_abstract):
-    report = check_machine(social_abstract, _with_ceiling(100))
+    # the Event-B enumeration at 2x2 needs 82 units
+    report = check_machine(social_abstract, _with_ceiling(50))
     assert [v.status for v in report.verdicts] == [RESOURCE_LIMIT] * 3
     for v in report.verdicts:
-        assert v.detail == ("Event-B invariant enumeration needs 101 work "
-                            "units, exceeding the ceiling of 100")
+        assert v.detail == ("Event-B invariant enumeration needs 51 work "
+                            "units, exceeding the ceiling of 50")
 
 
 def test_jml_enumeration_limit_is_named(social_abstract):

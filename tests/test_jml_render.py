@@ -1,7 +1,8 @@
 from eb2jml import normalize_jml, render_class, translate_machine
 from eb2jml.jmlast import (
-    AssignNothing, AssignVars, JInt, JmlClass, JmlCmp, JmlIntLit,
-    JmlMethodSpec, JmlTrue, JmlVar, JSet, SpecCase, render_jml_type,
+    AssignNothing, AssignVars, JInt, JmlAnd, JmlClass, JmlCmp, JmlIntLit,
+    JmlMethodSpec, JmlNot, JmlOr, JmlTrue, JmlVar, JSet, SpecCase,
+    render_jml_predicate, render_jml_type,
 )
 
 from conftest import GOLDEN_DIR
@@ -85,3 +86,12 @@ def test_jml_type_rendering():
     assert render_jml_type(JInt()) == "Integer"
     assert render_jml_type(JSet(JInt())) == "BSet<Integer>"
     assert render_jml_type(JSet(JSet(JInt()))) == "BSet<BSet<Integer>>"
+
+
+def test_negation_parenthesises_its_operand_once():
+    x1, x2 = (JmlCmp("==", JmlVar("x"), JmlIntLit(n)) for n in (1, 2))
+    assert render_jml_predicate(JmlNot(JmlAnd(x1, x2))) == "!(x == 1 && x == 2)"
+    assert render_jml_predicate(JmlNot(JmlOr(x1, x2))) == "!(x == 1 || x == 2)"
+    assert render_jml_predicate(JmlNot(JmlNot(x1))) == "!(!(x == 1))"
+    # Java reads !x == 1 as (!x) == 1
+    assert render_jml_predicate(JmlAnd(JmlNot(x1), x2)) == "!(x == 1) && x == 2"

@@ -108,6 +108,16 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
     assert parse_predicate("not " * 5000 + "true") is not None
 
 
+def test_nesting_limit_is_exact_and_reported_where_it_is_passed():
+    # the predicate and the comparison's expression are 2 of the 60 levels
+    assert parse_predicate("(" * 58 + "x" + ")" * 58 + " = 1") is not None
+    with pytest.raises(ParseError) as exc:
+        parse_predicate("(" * 59 + "x" + ")" * 59 + " = 1")
+    # at the token opening the 61st level, not at the start of the input
+    assert str(exc.value) == ("1:60: expected shallower nesting, "
+                              "found more than 60 nested levels")
+
+
 def test_message_reproducible_from_fields():
     with pytest.raises(ParseError) as exc:
         parse_machine("machine m variables v invariants i1: v + events")
