@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -51,9 +50,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     help="integer variable range (default 0..2)")
     ck.add_argument("--carrier", action="append", default=[], metavar="NAME=N",
                     help="carrier set cardinality; repeatable (default 2)")
-    ck.add_argument("--ceiling", type=int, default=None,
-                    help="enumeration work ceiling (default 10^6, or "
-                         "EB2JML_CEILING)")
+    ck.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+                    help="enumeration work ceiling (default 10^6)")
     ck.add_argument("--witnesses", type=int, default=5,
                     help="maximum counterexamples reported per event")
     ck.add_argument("--format", choices=("text", "tree"), default="text",
@@ -117,16 +115,9 @@ def _build_universe(args, machine) -> Universe:
         if name in carriers:
             raise _CliError(f"--carrier gives '{name}' more than once")
         carriers[name] = size
-    ceiling = args.ceiling
-    if ceiling is None:
-        env = os.environ.get("EB2JML_CEILING")
-        try:
-            ceiling = int(env) if env else DEFAULT_CEILING
-        except ValueError:
-            raise _CliError(f"EB2JML_CEILING must be an integer, got '{env}'")
-    if ceiling < 1:
+    if args.ceiling < 1:
         raise _CliError("--ceiling must be at least 1")
-    return Universe(int_lo=lo, int_hi=hi, carriers=carriers, ceiling=ceiling)
+    return Universe(int_lo=lo, int_hi=hi, carriers=carriers, ceiling=args.ceiling)
 
 
 def cmd_translate(args) -> int:

@@ -90,18 +90,18 @@ class JmlNewSet(JmlExpr):
 
 
 @dataclass(frozen=True)
-class JmlNewRelation(JmlExpr):
-    dom: JmlType
-    ran: JmlType
-    pairs: tuple[tuple[JmlExpr, JmlExpr], ...] = ()
-
-
-@dataclass(frozen=True)
 class JmlNewPair(JmlExpr):
     dom: JmlType
     ran: JmlType
     left: JmlExpr
     right: JmlExpr
+
+
+@dataclass(frozen=True)
+class JmlNewRelation(JmlExpr):
+    dom: JmlType
+    ran: JmlType
+    pairs: tuple[JmlNewPair, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -163,15 +163,6 @@ class JmlExists(JmlPredicate):
     var: str
     ty: JmlType
     body: JmlPredicate
-
-
-@dataclass(frozen=True)
-class JmlBecomes(JmlPredicate):
-    """Links a variable's post-state value to a bound after-value name."""
-
-    var: str
-    primed: str
-    primitive: bool = True
 
 
 @dataclass(frozen=True)
@@ -261,10 +252,7 @@ def render_jml_expr(e: JmlExpr) -> str:
         return f"new BSet<{render_jml_type(e.elem)}>({args})"
     if isinstance(e, JmlNewRelation):
         generics = f"{render_jml_type(e.dom)},{render_jml_type(e.ran)}"
-        args = ", ".join(
-            f"new JMLEqualsEqualsPair<{generics}>"
-            f"({render_jml_expr(a)},{render_jml_expr(b)})"
-            for a, b in e.pairs)
+        args = ", ".join(render_jml_expr(pair) for pair in e.pairs)
         return f"new BRelation<{generics}>({args})"
     if isinstance(e, JmlNewPair):
         generics = f"{render_jml_type(e.dom)},{render_jml_type(e.ran)}"
@@ -306,10 +294,6 @@ def _pred(p: JmlPredicate, parent_level: int) -> str:
     if isinstance(p, JmlExists):
         return (f"(\\exists {render_jml_type(p.ty)} {p.var}; "
                 f"{_pred(p.body, 1)})")
-    if isinstance(p, JmlBecomes):
-        if p.primitive:
-            return f"{p.var} == {p.primed}"
-        return f"{p.var}.equals({p.primed})"
     if isinstance(p, JmlCmp):
         return f"{render_jml_expr(p.left)} {p.op} {render_jml_expr(p.right)}"
     if isinstance(p, JmlBoolCall):

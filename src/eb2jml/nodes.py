@@ -2,10 +2,10 @@
 
 Every node is a dataclass.  The children of a node are the nodes held in its
 fields, in field order.  Tuple fields are flattened, nested tuples too, so
-``SetEnum.items``, ``JmlNewRelation.pairs`` and labelled predicates such as
-``Machine.invariants`` contribute their nodes.  Fields excluded from
-comparison (source spans) and fields annotated ``str``, ``int`` or ``bool``
-are never children; every other field holds a node, ``None`` or a tuple.
+``SetEnum.items`` and labelled predicates such as ``Machine.invariants``
+contribute their nodes.  Fields excluded from comparison (source spans) and
+fields annotated ``str``, ``int`` or ``bool`` are never children; every
+other field holds a node, ``None`` or a tuple.
 """
 
 from __future__ import annotations

@@ -698,8 +698,7 @@ def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
             eval_jml_expr(i, pre, state, env, u, cache) for i in e.items)
     if isinstance(e, jml.JmlNewRelation):
         return frozenset(
-            (eval_jml_expr(a, pre, state, env, u, cache),
-             eval_jml_expr(b, pre, state, env, u, cache)) for a, b in e.pairs)
+            eval_jml_expr(pair, pre, state, env, u, cache) for pair in e.pairs)
     if isinstance(e, jml.JmlNewPair):
         return (eval_jml_expr(e.left, pre, state, env, u, cache),
                 eval_jml_expr(e.right, pre, state, env, u, cache))
@@ -806,12 +805,6 @@ def _jml_holds(p, pre, state, env, u, cache) -> bool:
             if _defined(_jml_holds, p.body, pre, state, inner, u, cache):
                 return True
         return False
-    if isinstance(p, jml.JmlBecomes):
-        if p.var not in state:
-            raise EvalError(f"unbound identifier '{p.var}'")
-        if p.primed not in env:
-            raise EvalError(f"unbound after-value '{p.primed}'")
-        return state[p.var] == env[p.primed]
     if isinstance(p, jml.JmlCmp):
         left = eval_jml_expr(p.left, pre, state, env, u, cache)
         right = eval_jml_expr(p.right, pre, state, env, u, cache)
@@ -841,13 +834,7 @@ def _jml_conjuncts(p: jml.JmlPredicate) -> list:
 
 def _jml_reads(p: jml.JmlPredicate) -> set[str]:
     """Every name ``p`` looks up, state variable or bound."""
-    out = set()
-    for n in walk(p):
-        if isinstance(n, jml.JmlVar):
-            out.add(n.name)
-        elif isinstance(n, jml.JmlBecomes):
-            out.update((n.var, n.primed))
-    return out
+    return {n.name for n in walk(p) if isinstance(n, jml.JmlVar)}
 
 
 def _exists_chain(p: jml.JmlExists, at_pre: bool):

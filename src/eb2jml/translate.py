@@ -64,8 +64,12 @@ def jml_type_of(t: eb.EbType) -> jml.JmlType:
     raise TranslationError(f"untranslatable type {t!r}")
 
 
-def _is_primitive(t) -> bool:
-    return isinstance(t, (eb.IntType, eb.CarrierType))
+def _equals(left: jml.JmlExpr, right: jml.JmlExpr, t) -> jml.JmlPredicate:
+    """JML value equality at Event-B type ``t``: ``==`` for integers and
+    carrier elements, ``.equals`` for sets and relations."""
+    if isinstance(t, (eb.IntType, eb.CarrierType)):
+        return jml.JmlCmp("==", left, right)
+    return jml.JmlBoolCall(jml.JmlMethodCall(left, "equals", (right,)))
 
 
 def _conj(parts: list[jml.JmlPredicate]) -> jml.JmlPredicate:
@@ -114,15 +118,16 @@ def _tr_expr(e: eb.Expr, env, hint=None) -> jml.JmlExpr:
     if isinstance(e, eb.SetEnum):
         t = _typed(e, env, hint)
         if isinstance(t, eb.RelType):
+            dom, ran = jml_type_of(t.dom), jml_type_of(t.ran)
             pairs = []
             for item in e.items:
                 if not (isinstance(item, eb.BinOp) and item.op == "maplet"):
                     raise TranslationError(
                         "a relation enumeration must list maplets", item.span)
-                pairs.append((_tr_expr(item.left, env, t.dom),
-                              _tr_expr(item.right, env, t.ran)))
-            return jml.JmlNewRelation(
-                jml_type_of(t.dom), jml_type_of(t.ran), tuple(pairs))
+                pairs.append(jml.JmlNewPair(
+                    dom, ran, _tr_expr(item.left, env, t.dom),
+                    _tr_expr(item.right, env, t.ran)))
+            return jml.JmlNewRelation(dom, ran, tuple(pairs))
         if isinstance(t, eb.SetType) and t.elem is not None:
             return jml.JmlNewSet(
                 jml_type_of(t.elem),
@@ -191,16 +196,19 @@ def _tr_relspace_membership(left: eb.Expr, rs: eb.RelSpace, env) -> jml.JmlPredi
     ran_of = jml.JmlMethodCall(member, "range")
     s = _tr_expr(rs.left, env)
     t = _tr_expr(rs.right, env)
+
+    def subset(left, right):
+        return jml.JmlBoolCall(jml.JmlMethodCall(left, "isSubset", (right,)))
+
     parts: list[jml.JmlPredicate] = []
     if rs.arrow in ("-->", "-->>"):
         parts.append(jml.JmlBoolCall(jml.JmlMethodCall(member, "isaFunction")))
     if rs.arrow == "<->":
-        parts.append(jml.JmlBoolCall(jml.JmlMethodCall(dom_of, "isSubset", (s,))))
-        parts.append(jml.JmlBoolCall(jml.JmlMethodCall(ran_of, "isSubset", (t,))))
+        parts += [subset(dom_of, s), subset(ran_of, t)]
     else:
-        parts.append(jml.JmlBoolCall(jml.JmlMethodCall(dom_of, "equals", (s,))))
-        ran_method = "isSubset" if rs.arrow == "-->" else "equals"
-        parts.append(jml.JmlBoolCall(jml.JmlMethodCall(ran_of, ran_method, (t,))))
+        parts.append(_equals(dom_of, s, eb.SetType(rel_t.rel.dom)))
+        parts.append(subset(ran_of, t) if rs.arrow == "-->"
+                     else _equals(ran_of, t, eb.SetType(rel_t.rel.ran)))
     return _conj(parts)
 
 
@@ -235,14 +243,13 @@ def _tr_cmp(p: eb.Cmp, env) -> jml.JmlPredicate:
     if p.op in ("lt", "le"):
         sym = "<" if p.op == "lt" else "<="
         return jml.JmlCmp(sym, _tr_expr(p.left, env), _tr_expr(p.right, env))
-    # eq / neq: value equality for primitives, .equals for sets and relations
     t = _typed(p.left, env, _typed(p.right, env))
-    left = _tr_expr(p.left, env, t)
-    right = _tr_expr(p.right, env, t)
-    if _is_primitive(t):
-        return jml.JmlCmp("==" if p.op == "eq" else "!=", left, right)
-    equals = jml.JmlBoolCall(jml.JmlMethodCall(left, "equals", (right,)))
-    return equals if p.op == "eq" else jml.JmlNot(equals)
+    equal = _equals(_tr_expr(p.left, env, t), _tr_expr(p.right, env, t), t)
+    if p.op == "eq":
+        return equal
+    if isinstance(equal, jml.JmlCmp):
+        return replace(equal, op="!=")
+    return jml.JmlNot(equal)
 
 
 def translate_predicate(p: eb.Predicate, env) -> jml.JmlPredicate:
@@ -251,7 +258,8 @@ def translate_predicate(p: eb.Predicate, env) -> jml.JmlPredicate:
 
 
 def _tr_becomes_such_that(a: eb.BecomesSuchThat, env, at_pre: bool) -> jml.JmlExists:
-    """``v :| P`` as ``\\exists T y; P[y/v'] && v == y``.
+    """``v :| P`` as ``\\exists T y; P[y/v'] && v == y``, the equality
+    being ``v.equals(y)`` for a set or relation ``v``.
 
     ``'`` is not legal in a JML identifier, so the after-value ``v'`` is
     bound as ``v_after`` (or ``v_after2``, ...), the first such name that
@@ -277,19 +285,18 @@ def _tr_becomes_such_that(a: eb.BecomesSuchThat, env, at_pre: bool) -> jml.JmlEx
     return jml.JmlExists(
         name, jml_type_of(t),
         jml.JmlAnd(jml.JmlOld(body) if at_pre else body,
-                   jml.JmlBecomes(target, name, _is_primitive(t))))
+                   _equals(jml.JmlVar(target), jml.JmlVar(name), t)))
 
 
-def translate_action(a: eb.Action, env) -> jml.JmlPredicate:
+def translate_action(a: eb.Action, env, at_pre: bool = True) -> jml.JmlPredicate:
+    """The post-condition of one action; with ``at_pre`` its right-hand
+    side is read in the pre-state."""
     if isinstance(a, eb.BecomesSuchThat):
-        return _tr_becomes_such_that(a, env, at_pre=True)
-    target = a.target.name
-    t = env[target]
-    old_rhs = jml.JmlOldExpr(_tr_expr(a.rhs, env, t))
-    if _is_primitive(t):
-        return jml.JmlCmp("==", jml.JmlVar(target), old_rhs)
-    return jml.JmlBoolCall(jml.JmlMethodCall(
-        jml.JmlVar(target), "equals", (old_rhs,)))
+        return _tr_becomes_such_that(a, env, at_pre)
+    t = env[a.target.name]
+    rhs = _tr_expr(a.rhs, env, t)
+    return _equals(jml.JmlVar(a.target.name),
+                   jml.JmlOldExpr(rhs) if at_pre else rhs, t)
 
 
 def translate_actions(actions, env) -> jml.JmlPredicate:
@@ -359,20 +366,12 @@ def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
     var_names = set(variable_names)
     parts: list[jml.JmlPredicate] = []
     for a in actions:
-        t = env[a.target.name]
-        _check_action(a, t, env, var_names, reject)
-        if isinstance(a, eb.BecomesEqual):
-            if isinstance(a.rhs, eb.EmptySet):
-                parts.append(jml.JmlBoolCall(
-                    jml.JmlMethodCall(jml.JmlVar(a.target.name), "isEmpty")))
-            elif _is_primitive(t):
-                parts.append(jml.JmlCmp(
-                    "==", jml.JmlVar(a.target.name), _tr_expr(a.rhs, env, t)))
-            else:
-                parts.append(jml.JmlBoolCall(jml.JmlMethodCall(
-                    jml.JmlVar(a.target.name), "equals", (_tr_expr(a.rhs, env, t),))))
+        _check_action(a, env[a.target.name], env, var_names, reject)
+        if isinstance(a, eb.BecomesEqual) and isinstance(a.rhs, eb.EmptySet):
+            parts.append(jml.JmlBoolCall(
+                jml.JmlMethodCall(jml.JmlVar(a.target.name), "isEmpty")))
         else:
-            parts.append(_tr_becomes_such_that(a, env, at_pre=False))
+            parts.append(translate_action(a, env, at_pre=False))
     return _conj(parts)
 
 
@@ -383,6 +382,14 @@ def translate_machine(machine: Machine) -> TranslationUnit:
         if ty is None:
             raise TranslationError(
                 f"variable '{ident.name}' has no resolved type", ident.span)
+    var_names = set(typed.variable_names())
+    for where, actions in [("initialisation", typed.initialisation)] + [
+            (f"event '{ev.name}'", ev.actions) for ev in typed.events]:
+        for a in actions:
+            if a.target.name not in var_names:
+                raise TranslationError(
+                    f"{where} assigns '{a.target.name}', which is not a "
+                    f"machine variable", a.span)
     env = base_type_env(typed)
 
     trace: list[tuple[str, str]] = []

@@ -80,14 +80,6 @@ def test_check_tiny_ceiling_exit_3(tmp_path, capsys):
     assert "RESOURCE_LIMIT" in capsys.readouterr().out
 
 
-def test_ceiling_env_override(tmp_path, capsys, monkeypatch):
-    src = _copy(tmp_path, "social_abstract.ebm")
-    monkeypatch.setenv("EB2JML_CEILING", "10")
-    assert main(["check", str(src)]) == 3
-    monkeypatch.setenv("EB2JML_CEILING", "1000000")
-    assert main(["check", str(src)]) == 0
-
-
 def test_check_tree_format_is_json(tmp_path, capsys):
     src = _copy(tmp_path, "counter.ebm")
     assert main(["check", str(src), "--int-range", "0..1",
@@ -152,17 +144,6 @@ def test_bad_universe_flags(tmp_path, capsys):
     assert main(["check", str(src), "--int-range", "nope"]) == 2
     assert main(["check", str(src), "--carrier", "PERSON"]) == 2
     assert main(["check", str(src), "--int-range", "3..1"]) == 2
-
-
-def test_malformed_ceiling_environment_exits_2(tmp_path, capsys, monkeypatch):
-    src = _copy(tmp_path, "counter.ebm")
-    monkeypatch.setenv("EB2JML_CEILING", "abc")
-    assert main(["check", str(src), "--int-range", "0..1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("eb2jml: ")
-    assert "EB2JML_CEILING" in err and "'abc'" in err
-    # an explicit --ceiling does not read the variable
-    assert main(["check", str(src), "--int-range", "0..1", "--ceiling", "100"]) == 0
 
 
 def test_negative_witness_cap_exits_2(tmp_path, capsys):

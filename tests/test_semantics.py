@@ -9,7 +9,7 @@ from eb2jml.ebast import (
     IntLit, IntType, Ref, RelType, SetType,
 )
 from eb2jml.jmlast import (
-    AssignNothing, AssignVars, JInt, JmlBecomes, JmlCmp, JmlExists,
+    AssignNothing, AssignVars, JInt, JmlCmp, JmlExists,
     JmlFalse, JmlIntLit, JmlMethodSpec, JmlOld, JmlTrue, JmlVar, SpecCase,
 )
 from eb2jml.semantics import (
@@ -214,9 +214,10 @@ def test_old_evaluates_in_pre_state():
 
 
 def test_becomes_links_post_state_to_binding():
-    p = JmlBecomes("v", "v'")
-    assert jml_pred_holds(p, s(v=0), s(v=3), {"v'": 3}, Universe(0, 3))
-    assert not jml_pred_holds(p, s(v=0), s(v=2), {"v'": 3}, Universe(0, 3))
+    # the after-value link of v :| P reads v in the post-state
+    p = JmlCmp("==", JmlVar("v"), JmlVar("v_after"))
+    assert jml_pred_holds(p, s(v=0), s(v=3), {"v_after": 3}, Universe(0, 3))
+    assert not jml_pred_holds(p, s(v=0), s(v=2), {"v_after": 3}, Universe(0, 3))
 
 
 def test_exists_finds_witness_in_range():

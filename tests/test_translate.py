@@ -10,10 +10,10 @@ from eb2jml.ebast import (
     BecomesEqual, BecomesSuchThat, CarrierType, Cmp, Event, Ident, IntLit,
     IntType, Ref, RelType, SetType,
 )
-from eb2jml.ebcheck import base_type_env
+from eb2jml.ebcheck import base_type_env, well_formedness_check
 from eb2jml.checker import PASS, _contains_old
 from eb2jml.jmlast import (
-    AssignNothing, AssignVars, JInt, JmlBecomes, JmlExists, JmlGuardCall,
+    AssignNothing, AssignVars, JInt, JmlExists, JmlGuardCall,
     JmlNot, JmlOld, JmlTrue, JSet, render_class, render_jml_predicate,
     render_jml_type,
 )
@@ -143,18 +143,19 @@ def test_bound_names_are_legal_and_fresh():
     after_values = 0
     for machine, unit in _translated_machines():
         names = set(machine.carrier_sets) | set(machine.variable_names())
-        scopes = [(unit.result.initially, names)]
+        scopes = [(unit.result.initially, names, set())]
         for event in machine.events:
             _guard, run = unit.method_pair(event.name)
-            scopes.append((run.normal.ensures, names | {
-                ident.name for ident, _ty in event.params}))
-        for predicate, in_scope in scopes:
+            params = {ident.name for ident, _ty in event.params}
+            scopes.append((run.normal.ensures, names | params, params))
+        for predicate, in_scope, params in scopes:
             for node in walk(predicate):
-                if isinstance(node, JmlExists):
-                    assert LEGAL_NAME.fullmatch(node.var), (machine.name, node.var)
-                if isinstance(node, JmlBecomes):
-                    assert LEGAL_NAME.fullmatch(node.primed), machine.name
-                    assert node.primed not in in_scope, (machine.name, node.primed)
+                if not isinstance(node, JmlExists):
+                    continue
+                assert LEGAL_NAME.fullmatch(node.var), (machine.name, node.var)
+                # every other quantifier binds an after-value
+                if node.var not in params:
+                    assert node.var not in in_scope, (machine.name, node.var)
                     after_values += 1
         assert "'" not in render_class(unit.result), machine.name
     assert after_values > 100
@@ -293,6 +294,85 @@ def test_translate_initialisation_rejects_primed_identifiers(action, message):
     env = {"v": IntType(), "w": IntType()}
     with pytest.raises(TranslationError, match=message):
         translate_initialisation((action,), env, ("v", "w"))
+
+
+# one type per kind: the equality that the type takes, and its negation
+EQUALITY_TYPES = {
+    "INT": (IntType(), "{} == {}", "{} != {}"),
+    "carrier": (CarrierType("S"), "{} == {}", "{} != {}"),
+    "pow(S)": (SetType(CarrierType("S")), "{}.equals({})", "!{}.equals({})"),
+    "relation": (RelType(CarrierType("S"), IntType()),
+                 "{}.equals({})", "!{}.equals({})"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUALITY_TYPES))
+def test_every_producer_emits_the_same_equality(kind):
+    # a guard '=', an event 'v := E', an initialisation 'v := E' and the
+    # after-value link of 'v :| P' all pin a value with one operator
+    t, eq, neq = EQUALITY_TYPES[kind]
+    env = {"S": SetType(CarrierType("S")), "v": t, "w": t}
+    v, w = Ref(Ident("v")), Ref(Ident("w"))
+    assign = BecomesEqual("act1", Ident("v"), w)
+    choose = BecomesSuchThat("act1", Ident("v"), Cmp(
+        "eq", Ref(Ident("v", primed=True)), w))
+    rendered = {
+        "guard": translate_predicate(Cmp("eq", v, w), env),
+        "event": translate_action(assign, env),
+        "initialisation": translate_initialisation((assign,), env, ("v",)),
+        "link": translate_action(choose, env),
+    }
+    rendered = {k: render_jml_predicate(p) for k, p in rendered.items()}
+    jml_t = render_jml_type(jml_type_of(t))
+    assert rendered == {
+        "guard": eq.format("v", "w"),
+        "event": eq.format("v", "\\old(w)"),
+        "initialisation": eq.format("v", "w"),
+        "link": (f"(\\exists {jml_t} v_after; \\old({eq.format('v_after', 'w')})"
+                 f" && {eq.format('v', 'v_after')})"),
+    }
+    assert render_jml_predicate(translate_predicate(Cmp("neq", v, w), env)) \
+        == neq.format("v", "w")
+
+
+NOT_A_VARIABLE = {
+    "initialisation": ("act2: w := 1", "when grd1: v = 0", "act2: v := 1",
+                       "initialisation assigns 'w'"),
+    "event": ("", "when grd1: v = 0", "act2: w := 1", "event 'e' assigns 'w'"),
+    "event parameter": ("", "any p where grd1: p : INT", "act2: p := 1",
+                        "event 'e' assigns 'p'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_VARIABLE))
+def test_assigning_a_non_variable_is_a_translation_error(case):
+    init_extra, head, action, prefix = NOT_A_VARIABLE[case]
+    machine = parse_machine(f"""
+machine m
+  variables v
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+        {init_extra}
+      end
+    e
+      {head}
+      then
+        {action}
+      end
+end
+""")
+    message = f"{prefix}, which is not a machine variable"
+    # the translator rejects what the well-formedness pass rejects, in its words
+    diagnostic = next(d for d in well_formedness_check(machine)
+                      if d.message == message)
+    with pytest.raises(TranslationError) as exc:
+        tr_machine(machine)
+    assert str(exc.value) == str(diagnostic)
+    assert exc.value.span == diagnostic.span
 
 
 def test_jml_type_of_examples():

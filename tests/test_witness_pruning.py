@@ -13,7 +13,7 @@ from eb2jml import translate_machine
 from eb2jml.checker import MUTATIONS, mutate_translation, state_spaces, universe_for
 from eb2jml.ebast import Ident, IntType, RelType
 from eb2jml.jmlast import (
-    JInt, JmlAnd, JmlBecomes, JmlCmp, JmlExists, JmlIntLit, JmlMethodCall, JmlOld,
+    JInt, JmlAnd, JmlCmp, JmlExists, JmlIntLit, JmlMethodCall, JmlOld,
     JmlParen, JmlVar,
 )
 from eb2jml.semantics import (
@@ -98,7 +98,7 @@ HAND_BUILT = {
     # the translation of a becomes-such-that action, v :| v' <= v
     "after-value binding": _exists("v_after", _and(
         JmlOld(JmlCmp("<=", _var("v_after"), _var("v"))),
-        JmlBecomes("v", "v_after"))),
+        JmlCmp("==", _var("v"), _var("v_after")))),
     "quantifier inside old": JmlOld(_exists("x", JmlCmp(
         "==", _apply(_var("x")), _var("v")))),
     "old conjunct after a post-state conjunct": _exists("x", _and(
