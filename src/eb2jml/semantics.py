@@ -5,6 +5,11 @@ finite relations).  Event and method semantics are state-transition
 relations computed by exhaustive enumeration over a configurable finite
 universe; all arithmetic is exact, there are no tolerances.
 
+Every bound name, an invariant state's variable, an Event-B parameter or
+after-value, and a JML \\exists witness, is bound by one backtracking
+search, ``_solutions``, which tests each conjunct as soon as the names it
+reads are bound.
+
 Evaluation can fail (function application at a non-functional point,
 unbound identifiers); a guard or predicate whose evaluation fails counts
 as unsatisfied for that valuation, and ``_defined`` alone applies this
@@ -13,6 +18,7 @@ rule and logs the failure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from collections.abc import Mapping
@@ -582,16 +588,14 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
             per_action.append([(target, val)])
         else:
             prime = target + "'"
-            choices = []
-            for y in u.values_of_type(var_types[target]):
-                budget.charge()
-                bap_env = dict(env)
-                bap_env[prime] = y
-                if _defined(eb_pred_holds, act.predicate, state, bap_env, u):
-                    choices.append((target, y))
+            choices = _solutions(
+                [prime], lambda _k, _partial: u.values_of_type(var_types[target]),
+                [(act.predicate, 1)],
+                lambda p, bap_env: eb_pred_holds(p, state, bap_env, u),
+                dict(env), budget.charge)
             if not choices:
                 return
-            per_action.append(choices)
+            per_action.append([(target, c[prime]) for c in choices])
     for combo in itertools.product(*per_action):
         yield dict(combo)
 
@@ -667,7 +671,7 @@ def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
 # --- JML evaluation --------------------------------------------------------
 
 def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
-                  u: Universe, cache: Optional[dict] = None) -> Value:
+                  u: Universe) -> Value:
     """Evaluate with lookups in ``state``; \\old subterms switch to ``pre``."""
     if isinstance(e, jml.JmlVar):
         if e.name in env:
@@ -678,33 +682,26 @@ def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
             return frozenset(u.carrier_elems(e.name))
         raise EvalError(f"unbound identifier '{e.name}'")
     if isinstance(e, jml.JmlOldExpr):
-        if cache is not None:
-            key = (id(e), pre, frozenset(env.items()))
-            value = cache.get(key)
-            if value is None:
-                value = cache[key] = eval_jml_expr(e.expr, pre, pre, env, u, cache)
-            return value
-        return eval_jml_expr(e.expr, pre, pre, env, u, cache)
+        return eval_jml_expr(e.expr, pre, pre, env, u)
     if isinstance(e, jml.JmlMethodCall):
-        return _eval_jml_call(e, pre, state, env, u, cache)
+        return _eval_jml_call(e, pre, state, env, u)
     if isinstance(e, jml.JmlIntLit):
         return e.value
     if isinstance(e, jml.JmlCross):
-        left = _as_set(eval_jml_expr(e.left, pre, state, env, u, cache), "cross")
-        right = _as_set(eval_jml_expr(e.right, pre, state, env, u, cache), "cross")
+        left = _as_set(eval_jml_expr(e.left, pre, state, env, u), "cross")
+        right = _as_set(eval_jml_expr(e.right, pre, state, env, u), "cross")
         return frozenset(itertools.product(left, right))
     if isinstance(e, jml.JmlNewSet):
-        return frozenset(
-            eval_jml_expr(i, pre, state, env, u, cache) for i in e.items)
+        return frozenset(eval_jml_expr(i, pre, state, env, u) for i in e.items)
     if isinstance(e, jml.JmlNewRelation):
         return frozenset(
-            eval_jml_expr(pair, pre, state, env, u, cache) for pair in e.pairs)
+            eval_jml_expr(pair, pre, state, env, u) for pair in e.pairs)
     if isinstance(e, jml.JmlNewPair):
-        return (eval_jml_expr(e.left, pre, state, env, u, cache),
-                eval_jml_expr(e.right, pre, state, env, u, cache))
+        return (eval_jml_expr(e.left, pre, state, env, u),
+                eval_jml_expr(e.right, pre, state, env, u))
     if isinstance(e, jml.JmlArith):
-        left = _as_int(eval_jml_expr(e.left, pre, state, env, u, cache), e.op)
-        right = _as_int(eval_jml_expr(e.right, pre, state, env, u, cache), e.op)
+        left = _as_int(eval_jml_expr(e.left, pre, state, env, u), e.op)
+        right = _as_int(eval_jml_expr(e.right, pre, state, env, u), e.op)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -713,9 +710,9 @@ def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
     raise EvalError(f"cannot evaluate {type(e).__name__}")
 
 
-def _eval_jml_call(e: jml.JmlMethodCall, pre, state, env, u, cache) -> Value:
-    recv = eval_jml_expr(e.recv, pre, state, env, u, cache)
-    args = [eval_jml_expr(a, pre, state, env, u, cache) for a in e.args]
+def _eval_jml_call(e: jml.JmlMethodCall, pre, state, env, u) -> Value:
+    recv = eval_jml_expr(e.recv, pre, state, env, u)
+    args = [eval_jml_expr(a, pre, state, env, u) for a in e.args]
     m = e.method
     if m == "has":
         return args[0] in _as_set(recv, "has")
@@ -756,15 +753,17 @@ def _eval_jml_call(e: jml.JmlMethodCall, pre, state, env, u, cache) -> Value:
     raise EvalError(f"unknown method '{m}'")
 
 
-def jml_pred_holds(p: jml.JmlPredicate, pre: State, post: State, env: Mapping,
-                   u: Universe, cache: Optional[dict] = None) -> bool:
-    """Truth of a JML predicate over a (pre, post) state pair."""
-    return _jml_holds(p, pre, post, env, u, cache)
+def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
+                   env: Mapping, u: Universe, memo: Optional[dict] = None) -> bool:
+    """Truth of a JML predicate over a (pre, post) state pair.
 
-
-def _jml_holds(p, pre, state, env, u, cache) -> bool:
+    ``memo`` keeps the witnesses of each \\exists (see
+    ``_exists_witnesses``); evaluations given the same dict share them, and
+    one given none starts a fresh dict.  \\old is evaluated each time.
+    """
+    memo = memo if memo is not None else {}
     if isinstance(p, jml.JmlBoolCall):
-        v = eval_jml_expr(p.call, pre, state, env, u, cache)
+        v = eval_jml_expr(p.call, pre, state, env, u)
         if not isinstance(v, bool):
             raise EvalError(f"method '{p.call.method}' is not boolean-valued")
         return v
@@ -773,41 +772,29 @@ def _jml_holds(p, pre, state, env, u, cache) -> bool:
     if isinstance(p, jml.JmlFalse):
         return False
     if isinstance(p, jml.JmlAnd):
-        return _jml_holds(p.left, pre, state, env, u, cache) and \
-            _jml_holds(p.right, pre, state, env, u, cache)
+        return jml_pred_holds(p.left, pre, state, env, u, memo) and \
+            jml_pred_holds(p.right, pre, state, env, u, memo)
     if isinstance(p, jml.JmlOr):
-        return _jml_holds(p.left, pre, state, env, u, cache) or \
-            _jml_holds(p.right, pre, state, env, u, cache)
+        return jml_pred_holds(p.left, pre, state, env, u, memo) or \
+            jml_pred_holds(p.right, pre, state, env, u, memo)
     if isinstance(p, jml.JmlNot):
-        return not _jml_holds(p.operand, pre, state, env, u, cache)
+        return not jml_pred_holds(p.operand, pre, state, env, u, memo)
     if isinstance(p, jml.JmlParen):
-        return _jml_holds(p.operand, pre, state, env, u, cache)
+        return jml_pred_holds(p.operand, pre, state, env, u, memo)
     if isinstance(p, jml.JmlOld):
-        if cache is not None:
-            key = (id(p), pre, frozenset(env.items()))
-            if key not in cache:
-                cache[key] = _jml_holds(p.operand, pre, pre, env, u, cache)
-            return cache[key]
-        return _jml_holds(p.operand, pre, pre, env, u, cache)
+        return jml_pred_holds(p.operand, pre, pre, env, u, memo)
     if isinstance(p, jml.JmlExists):
-        if cache is not None:
-            rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, cache)
-            for inner in bindings:
-                for c in rest:
-                    if not _defined(_jml_holds, c, pre, state, inner, u, cache):
-                        break
-                else:
-                    return True
-            return False
-        for y in u.values_of_jml_type(p.ty):
-            inner = dict(env)
-            inner[p.var] = y
-            if _defined(_jml_holds, p.body, pre, state, inner, u, cache):
+        rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, memo)
+        for inner in bindings:
+            for c in rest:
+                if not _defined(jml_pred_holds, c, pre, state, inner, u, memo):
+                    break
+            else:
                 return True
         return False
     if isinstance(p, jml.JmlCmp):
-        left = eval_jml_expr(p.left, pre, state, env, u, cache)
-        right = eval_jml_expr(p.right, pre, state, env, u, cache)
+        left = eval_jml_expr(p.left, pre, state, env, u)
+        right = eval_jml_expr(p.right, pre, state, env, u)
         if p.op == "==":
             return left == right
         if p.op == "!=":
@@ -837,10 +824,12 @@ def _jml_reads(p: jml.JmlPredicate) -> set[str]:
     return {n.name for n in walk(p) if isinstance(n, jml.JmlVar)}
 
 
+@functools.lru_cache(maxsize=256)
 def _exists_chain(p: jml.JmlExists, at_pre: bool):
     """The variables and types that ``p`` and the quantifiers directly
     nested in it bind, the pre-state conjuncts with their depths, and the
-    conjuncts left to test (see ``_exists_witnesses``)."""
+    conjuncts left to test (see ``_exists_witnesses``); built once per
+    quantifier and ``at_pre``."""
     names, types, tests = [], [], []
     node = p
     while True:
@@ -857,38 +846,38 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool):
             lead += 1
         rest = tuple(spine[lead:])
         if len(rest) != 1 or not isinstance(rest[0], jml.JmlExists):
-            return names, types, tests, rest
+            return tuple(names), tuple(types), tuple(tests), rest
         node = rest[0]
 
 
-def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, cache):
+def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: dict):
     """The witnesses of ``p`` that can still hold, with the conjuncts left
-    to test; cached per (node, pre-state, binding).
+    to test; kept in ``memo`` per (node, pre-state, binding).
 
-    A body's conjuncts are evaluated left to right and a false or undefined
-    one fails the witness, so a witness at which a leading pre-state
-    conjunct does not hold fails at every post-state: dropping it is exact.
-    The pre-state conjuncts are the leading \\old ones, or every conjunct
-    when ``at_pre`` says the post-state is the pre-state.  When the rest of
-    a body is a single nested \\exists, the two quantifiers are searched as
-    one, and each pre-state conjunct is tested as soon as the variables it
-    reads are bound.
+    The witnesses are found by ``_solutions``, the search that also binds
+    Event-B parameters and after-values.  A body's conjuncts are evaluated
+    left to right and a false or undefined one fails the witness, so a
+    witness at which a leading pre-state conjunct does not hold fails at
+    every post-state: dropping it is exact.  The pre-state conjuncts are the
+    leading \\old ones, or every conjunct when ``at_pre`` says the post-state
+    is the pre-state.  When the rest of a body is a single nested \\exists,
+    the two quantifiers are searched as one, and each pre-state conjunct is
+    tested as soon as the variables it reads are bound.
+
+    The pre-state is keyed by identity, so a partial binding (a dict) can
+    be one; each entry keeps the node and the pre-state alive, so neither
+    identity is reused while ``memo`` lives.
     """
-    key = (id(p), pre, at_pre, frozenset(env.items()))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    chain_key = ("chain", id(p), at_pre)
-    chain = cache.get(chain_key)
-    if chain is None:
-        chain = cache[chain_key] = _exists_chain(p, at_pre)
-    names, types, tests, rest = chain
-    bindings = _solutions(
-        names, lambda k, _partial: u.values_of_jml_type(types[k]), tests,
-        lambda c, e: _jml_holds(c, pre, pre, e, u, cache), dict(env),
-        _no_charge)
-    hit = cache[key] = (rest, bindings)
-    return hit
+    key = (id(p), id(pre), at_pre, frozenset(env.items()))
+    hit = memo.get(key)
+    if hit is None:
+        names, types, tests, rest = _exists_chain(p, at_pre)
+        bindings = _solutions(
+            names, lambda k, _partial: u.values_of_jml_type(types[k]), tests,
+            lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo), dict(env),
+            _no_charge)
+        hit = memo[key] = (rest, bindings, p, pre)
+    return hit[:2]
 
 
 def _no_charge() -> None:
@@ -951,7 +940,7 @@ def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
               for c in conjs for kind, name, e in _jml_bounds(c)]
     return _invariant_states(
         variables, [(c, _jml_reads(c)) for c in conjs],
-        lambda c, s: _jml_holds(c, s, s, {}, u, None), bounds,
+        lambda c, s: jml_pred_holds(c, s, s, {}, u), bounds,
         lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
 
 
@@ -968,7 +957,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     inlining the guard predicate.
     """
     budget = budget if budget is not None else Budget(u.ceiling)
-    cache: dict = {}
+    memo: dict = {}
     var_names = tuple(ident.name for ident, _ty in variables)
     cases = [run_spec.normal]
     if run_spec.exceptional is not None:
@@ -982,16 +971,16 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     rel: set[tuple[State, State]] = set()
     for a in states:
         active = [case for case in cases
-                  if _defined(_jml_holds, case[0], a, a, {}, u, cache)]
+                  if _defined(jml_pred_holds, case[0], a, a, {}, u, memo)]
         candidates = states
         if active:
             lookup = max((case[3] for case in active), key=lambda k: len(k.names))
-            candidates = lookup.candidates(a, states, index, u, cache)
+            candidates = lookup.candidates(a, states, index, u, memo)
         for b in candidates:
             budget.charge()
             for _req, ensures, outside, _lookup in active:
                 if any(a[v] != b[v] for v in outside) or \
-                        not _defined(_jml_holds, ensures, a, b, {}, u, cache):
+                        not _defined(jml_pred_holds, ensures, a, b, {}, u, memo):
                     break
             else:
                 rel.add((a, b))
@@ -1032,7 +1021,7 @@ class _Lookup:
                     self.pins.setdefault(target.name, value)
         self.names = outside + tuple(self.pins)
 
-    def candidates(self, a: State, states, index: dict, u, cache):
+    def candidates(self, a: State, states, index: dict, u, memo: dict):
         """The states matching ``a``'s lookups, from ``index`` (one table
         per key, built on first use)."""
         table = index.get(self.names)
@@ -1043,18 +1032,18 @@ class _Lookup:
         fixed = tuple(a[n] for n in self.outside)
         if self.exists is None:
             return table.get(fixed, ())
-        _rest, bindings = _exists_witnesses(self.exists, a, False, {}, u, cache)
+        _rest, bindings = _exists_witnesses(self.exists, a, False, {}, u, memo)
         pins = tuple(self.pins.values())
         found: dict[State, None] = {}
         for binding in bindings:
-            values = _defined(_old_values, pins, a, binding, u, cache)
+            values = _defined(_old_values, pins, a, binding, u)
             if values is not False:
                 found.update(dict.fromkeys(table.get(fixed + values, ())))
         return found
 
 
-def _old_values(exprs, pre, env, u, cache) -> tuple:
-    return tuple(eval_jml_expr(e, pre, pre, env, u, cache) for e in exprs)
+def _old_values(exprs, pre, env, u) -> tuple:
+    return tuple(eval_jml_expr(e, pre, pre, env, u) for e in exprs)
 
 
 def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
@@ -1062,15 +1051,15 @@ def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
                          budget: Optional[Budget] = None) -> frozenset:
     """The class-invariant ``states`` satisfying the initially clause."""
     budget = budget if budget is not None else Budget(u.ceiling)
-    cache: dict = {}
+    memo: dict = {}
     out = set()
     for b in states:
         budget.charge()
-        if _defined(_jml_holds, initially, b, b, {}, u, cache):
+        if _defined(jml_pred_holds, initially, b, b, {}, u, memo):
             out.add(b)
     return frozenset(out)
 
 
 def guard_holds(guard_spec: jml.JmlMethodSpec, state: State, u: Universe) -> bool:
     """Whether the translated guard is satisfied in a state (pre = post)."""
-    return _defined(_jml_holds, guard_spec.normal.ensures, state, state, {}, u, {})
+    return _defined(jml_pred_holds, guard_spec.normal.ensures, state, state, {}, u)

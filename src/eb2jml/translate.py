@@ -314,6 +314,10 @@ def translate_event(e: eb.Event, env) -> tuple[jml.JmlMethodSpec, jml.JmlMethodS
     """An event becomes the (guard_<e>, run_<e>) method pair."""
     ev_env = dict(env)
     for ident, ty in e.params:
+        if ident.name in env:
+            raise TranslationError(
+                f"parameter '{ident.name}' of event '{e.name}' shadows a "
+                f"variable or carrier set", ident.span)
         if ty is None:
             raise TranslationError(
                 f"parameter '{ident.name}' of event '{e.name}' has no type", ident.span)

@@ -5,6 +5,7 @@ import pytest
 from eb2jml import (
     EvalError, eb_pred_holds, enumerate_states, jml_pred_holds, parse_machine,
 )
+from eb2jml.jmlast import JmlAnd, JmlExists, JmlNot, JmlOld, JmlOr, JmlParen
 
 TESTS_DIR = Path(__file__).resolve().parent
 MACHINES_DIR = TESTS_DIR.parent / "machines"
@@ -34,10 +35,39 @@ def eb_inv_states(machine, u) -> frozenset:
         eb_pred_holds(p, s, {}, u) for _lbl, p in machine.invariants))
 
 
+def jml_scan_holds(p, pre, state, env, u) -> bool:
+    """Truth of a JML predicate with every \\exists decided by trying each
+    typed value of its variable in full, an undefined body failing that
+    value: the brute-force reference for the program's witness search.
+    Connectives and \\old are followed here; every other predicate goes to
+    ``jml_pred_holds``.  Raises EvalError when undefined, as it does."""
+    if isinstance(p, JmlExists):
+        for value in u.values_of_jml_type(p.ty):
+            try:
+                if jml_scan_holds(p.body, pre, state, {**env, p.var: value}, u):
+                    return True
+            except EvalError:
+                pass
+        return False
+    if isinstance(p, JmlAnd):
+        return jml_scan_holds(p.left, pre, state, env, u) and \
+            jml_scan_holds(p.right, pre, state, env, u)
+    if isinstance(p, JmlOr):
+        return jml_scan_holds(p.left, pre, state, env, u) or \
+            jml_scan_holds(p.right, pre, state, env, u)
+    if isinstance(p, JmlNot):
+        return not jml_scan_holds(p.operand, pre, state, env, u)
+    if isinstance(p, JmlParen):
+        return jml_scan_holds(p.operand, pre, state, env, u)
+    if isinstance(p, JmlOld):
+        return jml_scan_holds(p.operand, pre, pre, env, u)
+    return jml_pred_holds(p, pre, state, env, u)
+
+
 def jml_inv_states(invariant, variables, u) -> frozenset:
     """Typed states at which the JML class ``invariant`` holds."""
     return states_where(
-        variables, u, lambda s: jml_pred_holds(invariant, s, s, {}, u))
+        variables, u, lambda s: jml_scan_holds(invariant, s, s, {}, u))
 
 
 @pytest.fixture(scope="session")

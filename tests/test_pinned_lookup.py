@@ -5,9 +5,9 @@ conjunct ``v.equals(\\old(E))`` or ``v == \\old(E)`` on a state variable in
 the frame fixes ``v``'s post-value, so ``jml_method_rel`` looks post-states
 up instead of scanning every state with the right values outside the
 frame.  Every candidate is still tested in full, so the relation must equal
-a double loop over every pair of invariant states, evaluated without a
-cache; where the pins fix every assigned variable, each candidate is a
-transition, and the relation's work equals its size.
+a double loop over every pair of invariant states, with every \\exists
+witness tried in full; where the pins fix every assigned variable, each
+candidate is a transition, and the relation's work equals its size.
 """
 
 import pytest
@@ -24,22 +24,22 @@ from eb2jml.jmlast import (
 )
 from eb2jml.semantics import (
     Budget, EvalError, Universe, enumerate_states, inline_guard_calls,
-    jml_method_rel, jml_pred_holds,
+    jml_method_rel,
 )
 
-from conftest import load_machine
+from conftest import jml_scan_holds, load_machine
 
 
 def _holds(p, a, b, u) -> bool:
     try:
-        return jml_pred_holds(p, a, b, {}, u)
+        return jml_scan_holds(p, a, b, {}, u)
     except EvalError:
         return False
 
 
 def _brute_rel(run, guard, var_names, inv_states, u):
     """Every pair of invariant states the run method admits, tested one by
-    one with the uncached evaluator."""
+    one with every \\exists witness tried in full."""
     cases = [c for c in (run.normal, run.exceptional) if c is not None]
     out = set()
     for a in inv_states:

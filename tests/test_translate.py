@@ -375,6 +375,38 @@ end
     assert exc.value.span == diagnostic.span
 
 
+@pytest.mark.parametrize("name", ["v", "S"])
+def test_a_parameter_shadowing_a_variable_or_set_is_a_translation_error(name):
+    machine = parse_machine(f"""
+machine m
+  sets S
+  variables v
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+    e
+      any {name}
+      where
+        grd1: {name} : INT
+      then
+        act1: v :| v' = v + 1
+      end
+end
+""")
+    message = f"parameter '{name}' of event 'e' shadows a variable or carrier set"
+    # without the check, the parameter captured the variable it shadows
+    diagnostic = next(d for d in well_formedness_check(machine)
+                      if d.message == message)
+    with pytest.raises(TranslationError) as exc:
+        tr_machine(machine)
+    assert str(exc.value) == str(diagnostic)
+    assert exc.value.span == diagnostic.span
+
+
 def test_jml_type_of_examples():
     assert jml_type_of(SetType(CarrierType("PERSON"))) == JSet(JInt())
     assert render_jml_type(jml_type_of(

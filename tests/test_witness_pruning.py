@@ -1,10 +1,11 @@
 """Pre-state witness pruning is exact.
 
-With a cache, each \\exists keeps per (node, pre-state, binding) only the
-witnesses whose leading \\old conjuncts hold (every conjunct when the
-post-state is the pre-state), and searches directly nested quantifiers as
-one.  Every evaluation here is compared with the uncached evaluator, which
-tries every witness in full.
+Each \\exists keeps in the evaluator's memo, per (node, pre-state,
+binding), only the witnesses whose leading \\old conjuncts hold (every
+conjunct when the post-state is the pre-state), and searches directly
+nested quantifiers as one.  Every evaluation here, with one memo shared
+across all pairs, is compared with ``conftest.jml_scan_holds``, which tries
+every witness in full.
 """
 
 import pytest
@@ -18,21 +19,24 @@ from eb2jml.jmlast import (
 )
 from eb2jml.semantics import (
     EvalError, State, Universe, enumerate_states, inline_guard_calls,
-    jml_pred_holds,
+    jml_invariant_states, jml_pred_holds,
 )
 
+from conftest import jml_inv_states, jml_scan_holds
 
-def _outcome(p, a, b, u, cache):
+
+def _outcome(holds, *args):
     try:
-        return jml_pred_holds(p, a, b, {}, u, cache)
+        return holds(*args)
     except EvalError:
         return "undefined"
 
 
 def _agree(p, pairs, u):
-    cache: dict = {}
+    memo: dict = {}
     for a, b in pairs:
-        assert _outcome(p, a, b, u, cache) == _outcome(p, a, b, u, None), (a, b)
+        assert _outcome(jml_pred_holds, p, a, b, {}, u, memo) == \
+            _outcome(jml_scan_holds, p, a, b, {}, u), (a, b)
 
 
 @pytest.mark.parametrize("mutation", (None,) + MUTATIONS)
@@ -116,3 +120,22 @@ def test_hand_built_specs(name):
     pairs = [(a, b) for a in states for b in states] + \
         [(a, State(a)) for a in states]
     _agree(HAND_BUILT[name], pairs, u)
+
+
+def test_class_invariant_with_nested_quantifiers():
+    """Invariant conjuncts are tested at partial bindings, which are dicts;
+    the translator never puts an \\exists in a class invariant."""
+    u = Universe(int_lo=0, int_hi=1)
+    variables = ((Ident("v"), IntType()), (Ident("w"), IntType()),
+                 (Ident("r"), RelType(IntType(), IntType())))
+    invariant = _and(
+        # reads v and w only: tested before r is bound
+        _exists("x", _and(JmlCmp("!=", _var("x"), _var("v")),
+                          _exists("y", _and(JmlCmp("==", _var("y"), _var("x")),
+                                            JmlCmp("!=", _var("y"), _var("w")))))),
+        _exists("x", JmlParen(_exists("y", _and(
+            JmlCmp("==", _apply(_var("x")), _var("y")),
+            JmlCmp("<", _var("y"), _var("v")))))))
+    expected = jml_inv_states(invariant, variables, u)
+    assert 0 < len(expected) < len(enumerate_states(variables, u))
+    assert jml_invariant_states(invariant, variables, u) == expected
