@@ -6,8 +6,9 @@ the two enumerated relations, so a PASS is re-checkable by brute force.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import ebast as eb
@@ -56,9 +57,9 @@ class Verdict:
     checked_pairs: int
     jml_size: Optional[int] = None
     eb_size: Optional[int] = None
-    witnesses: tuple[Counterexample, ...] = ()
     bisimulation: Optional[bool] = None      # informational: eb side also contained?
     detail: str = ""
+    witnesses: tuple[Counterexample, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -112,32 +113,12 @@ class Report:
 
         return {
             "machine": self.machine,
-            "universe": {
-                "int_lo": self.universe.int_lo,
-                "int_hi": self.universe.int_hi,
-                "carriers": dict(sorted(self.universe.carriers.items())),
-                "ceiling": self.universe.ceiling,
-            },
+            "universe": {**_fields(self.universe),
+                         "carriers": dict(sorted(self.universe.carriers.items()))},
             "verdicts": [
-                {
-                    "name": v.name,
-                    "status": v.status,
-                    "checked_pairs": v.checked_pairs,
-                    "jml_size": v.jml_size,
-                    "eb_size": v.eb_size,
-                    "bisimulation": v.bisimulation,
-                    "detail": v.detail,
-                    "witnesses": [
-                        {
-                            "event": w.event,
-                            "pre": state_dict(w.pre),
-                            "post": state_dict(w.post),
-                            "jml_side": w.jml_side,
-                            "eb_side": w.eb_side,
-                        }
-                        for w in v.witnesses
-                    ],
-                }
+                {**_fields(v), "witnesses": [
+                    {**_fields(w), "pre": state_dict(w.pre), "post": state_dict(w.post)}
+                    for w in v.witnesses]}
                 for v in self.verdicts
             ],
             "overall": self.status,
@@ -145,14 +126,15 @@ class Report:
         }
 
 
+def _fields(record) -> dict:
+    """A dataclass record's fields by name, in declaration order, but for
+    those left out of its repr."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.repr}
+
+
 def universe_for(machine: Machine, universe: Universe) -> Universe:
     """``universe``, or a copy of it, covering every carrier set of the machine."""
     return universe.with_carriers(machine.carrier_sets)
-
-
-def _pair_sort_key(pair):
-    a, b = pair
-    return (a.sort_key(), b.sort_key())
 
 
 @dataclass(frozen=True)
@@ -182,12 +164,6 @@ def state_spaces(machine: Machine, unit: TranslationUnit,
     return StateSpaces(eb_states, jml_states)
 
 
-def _limit_verdict(name: str, phase: str, exc: ResourceLimitError) -> Verdict:
-    return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=exc.count,
-                   detail=f"{phase} needs {exc.count} work units, "
-                          f"exceeding the ceiling of {exc.ceiling}")
-
-
 def check_event(event: eb.Event, machine: Machine, universe: Universe,
                 unit: Optional[TranslationUnit] = None,
                 witness_cap: int = 5,
@@ -199,50 +175,7 @@ def check_event(event: eb.Event, machine: Machine, universe: Universe,
     needs the class invariant at both ends, so an Event-B pair whose
     pre-state violates the invariant can never witness anything.
     """
-    unit = unit if unit is not None else translate_machine(machine)
-    u = universe_for(machine, universe)
-    spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
-    if spaces.limit is not None:
-        return _limit_verdict(event.name, *spaces.limit)
-    guard_spec, run_spec = unit.method_pair(event.name)
-    budget = Budget(u.ceiling)
-    phase = f"event {event.name}'s JML relation"
-    try:
-        jml_rel = jml_method_rel(run_spec, spaces.jml, guard_spec,
-                                 machine.variables, u, budget)
-        phase = f"event {event.name}'s Event-B relation"
-        eb_rel, _same = eb_event_rel_variants(
-            event, spaces.eb, machine.variables, u, budget)
-    except ResourceLimitError as exc:
-        return _limit_verdict(event.name, phase, exc)
-
-    missing = sorted(jml_rel - eb_rel, key=_pair_sort_key)
-    witnesses = tuple(
-        _explain_pair(event, pair, guard_spec, u) for pair in missing[:witness_cap])
-    return Verdict(
-        name=event.name,
-        status=PASS if not missing else FAIL,
-        checked_pairs=budget.spent,
-        jml_size=len(jml_rel),
-        eb_size=len(eb_rel),
-        witnesses=witnesses,
-        bisimulation=eb_rel <= jml_rel,
-    )
-
-
-def _explain_pair(event, pair, guard_spec, u) -> Counterexample:
-    a, b = pair
-    g = guard_holds(guard_spec, a, u)
-    if g:
-        jml_side = (f"guard_{event.name}() is true at the pre-state; the normal "
-                    f"case's ensures and frame accept this pair")
-        eb_side = ("the guard is satisfiable, so stuttering is not available, "
-                   "and no action valuation produces this post-state")
-    else:
-        jml_side = (f"guard_{event.name}() is false at the pre-state; the "
-                    f"exceptional case accepts this pair")
-        eb_side = "with the guard unsatisfiable only the pair (a, a) is allowed"
-    return Counterexample(event.name, a, b, jml_side, eb_side)
+    return _verdict(event, machine, universe, unit, witness_cap, spaces)
 
 
 def check_init(machine: Machine, universe: Universe,
@@ -251,38 +184,96 @@ def check_init(machine: Machine, universe: Universe,
                spaces: Optional[StateSpaces] = None) -> Verdict:
     """PASS iff every state satisfying initially-and-invariant is an
     invariant-respecting result of the source initialisation."""
+    return _verdict(None, machine, universe, unit, witness_cap, spaces)
+
+
+def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
+             unit: Optional[TranslationUnit], witness_cap: int,
+             spaces: Optional[StateSpaces]) -> Verdict:
+    """The verdict on ``event``, or on the initialisation when it is None.
+
+    The JML side and then the Event-B side are built on one Budget, whose
+    spending is the verdict's ``checked`` count.  The first phase to pass
+    the ceiling, an invariant enumeration or one of the two sides, makes
+    the verdict a RESOURCE_LIMIT that names it.  A FAIL explains the first
+    ``witness_cap`` of the sorted missing transitions, each explanation on
+    its own Budget.
+    """
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
     unit = unit if unit is not None else translate_machine(machine)
     u = universe_for(machine, universe)
     spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
-    if spaces.limit is not None:
-        return _limit_verdict("initialisation", *spaces.limit)
-    budget = Budget(u.ceiling)
-    phase = "initialisation's JML state set"
-    try:
-        jml_states = jml_initially_states(
-            unit.result.initially, spaces.jml, u, budget)
-        phase = "initialisation's Event-B state set"
-        eb_states = eb_init_states(
-            machine.initialisation, spaces.eb, machine.variables, u, budget)
-    except ResourceLimitError as exc:
-        return _limit_verdict("initialisation", phase, exc)
-
-    missing = sorted(jml_states - eb_states, key=lambda s: s.sort_key())
-    witnesses = tuple(
-        Counterexample(
-            "initialisation", None, s,
-            "satisfies the initially clause and the class invariant",
+    variables = machine.variables
+    if event is None:
+        name, subject = "initialisation", "initialisation's {} state set"
+        key, explain = State.sort_key, lambda s: Counterexample(
+            name, None, s, "satisfies the initially clause and the class invariant",
             "not a result of the Event-B initialisation")
-        for s in missing[:witness_cap])
+        jml_side, eb_side = (
+            lambda budget: jml_initially_states(
+                unit.result.initially, spaces.jml, u, budget),
+            lambda budget: eb_init_states(
+                machine.initialisation, spaces.eb, variables, u, budget))
+    else:
+        name, subject = event.name, f"event {event.name}'s {{}} relation"
+        guard_spec, run_spec = unit.method_pair(event.name)
+        key, explain = (lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
+                        functools.partial(_explain_pair, event, guard_spec, u))
+        jml_side, eb_side = (
+            lambda budget: jml_method_rel(
+                run_spec, spaces.jml, guard_spec, variables, u, budget),
+            lambda budget: eb_event_rel_variants(
+                event, spaces.eb, variables, u, budget)[0])
+    phase, limit = spaces.limit or ("", None)
+    if limit is None:
+        budget = Budget(u.ceiling)
+        try:
+            phase = subject.format("JML")
+            found = jml_side(budget)
+            phase = subject.format("Event-B")
+            allowed = eb_side(budget)
+        except ResourceLimitError as exc:
+            limit = exc
+    if limit is not None:
+        return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=limit.count,
+                       detail=f"{phase} needs {limit.count} work units, "
+                              f"exceeding the ceiling of {limit.ceiling}")
+    missing = sorted(found - allowed, key=key)
     return Verdict(
-        name="initialisation",
+        name=name,
         status=PASS if not missing else FAIL,
         checked_pairs=budget.spent,
-        jml_size=len(jml_states),
-        eb_size=len(eb_states),
-        witnesses=witnesses,
-        bisimulation=eb_states <= jml_states,
+        jml_size=len(found),
+        eb_size=len(allowed),
+        bisimulation=allowed <= found,
+        witnesses=tuple(explain(m) for m in missing[:witness_cap]),
     )
+
+
+def _explain_pair(event, guard_spec, u, pair) -> Counterexample:
+    """Why the pair is a JML transition but no Event-B one, by whether the
+    guard is true, false or undefined at its pre-state."""
+    a, b = pair
+    normal = guard_spec.normal
+    negated = replace(guard_spec, normal=replace(
+        normal, ensures=jml.JmlNot(normal.ensures)))
+    if guard_holds(guard_spec, a, u):
+        jml_side = (f"guard_{event.name}() is true at the pre-state; the normal "
+                    f"case's ensures and frame accept this pair")
+        eb_side = ("the guard is satisfiable, so stuttering is not available, "
+                   "and no action valuation produces this post-state")
+    elif guard_holds(negated, a, u):
+        jml_side = (f"guard_{event.name}() is false at the pre-state; the "
+                    f"exceptional case accepts this pair")
+        eb_side = "with the guard unsatisfiable only the pair (a, a) is allowed"
+    else:
+        jml_side = (f"guard_{event.name}() is undefined at the pre-state, so "
+                    f"neither requires clause holds and no case constrains "
+                    f"this pair")
+        eb_side = ("the guard is undefined at the pre-state, which counts as "
+                   "false, so only the pair (a, a) is allowed")
+    return Counterexample(event.name, a, b, jml_side, eb_side)
 
 
 def check_machine(machine: Machine, universe: Universe,

@@ -8,7 +8,9 @@ universe; all arithmetic is exact, there are no tolerances.
 Every bound name, an invariant state's variable, an Event-B parameter or
 after-value, and a JML \\exists witness, is bound by one backtracking
 search, ``_solutions``, which tests each conjunct as soon as the names it
-reads are bound.
+reads are bound.  Every search charges each value it tests to the one
+``Budget`` of the phase it serves (an invariant enumeration, a state set or
+a relation), which a JML evaluation reaches through its ``WitnessMemo``.
 
 Evaluation can fail (function application at a non-functional point,
 unbound identifiers); a guard or predicate whose evaluation fails counts
@@ -47,7 +49,7 @@ class ResourceLimitError(Exception):
 
 
 class Budget:
-    """Work meter for relation construction; aborts when the ceiling is hit."""
+    """The work meter of one phase; aborts when the ceiling is hit."""
 
     __slots__ = ("limit", "spent")
 
@@ -59,6 +61,16 @@ class Budget:
         self.spent += n
         if self.spent > self.limit:
             raise ResourceLimitError(self.spent, self.limit)
+
+
+class WitnessMemo(dict):
+    """The \\exists witnesses found so far (see ``_exists_witnesses``), and
+    the Budget that pays for the searches that find them."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, budget: Budget):
+        self.budget = budget
 
 
 def fmt_value(v: Value) -> str:
@@ -417,9 +429,8 @@ def _eb_bounds(c: eb.Predicate) -> list:
 
 
 def eb_invariant_states(invariants, variables, u: Universe,
-                        budget: Optional[Budget] = None) -> frozenset:
+                        budget: Budget) -> frozenset:
     """Typed states satisfying every labelled Event-B invariant."""
-    budget = budget if budget is not None else Budget(u.ceiling)
     conjs = [c for _lbl, p in invariants for c in _eb_conjuncts(p)]
     conjuncts = [(c, {i.key for i in eb.free_identifiers(c)}) for c in conjs]
     bounds = [(kind, name, e, {i.key for i in eb.free_identifiers(e)})
@@ -622,7 +633,7 @@ def _eb_post_states(actions, variables, u, budget, states):
 
 
 def eb_event_rel(event, states: frozenset, variables, u: Universe,
-                 budget: Optional[Budget] = None) -> frozenset:
+                 budget: Budget) -> frozenset:
     """The transition relation of an event over the invariant ``states``.
 
     A pair (a, b) of invariant states is included when some parameter
@@ -631,7 +642,6 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     values; or, when no parameter valuation satisfies the guards at a, the
     stuttering pair (a, a).
     """
-    budget = budget if budget is not None else Budget(u.ceiling)
     posts = _eb_post_states(event.actions, variables, u, budget, states)
     names = [ident.name for ident, _ty in event.params]
     types = [ty for _ident, ty in event.params]
@@ -652,8 +662,7 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
 
 
 def eb_event_rel_variants(event, states: frozenset, variables, u: Universe,
-                          budget: Optional[Budget] = None,
-                          ) -> tuple[frozenset, frozenset]:
+                          budget: Budget) -> tuple[frozenset, frozenset]:
     """``eb_event_rel`` twice: over invariant pre-states, adding the
     invariant to the stuttering branch changes nothing."""
     rel = eb_event_rel(event, states, variables, u, budget)
@@ -661,9 +670,8 @@ def eb_event_rel_variants(event, states: frozenset, variables, u: Universe,
 
 
 def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
-                   budget: Optional[Budget] = None) -> frozenset:
+                   budget: Budget) -> frozenset:
     """The invariant ``states`` reachable by the initialisation."""
-    budget = budget if budget is not None else Budget(u.ceiling)
     posts = _eb_post_states(init_actions, variables, u, budget, states)
     return frozenset(posts(State(), {}))
 
@@ -754,14 +762,17 @@ def _eval_jml_call(e: jml.JmlMethodCall, pre, state, env, u) -> Value:
 
 
 def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
-                   env: Mapping, u: Universe, memo: Optional[dict] = None) -> bool:
+                   env: Mapping, u: Universe,
+                   memo: Optional[WitnessMemo] = None) -> bool:
     """Truth of a JML predicate over a (pre, post) state pair.
 
     ``memo`` keeps the witnesses of each \\exists (see
-    ``_exists_witnesses``); evaluations given the same dict share them, and
-    one given none starts a fresh dict.  \\old is evaluated each time.
+    ``_exists_witnesses``) and charges their search to its Budget;
+    evaluations given the same memo share both, and one given none starts
+    a fresh memo metered at the universe's ceiling.  \\old is evaluated
+    each time.
     """
-    memo = memo if memo is not None else {}
+    memo = memo if memo is not None else WitnessMemo(Budget(u.ceiling))
     if isinstance(p, jml.JmlBoolCall):
         v = eval_jml_expr(p.call, pre, state, env, u)
         if not isinstance(v, bool):
@@ -850,12 +861,13 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool):
         node = rest[0]
 
 
-def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: dict):
+def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: WitnessMemo):
     """The witnesses of ``p`` that can still hold, with the conjuncts left
     to test; kept in ``memo`` per (node, pre-state, binding).
 
     The witnesses are found by ``_solutions``, the search that also binds
-    Event-B parameters and after-values.  A body's conjuncts are evaluated
+    Event-B parameters and after-values, and each value it tests is
+    charged to the memo's Budget.  A body's conjuncts are evaluated
     left to right and a false or undefined one fails the witness, so a
     witness at which a leading pre-state conjunct does not hold fails at
     every post-state: dropping it is exact.  The pre-state conjuncts are the
@@ -875,13 +887,9 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: dict):
         bindings = _solutions(
             names, lambda k, _partial: u.values_of_jml_type(types[k]), tests,
             lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo), dict(env),
-            _no_charge)
+            memo.budget.charge)
         hit = memo[key] = (rest, bindings, p, pre)
     return hit[:2]
-
-
-def _no_charge() -> None:
-    pass
 
 
 # --- JML transition relations ----------------------------------------------
@@ -932,21 +940,22 @@ def _jml_bounds(c: jml.JmlPredicate) -> list:
 
 
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
-                         budget: Optional[Budget] = None) -> frozenset:
-    """Typed states satisfying every conjunct of the class invariant."""
-    budget = budget if budget is not None else Budget(u.ceiling)
+                         budget: Budget) -> frozenset:
+    """Typed states satisfying every conjunct of the class invariant; each
+    conjunct test has a witness memo of its own (a shared one would keep
+    every partial state alive), and all of them charge ``budget``."""
     conjs = _jml_conjuncts(invariant)
     bounds = [(kind, name, e, _jml_reads(e))
               for c in conjs for kind, name, e in _jml_bounds(c)]
     return _invariant_states(
         variables, [(c, _jml_reads(c)) for c in conjs],
-        lambda c, s: jml_pred_holds(c, s, s, {}, u), bounds,
-        lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
+        lambda c, s: jml_pred_holds(c, s, s, {}, u, WitnessMemo(budget)),
+        bounds, lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
 
 
 def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
                    guard_spec: jml.JmlMethodSpec, variables, u: Universe,
-                   budget: Optional[Budget] = None) -> frozenset:
+                   budget: Budget) -> frozenset:
     """The transition relation admitted by a translated run method over the
     class-invariant ``states``.
 
@@ -956,8 +965,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     assignable set.  Guard-method calls in requires clauses are resolved by
     inlining the guard predicate.
     """
-    budget = budget if budget is not None else Budget(u.ceiling)
-    memo: dict = {}
+    memo = WitnessMemo(budget)
     var_names = tuple(ident.name for ident, _ty in variables)
     cases = [run_spec.normal]
     if run_spec.exceptional is not None:
@@ -1021,7 +1029,7 @@ class _Lookup:
                     self.pins.setdefault(target.name, value)
         self.names = outside + tuple(self.pins)
 
-    def candidates(self, a: State, states, index: dict, u, memo: dict):
+    def candidates(self, a: State, states, index: dict, u, memo: WitnessMemo):
         """The states matching ``a``'s lookups, from ``index`` (one table
         per key, built on first use)."""
         table = index.get(self.names)
@@ -1047,11 +1055,9 @@ def _old_values(exprs, pre, env, u) -> tuple:
 
 
 def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
-                         u: Universe,
-                         budget: Optional[Budget] = None) -> frozenset:
+                         u: Universe, budget: Budget) -> frozenset:
     """The class-invariant ``states`` satisfying the initially clause."""
-    budget = budget if budget is not None else Budget(u.ceiling)
-    memo: dict = {}
+    memo = WitnessMemo(budget)
     out = set()
     for b in states:
         budget.charge()

@@ -5,7 +5,9 @@ import ast
 import importlib
 import importlib.util
 
-from conftest import TESTS_DIR
+from eb2jml import Universe, check_machine, mutate_translation, translate_machine
+
+from conftest import TESTS_DIR, load_machine
 
 BENCH_DIR = TESTS_DIR.parent / "bench"
 TRACING = BENCH_DIR / "tracing.py"
@@ -33,6 +35,23 @@ def test_tracer_installs_without_missing_targets():
     with tracer.installed():
         pass
     assert tracer.missing == []
+
+
+def test_a_failing_check_reaches_the_traced_names():
+    # the checker must reach its steps through the module globals that the
+    # traced run wraps; semantics.enumerate_states is no longer called
+    tracing = _load_tracing()
+    machine = load_machine("counter.ebm")
+    unit = mutate_translation(translate_machine(machine), "widen_ensures_true")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = check_machine(machine, Universe(int_lo=0, int_hi=1), unit)
+    assert report.status == "FAIL"
+    targets = {f"{module.__name__.split('.')[-1]}.{attr}"
+               for module, attr in tracing.TARGETS}
+    recorded = {span[tracing.NAME] for span in tracer.spans}
+    assert targets - recorded == {"semantics.enumerate_states"}
+    assert tracer.budgets
 
 
 def _program_imports():

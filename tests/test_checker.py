@@ -3,14 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from eb2jml import translate_machine
+from eb2jml import parse_machine, translate_machine
 from eb2jml.checker import (
     FAIL, PASS, RESOURCE_LIMIT, MutationError, check_event, check_init,
     check_machine, mutate_translation, universe_for,
 )
 from eb2jml.jmlast import JmlTrue
 from eb2jml.semantics import (
-    Universe, eb_event_rel, jml_method_rel,
+    Budget, State, Universe, eb_event_rel, jml_method_rel,
 )
 
 from conftest import eb_inv_states, jml_inv_states
@@ -46,9 +46,10 @@ def _relations(machine, unit, event_name, u=U01):
     by brute force over the typed product."""
     guard, run = unit.method_pair(event_name)
     jml_states = jml_inv_states(unit.result.class_invariant, machine.variables, u)
-    return (jml_method_rel(run, jml_states, guard, machine.variables, u),
+    return (jml_method_rel(run, jml_states, guard, machine.variables, u,
+                           Budget(u.ceiling)),
             eb_event_rel(machine.event(event_name), eb_inv_states(machine, u),
-                         machine.variables, u))
+                         machine.variables, u, Budget(u.ceiling)))
 
 
 def test_drop_old_fails(counter):
@@ -114,7 +115,6 @@ def test_check_init_widened_initially_fails(counter):
 
 
 def test_check_init_contradictory_invariant_vacuous():
-    from eb2jml.parser import parse_machine
     text = """
 machine absurd
   variables v
@@ -229,3 +229,53 @@ def test_pass_means_literal_containment(counter, swap):
             jml_rel, eb_rel = _relations(machine, unit, event.name)
             for a, b in jml_rel:
                 assert (a, b) in eb_rel
+
+
+def test_negative_witness_cap_is_rejected(counter, swap):
+    # a negative cap used to slice the missing list from its end
+    unit = mutate_translation(translate_machine(swap), "widen_ensures_true")
+    u = Universe(int_lo=0, int_hi=2)
+    event = swap.event("exchange")
+    with pytest.raises(ValueError, match="witness_cap"):
+        check_event(event, swap, u, unit, witness_cap=-1)
+    with pytest.raises(ValueError, match="witness_cap"):
+        check_init(counter, U01, witness_cap=-1)
+    v = check_event(event, swap, u, unit, witness_cap=0)
+    assert v.status == FAIL and v.witnesses == ()
+
+
+UNDEFINED_GUARD = """
+machine undefined_guard
+  variables f : rel(INT, INT) x : INT
+  events
+    initialisation
+      begin
+        act1: f := {}
+        act2: x := 0
+      end
+    e
+      when
+        grd1: f(x) = 1
+      then
+        act1: x := 1
+      end
+end
+"""
+
+
+def test_witness_at_an_undefined_guard_says_no_case_applies():
+    machine = parse_machine(UNDEFINED_GUARD)
+    v = check_event(machine.event("e"), machine, U01, witness_cap=1000)
+    assert v.status == FAIL and len(v.witnesses) == v.jml_size - v.eb_size
+    empty = frozenset()
+    assert (State({"f": empty, "x": 0}), State({"f": empty, "x": 1})) in \
+        {(w.pre, w.post) for w in v.witnesses}
+    for w in v.witnesses:
+        # where f(x) is defined the two relations agree
+        assert len({y for x, y in w.pre["f"] if x == w.pre["x"]}) != 1
+        assert w.jml_side == (
+            "guard_e() is undefined at the pre-state, so neither requires "
+            "clause holds and no case constrains this pair")
+        assert w.eb_side == (
+            "the guard is undefined at the pre-state, which counts as false, "
+            "so only the pair (a, a) is allowed")

@@ -154,6 +154,41 @@ def test_negative_witness_cap_exits_2(tmp_path, capsys):
     assert main(["check", str(src), "--int-range", "0..1", "--witnesses", "0"]) == 0
 
 
+SUM_OF_THREE = """
+machine sum_of_three
+  variables v
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+    e
+      any x y z
+      where
+        grd1: x : INT
+        grd2: y : INT
+        grd3: z : INT
+        grd4: x + y + z = v
+      then
+        act1: v := x
+      end
+end
+"""
+
+
+def test_ceiling_bounds_the_jml_witness_search(tmp_path, capsys):
+    # the JML witness search tries up to 31^3 bindings per pre-state: the
+    # ceiling must stop it before the Event-B relation is built
+    src = tmp_path / "sum_of_three.ebm"
+    src.write_text(SUM_OF_THREE)
+    assert main(["check", str(src), "--int-range", "0..30",
+                 "--ceiling", "1000"]) == 3
+    assert ("event e's JML relation needs 1001 work units, exceeding the "
+            "ceiling of 1000") in capsys.readouterr().out
+
+
 def test_undeclared_carrier_exits_2(tmp_path, capsys):
     src = _copy(tmp_path, "social_abstract.ebm")
     # a typo must not check PERSON at the default size and pass

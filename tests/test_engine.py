@@ -27,7 +27,7 @@ from eb2jml.jmlast import (
 )
 from eb2jml.parser import parse_machine, parse_predicate
 from eb2jml.semantics import (
-    Budget, EvalError, State, Universe, eb_event_rel, eb_init_states,
+    Budget, EvalError, State, Universe, WitnessMemo, eb_event_rel, eb_init_states,
     eb_invariant_states, eb_pred_holds, enumerate_states, eval_eb_expr,
     guard_holds, inline_guard_calls, jml_initially_states,
     jml_invariant_states, jml_method_rel, jml_pred_holds,
@@ -159,7 +159,8 @@ def test_eb_relation_equals_a_loop_over_every_parameter_valuation(name, universe
     u = universe_for(machine, universe)
     eb_inv = eb_inv_states(machine, u)
     for event in machine.events:
-        assert eb_event_rel(event, eb_inv, machine.variables, u) == \
+        assert eb_event_rel(event, eb_inv, machine.variables, u,
+                            Budget(u.ceiling)) == \
             _reference_eb_rel(machine, event, u, eb_inv), event.name
 
 
@@ -177,18 +178,19 @@ def _functional_at_zero_to_one():
 
 def test_undefined_eb_conjunct_counts_as_false():
     invariants = (("inv1", parse_predicate("r(0) = 1")),)
-    out = eb_invariant_states(invariants, (R,), U01)
+    out = eb_invariant_states(invariants, (R,), U01, Budget(U01.ceiling))
     assert out == _functional_at_zero_to_one()
     assert len(out) == 4
     # an undefined conjunct is false even behind one that holds everywhere
     invariants = (("inv0", parse_predicate("r <: r")),) + invariants
-    assert eb_invariant_states(invariants, (R,), U01) == out
+    assert eb_invariant_states(invariants, (R,), U01, Budget(U01.ceiling)) == out
 
 
 def test_undefined_jml_conjunct_counts_as_false():
     apply0 = JmlCmp("==", JmlMethodCall(JmlVar("r"), "apply", (JmlIntLit(0),)),
                     JmlIntLit(1))
-    assert jml_invariant_states(apply0, (R,), U01) == _functional_at_zero_to_one()
+    assert jml_invariant_states(apply0, (R,), U01, Budget(U01.ceiling)) == \
+        _functional_at_zero_to_one()
 
 
 # One case per place where an undefined evaluation counts as false.  Each
@@ -243,14 +245,15 @@ def _partial():
 
 def _partial_rel(event):
     machine = _partial()
-    return eb_event_rel(machine.event(event), R_STATES, machine.variables, U01)
+    return eb_event_rel(machine.event(event), R_STATES, machine.variables, U01,
+                        Budget(U01.ceiling))
 
 
 def _run_rel(requires=JmlTrue(), ensures=JmlTrue(), assignable=AssignVars(("r",))):
     run = JmlMethodSpec("run_e", "run", SpecCase(requires, assignable, ensures))
     guard = JmlMethodSpec("guard_e", "guard",
                           SpecCase(JmlTrue(), AssignNothing(), JmlTrue()))
-    return jml_method_rel(run, R_STATES, guard, (R,), U01)
+    return jml_method_rel(run, R_STATES, guard, (R,), U01, Budget(U01.ceiling))
 
 
 def _exists_outcomes(cache, same_object):
@@ -267,7 +270,8 @@ def _exists_expected():
 UNDEFINED_SITES = {
     "eb invariant at an initial state": lambda: (
         eb_init_states(_partial().initialisation, eb_invariant_states(
-            (("inv1", parse_predicate("r(0) = 1")),), (R,), U01), (R,), U01),
+            (("inv1", parse_predicate("r(0) = 1")),), (R,), U01,
+            Budget(U01.ceiling)), (R,), U01, Budget(U01.ceiling)),
         frozenset()),
     "eb guard": lambda: (
         _partial_rel("guarded"),
@@ -284,11 +288,11 @@ UNDEFINED_SITES = {
     "jml ensures": lambda: (
         _run_rel(ensures=APPLY0), {(a, b) for a in R_STATES for b in F}),
     "jml initially": lambda: (
-        jml_initially_states(APPLY0, R_STATES, U01), F),
+        jml_initially_states(APPLY0, R_STATES, U01, Budget(U01.ceiling)), F),
     "jml exists, cached, pre-state": lambda: (
-        _exists_outcomes({}, True), _exists_expected()),
+        _exists_outcomes(WitnessMemo(Budget(U01.ceiling)), True), _exists_expected()),
     "jml exists, cached, post-state": lambda: (
-        _exists_outcomes({}, False), _exists_expected()),
+        _exists_outcomes(WitnessMemo(Budget(U01.ceiling)), False), _exists_expected()),
     "guard_holds": lambda: (
         {a: guard_holds(JmlMethodSpec("guard_e", "guard", SpecCase(
             JmlTrue(), AssignNothing(), APPLY0)), a, U01) for a in R_STATES},

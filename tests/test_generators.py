@@ -231,14 +231,16 @@ def test_generated_machines_match_brute_force():
     compared = jml_compared = bounded = 0
     for seed, machine, u in _small_machines():
         for m in (machine, _with_bounds(machine, random.Random(seed))):
-            assert eb_invariant_states(m.invariants, m.variables, u) == \
+            assert eb_invariant_states(m.invariants, m.variables, u,
+                                       Budget(u.ceiling)) == \
                 eb_inv_states(m, u), seed
             compared += 1
             try:
                 invariant = translate_machine(m).result.class_invariant
             except TranslationError:
                 continue
-            assert jml_invariant_states(invariant, m.variables, u) == \
+            assert jml_invariant_states(invariant, m.variables, u,
+                                        Budget(u.ceiling)) == \
                 jml_inv_states(invariant, m.variables, u), seed
             jml_compared += 1
         bounded += any(_bound_shaped(c) for _lbl, inv in machine.invariants

@@ -5,8 +5,12 @@ mode.
 Event-B parameters, Event-B after-values and JML \\exists witnesses are all
 bound by it.  The JML evaluator always searches witnesses through its memo;
 the one comparison of the memo with None is ``jml_pred_holds`` defaulting
-it to a fresh dict.  A second loop or a mode switch would bring back the
+it to a fresh one.  A second loop or a mode switch would bring back the
 unpruned search.
+
+Every search is metered: each ``_solutions`` call charges a Budget, and no
+function that does nothing stands in for one.  An unmetered search would
+run past ``--ceiling``.
 """
 
 import ast
@@ -55,6 +59,27 @@ def _memo_none_tests(tree) -> Counter:
     return found
 
 
+def _unmetered_searches(tree) -> list[int]:
+    """Lines of the ``_solutions`` calls whose charge is not some object's
+    ``charge`` method."""
+    out = []
+    for node in ast.walk(tree):
+        if _called(node) == "_solutions":
+            charge = {k.arg: k.value for k in node.keywords}.get(
+                "charge", node.args[5] if len(node.args) > 5 else None)
+            if not (isinstance(charge, ast.Attribute) and charge.attr == "charge"):
+                out.append(node.lineno)
+    return out
+
+
+def _no_op_functions(tree) -> list[str]:
+    """Functions whose body is at most a docstring and ``pass`` or ``...``."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and all(isinstance(s, ast.Pass) or isinstance(s, ast.Expr)
+                    and isinstance(s.value, ast.Constant) for s in node.body)]
+
+
 def _semantics_tree():
     with open(semantics.__file__, encoding="utf-8") as f:
         return ast.parse(f.read())
@@ -76,3 +101,20 @@ def test_the_checks_see_a_second_search_and_a_mode_switch():
         "    return any(y for y in values_of_jml_type(t))\n")
     assert _typed_value_loops(copied) == [4, 6]
     assert _memo_none_tests(copied) == Counter({("f", "cache"): 1})
+
+
+def test_every_search_charges_a_budget():
+    tree = _semantics_tree()
+    assert _unmetered_searches(tree) == []
+    assert _no_op_functions(tree) == []
+
+
+def test_the_checks_see_an_unmetered_search():
+    copied = ast.parse(
+        "def _free():\n    pass\n"
+        "def f(budget, memo):\n"
+        "    _solutions(n, d, c, h, {}, budget.charge)\n"
+        "    _solutions(n, d, c, h, {}, charge=memo.budget.charge)\n"
+        "    _solutions(n, d, c, h, {}, _free)\n")
+    assert _unmetered_searches(copied) == [6]
+    assert _no_op_functions(copied) == ["_free"]

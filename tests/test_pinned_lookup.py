@@ -7,11 +7,13 @@ up instead of scanning every state with the right values outside the
 frame.  Every candidate is still tested in full, so the relation must equal
 a double loop over every pair of invariant states, with every \\exists
 witness tried in full; where the pins fix every assigned variable, each
-candidate is a transition, and the relation's work equals its size.
+candidate is a transition, and the lookups return as many candidates as the
+relation has pairs.
 """
 
 import pytest
 
+import eb2jml.semantics as semantics
 from eb2jml import translate_machine
 from eb2jml.checker import (
     MUTATIONS, MutationError, mutate_translation, state_spaces, universe_for,
@@ -53,6 +55,21 @@ def _brute_rel(run, guard, var_names, inv_states, u):
     return frozenset(out)
 
 
+def _candidate_counts(monkeypatch) -> list[int]:
+    """The number of post-states each pre-state's lookup returns, one entry
+    per ``_Lookup.candidates`` call from here on."""
+    counts = []
+    candidates = semantics._Lookup.candidates
+
+    def spy(self, *args):
+        found = candidates(self, *args)
+        counts.append(len(found))
+        return found
+
+    monkeypatch.setattr(semantics._Lookup, "candidates", spy)
+    return counts
+
+
 # --- the corpus, unmutated and under every mutation that applies -------------
 
 CELLS = [
@@ -92,7 +109,8 @@ def test_corpus_relations_equal_brute_force(name, universe, mutation):
     assert state_spaces(machine, unit, u).jml == inv_states
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
-        rel = jml_method_rel(run, inv_states, guard, machine.variables, u)
+        rel = jml_method_rel(run, inv_states, guard, machine.variables, u,
+                             Budget(u.ceiling))
         assert rel == _brute_rel(run, guard, machine.variable_names(),
                                  inv_states, u), event.name
 
@@ -102,7 +120,7 @@ def test_corpus_relations_equal_brute_force(name, universe, mutation):
     ("social_abstract", {"PERSON": 2, "CONTENTS": 3}),
     ("social_ref1", {"PERSON": 2, "CONTENTS": 2}),
 ])
-def test_each_candidate_is_a_transition(name, carriers):
+def test_each_candidate_is_a_transition(name, carriers, monkeypatch):
     # every assigned variable of the corpus events is pinned, so the lookup
     # tries exactly the transitions (the frame index alone tried every
     # invariant state with the pre-state's values outside the frame)
@@ -110,12 +128,14 @@ def test_each_candidate_is_a_transition(name, carriers):
     unit = translate_machine(machine)
     u = universe_for(machine, Universe(carriers=carriers))
     spaces = state_spaces(machine, unit, u)
+    counts = _candidate_counts(monkeypatch)
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
-        budget = Budget(u.ceiling)
+        counts.clear()
         rel = jml_method_rel(run, spaces.jml, guard, machine.variables, u,
-                             budget)
-        assert rel and budget.spent == len(rel), event.name
+                             Budget(u.ceiling))
+        assert len(counts) == len(spaces.jml), event.name
+        assert rel and sum(counts) == len(rel), event.name
 
 
 # --- hand-built specifications -------------------------------------------------
@@ -197,12 +217,13 @@ HAND_BUILT = {
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
-def test_hand_built_specs(name):
+def test_hand_built_specs(name, monkeypatch):
     normal, exceptional, every_candidate_a_transition = HAND_BUILT[name]
     run = JmlMethodSpec("run_e", "run", normal, exceptional)
     guard = JmlMethodSpec("guard_e", "guard", _case(JmlTrue()))
-    budget = Budget(10 ** 6)
-    rel = jml_method_rel(run, STATES, guard, VARIABLES, U01, budget)
+    counts = _candidate_counts(monkeypatch)
+    rel = jml_method_rel(run, STATES, guard, VARIABLES, U01, Budget(10 ** 6))
     assert rel == _brute_rel(run, guard, ("x", "y", "r"), STATES, U01)
     assert rel  # every spec admits some pair
-    assert (budget.spent == len(rel)) == every_candidate_a_transition
+    assert len(counts) == len(STATES)
+    assert (sum(counts) == len(rel)) == every_candidate_a_transition

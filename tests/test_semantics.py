@@ -97,11 +97,13 @@ def _states(variables, u, invariant=BTrue()):
 def _assg_rel(actions, variables, u, invariant=BTrue()):
     """The relation of the unguarded simultaneous substitution ``actions``."""
     ev = Event(name="assg", params=(), guards=(), actions=tuple(actions))
-    return eb_event_rel(ev, _states(variables, u, invariant), variables, u)
+    return eb_event_rel(ev, _states(variables, u, invariant), variables, u,
+                        Budget(u.ceiling))
 
 
 def test_counter_event_relation_exact():
-    rel = eb_event_rel(_counter_event(), _states((INT_V,), U01), (INT_V,), U01)
+    rel = eb_event_rel(_counter_event(), _states((INT_V,), U01), (INT_V,), U01,
+                       Budget(U01.ceiling))
     assert rel == frozenset({(s(v=0), s(v=1)), (s(v=1), s(v=1))})
 
 
@@ -109,7 +111,8 @@ def test_guard_false_everywhere_gives_identity():
     ev = Event(name="stuck", params=(),
                guards=(("grd1", parse_predicate("v = 5")),),
                actions=(BecomesEqual("act1", Ident("v"), IntLit(1)),))
-    rel = eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01)
+    rel = eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01,
+                       Budget(U01.ceiling))
     assert rel == frozenset({(s(v=0), s(v=0)), (s(v=1), s(v=1))})
 
 
@@ -118,7 +121,8 @@ def test_nondeterministic_choice_full_relation():
                actions=(BecomesSuchThat(
                    "act1", Ident("v"),
                    parse_predicate("v' = 0 or v' = 1")),))
-    rel = eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01)
+    rel = eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01,
+                       Budget(U01.ceiling))
     assert rel == frozenset({
         (s(v=a), s(v=b)) for a in (0, 1) for b in (0, 1)})
 
@@ -175,7 +179,7 @@ def test_erroring_guard_counts_as_unsatisfied():
                               parse_predicate("r = {0 |-> 1}").right),))
     variables = ((Ident("r"), RelType(IntType(), IntType())),)
     u = Universe(int_lo=0, int_hi=1, ceiling=10 ** 5)
-    rel = eb_event_rel(ev, _states(variables, u), variables, u)
+    rel = eb_event_rel(ev, _states(variables, u), variables, u, Budget(u.ceiling))
     # r(0) errors where r is not functional at 0 and where 0 is unmapped
     empty = frozenset()
     assert (s(r=empty), s(r=empty)) in rel
@@ -187,7 +191,8 @@ def test_erroring_guard_counts_as_unsatisfied():
 
 def test_init_deterministic():
     acts = (BecomesEqual("act1", Ident("v"), IntLit(0)),)
-    assert eb_init_states(acts, _states((INT_V,), U01), (INT_V,), U01) == \
+    assert eb_init_states(acts, _states((INT_V,), U01), (INT_V,), U01,
+                          Budget(U01.ceiling)) == \
         frozenset({s(v=0)})
 
 
@@ -195,14 +200,15 @@ def test_init_nondeterministic_filtered_by_invariant():
     acts = (BecomesSuchThat("act1", Ident("v"),
                             parse_predicate("v' = 0 or v' = 1")),)
     out = eb_init_states(acts, _states((INT_V,), U01, parse_predicate("v = 1")),
-                         (INT_V,), U01)
+                         (INT_V,), U01, Budget(U01.ceiling))
     assert out == frozenset({s(v=1)})
 
 
 def test_init_contradictory_invariant():
     acts = (BecomesEqual("act1", Ident("v"), IntLit(0)),)
     states = _states((INT_V,), U01, parse_predicate("v < v"))
-    assert eb_init_states(acts, states, (INT_V,), U01) == frozenset()
+    assert eb_init_states(acts, states, (INT_V,), U01,
+                          Budget(U01.ceiling)) == frozenset()
 
 
 # --- JML evaluation -----------------------------------------------------------
@@ -265,7 +271,7 @@ def _counter_specs():
 def test_jml_method_relation_counter():
     _m, unit, guard, run = _counter_specs()
     states = jml_inv_states(unit.result.class_invariant, (INT_V,), U01)
-    rel = jml_method_rel(run, states, guard, (INT_V,), U01)
+    rel = jml_method_rel(run, states, guard, (INT_V,), U01, Budget(U01.ceiling))
     assert rel == frozenset({(s(v=0), s(v=1)), (s(v=1), s(v=1))})
 
 
@@ -276,7 +282,8 @@ def test_jml_method_relation_vacuous_cases():
         "run_e", "run",
         normal=SpecCase(JmlFalse(), AssignVars(("v",)), JmlFalse()),
         exceptional=SpecCase(JmlFalse(), AssignNothing(), JmlTrue()))
-    rel = jml_method_rel(run, _states((INT_V,), U01), guard, (INT_V,), U01)
+    rel = jml_method_rel(run, _states((INT_V,), U01), guard, (INT_V,), U01,
+                         Budget(U01.ceiling))
     # both requires false: nothing constrains the pair beyond the invariant
     assert rel == frozenset({
         (s(v=a), s(v=b)) for a in (0, 1) for b in (0, 1)})
@@ -287,7 +294,7 @@ def test_jml_method_relation_false_ensures_blocks_pre_state():
     from dataclasses import replace
     mutated = replace(run, normal=replace(run.normal, ensures=JmlFalse()))
     states = jml_inv_states(unit.result.class_invariant, (INT_V,), U01)
-    rel = jml_method_rel(mutated, states, guard, (INT_V,), U01)
+    rel = jml_method_rel(mutated, states, guard, (INT_V,), U01, Budget(U01.ceiling))
     assert all(dict(a) != {"v": 0} for a, _b in rel)
     assert (s(v=1), s(v=1)) in rel
 
@@ -296,7 +303,7 @@ def test_jml_initially_states_is_empty_set_only(social_ref1):
     unit = translate_machine(social_ref1)
     u = Universe(int_lo=0, int_hi=0, carriers={"PERSON": 1, "CONTENTS": 1})
     states = jml_inv_states(unit.result.class_invariant, social_ref1.variables, u)
-    out = jml_initially_states(unit.result.initially, states, u)
+    out = jml_initially_states(unit.result.initially, states, u, Budget(u.ceiling))
     empty = frozenset()
     assert out == frozenset({State({
         "persons": empty, "contents": empty, "owner": empty,
@@ -304,14 +311,15 @@ def test_jml_initially_states_is_empty_set_only(social_ref1):
 
 
 def test_jml_initially_false_is_empty():
-    assert jml_initially_states(JmlFalse(), _states((INT_V,), U01), U01) == \
+    assert jml_initially_states(JmlFalse(), _states((INT_V,), U01), U01,
+                                Budget(U01.ceiling)) == \
         frozenset()
 
 
 def test_jml_initially_counter():
     _m, unit, _guard, _run = _counter_specs()
     states = jml_inv_states(unit.result.class_invariant, (INT_V,), U01)
-    out = jml_initially_states(unit.result.initially, states, U01)
+    out = jml_initially_states(unit.result.initially, states, U01, Budget(U01.ceiling))
     assert out == frozenset({s(v=0)})
 
 
@@ -362,6 +370,6 @@ def test_event_relation_matches_oracle_sample():
     for _ in range(25):
         event, inv = random_int_event(rng)
         states = _states((INT_V,), U02, inv)
-        ours = eb_event_rel(event, states, (INT_V,), U02)
+        ours = eb_event_rel(event, states, (INT_V,), U02, Budget(U02.ceiling))
         reference = oracle_event_rel(event, inv, 0, 2)
         assert ours == frozenset(p for p in reference if p[0] in states), (event, inv)

@@ -18,8 +18,8 @@ from eb2jml.jmlast import (
     JmlParen, JmlVar,
 )
 from eb2jml.semantics import (
-    EvalError, State, Universe, enumerate_states, inline_guard_calls,
-    jml_invariant_states, jml_pred_holds,
+    Budget, EvalError, State, Universe, WitnessMemo, enumerate_states,
+    inline_guard_calls, jml_invariant_states, jml_pred_holds,
 )
 
 from conftest import jml_inv_states, jml_scan_holds
@@ -33,7 +33,7 @@ def _outcome(holds, *args):
 
 
 def _agree(p, pairs, u):
-    memo: dict = {}
+    memo = WitnessMemo(Budget(u.ceiling))
     for a, b in pairs:
         assert _outcome(jml_pred_holds, p, a, b, {}, u, memo) == \
             _outcome(jml_scan_holds, p, a, b, {}, u), (a, b)
@@ -138,4 +138,5 @@ def test_class_invariant_with_nested_quantifiers():
             JmlCmp("<", _var("y"), _var("v")))))))
     expected = jml_inv_states(invariant, variables, u)
     assert 0 < len(expected) < len(enumerate_states(variables, u))
-    assert jml_invariant_states(invariant, variables, u) == expected
+    assert jml_invariant_states(invariant, variables, u,
+                                Budget(u.ceiling)) == expected
