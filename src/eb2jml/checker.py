@@ -14,11 +14,13 @@ from typing import Optional
 from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine
+from .ebcheck import well_formedness_check
 from .nodes import map_children, walk
 from .semantics import (
-    Budget, ResourceLimitError, State, Universe, eb_event_rel_variants,
-    eb_init_states, eb_invariant_states, fmt_value, guard_holds,
-    jml_initially_states, jml_invariant_states, jml_method_rel,
+    Budget, ResourceLimitError, State, Universe, WitnessMemo, active_cases,
+    eb_event_rel_variants, eb_init_states, eb_invariant_states, fmt_value,
+    guard_holds, jml_initially_states, jml_invariant_states, jml_method_rel,
+    spec_cases,
 )
 from .translate import TranslationUnit, translate_machine
 
@@ -219,7 +221,8 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
         name, subject = event.name, f"event {event.name}'s {{}} relation"
         guard_spec, run_spec = unit.method_pair(event.name)
         key, explain = (lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
-                        functools.partial(_explain_pair, event, guard_spec, u))
+                        functools.partial(_explain_pair, event, guard_spec,
+                                          run_spec, u))
         jml_side, eb_side = (
             lambda budget: jml_method_rel(
                 run_spec, spaces.jml, guard_spec, variables, u, budget),
@@ -251,28 +254,35 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     )
 
 
-def _explain_pair(event, guard_spec, u, pair) -> Counterexample:
-    """Why the pair is a JML transition but no Event-B one, by whether the
-    guard is true, false or undefined at its pre-state."""
+def _explain_pair(event, guard_spec, run_spec, u, pair) -> Counterexample:
+    """Why the pair is a JML transition but no Event-B one: whether the
+    guard is true, false or undefined at its pre-state, and which
+    specification cases are active there and so accept the pair."""
     a, b = pair
     normal = guard_spec.normal
     negated = replace(guard_spec, normal=replace(
         normal, ensures=jml.JmlNot(normal.ensures)))
     if guard_holds(guard_spec, a, u):
-        jml_side = (f"guard_{event.name}() is true at the pre-state; the normal "
-                    f"case's ensures and frame accept this pair")
+        guard = "true"
         eb_side = ("the guard is satisfiable, so stuttering is not available, "
                    "and no action valuation produces this post-state")
     elif guard_holds(negated, a, u):
-        jml_side = (f"guard_{event.name}() is false at the pre-state; the "
-                    f"exceptional case accepts this pair")
+        guard = "false"
         eb_side = "with the guard unsatisfiable only the pair (a, a) is allowed"
     else:
-        jml_side = (f"guard_{event.name}() is undefined at the pre-state, so "
-                    f"neither requires clause holds and no case constrains "
-                    f"this pair")
+        guard = "undefined"
         eb_side = ("the guard is undefined at the pre-state, which counts as "
                    "false, so only the pair (a, a) is allowed")
+    active = active_cases(spec_cases(run_spec, guard_spec), a, u,
+                          WitnessMemo(Budget(u.ceiling)))
+    accepts = "; ".join(
+        "the normal case's ensures and frame accept this pair"
+        if case is run_spec.normal else "the exceptional case accepts this pair"
+        for _requires, case in active)
+    jml_side = (f"guard_{event.name}() is {guard} at the pre-state; {accepts}"
+                if accepts else
+                f"guard_{event.name}() is {guard} at the pre-state, so neither "
+                f"requires clause holds and no case constrains this pair")
     return Counterexample(event.name, a, b, jml_side, eb_side)
 
 
@@ -284,8 +294,13 @@ def check_machine(machine: Machine, universe: Universe,
     Each side's invariant states are enumerated once and shared by all
     verdicts; if that enumeration hits the ceiling, every verdict reports
     it.  A resource limit on one event is recorded in its verdict and does
-    not stop the remaining checks.
+    not stop the remaining checks.  An ill-formed machine gets no verdict:
+    its first well-formedness diagnostic is raised as a ValueError.
     """
+    diagnostics = well_formedness_check(machine)
+    if diagnostics:
+        raise ValueError(f"machine '{machine.name}' is not well-formed: "
+                         f"{diagnostics[0]}")
     started = time.perf_counter()
     unit = unit if unit is not None else translate_machine(machine)
     u = universe_for(machine, universe)

@@ -211,15 +211,7 @@ def check_predicate(p: Predicate, env: dict[str, EbType]) -> None:
     if isinstance(p, Cmp):
         if p.op == "in":
             rt = expr_type(p.right, env)
-            lt = expr_type(p.left, env)
-            if isinstance(rt, RelSpaceType):
-                unify(lt, rt.rel, p.span)
-            elif isinstance(rt, SetType):
-                unify(lt, rt.elem, p.span)
-            elif isinstance(rt, RelType):
-                unify(lt, PairType(rt.dom, rt.ran), p.span)
-            else:
-                raise TypeProblem("membership needs a set on the right", p.span)
+            unify(expr_type(p.left, env), _member_type(rt, p.span), p.span)
             return
         lt = expr_type(p.left, env)
         rt = expr_type(p.right, env)
@@ -242,27 +234,28 @@ def check_predicate(p: Predicate, env: dict[str, EbType]) -> None:
 
 # --- type resolution ---------------------------------------------------
 
+def _member_type(rt: Optional[EbType], span=None) -> Optional[EbType]:
+    """The type of a member of a set of type ``rt``: a relation arrow's
+    members are relations, and a relation's members are pairs."""
+    if isinstance(rt, RelSpaceType):
+        return rt.rel
+    if isinstance(rt, SetType):
+        return rt.elem
+    if isinstance(rt, RelType):
+        return PairType(rt.dom, rt.ran)
+    raise TypeProblem("membership needs a set on the right", span)
+
+
 def _type_from_typing_pred(op: str, rhs: Expr, env) -> Optional[EbType]:
+    """The type that ``x : rhs`` or ``x <: rhs`` gives ``x``, or None; it
+    may still have holes (see ``_complete``)."""
     try:
         rt = expr_type(rhs, env)
+        if op == "in":
+            return _member_type(rt)
     except TypeProblem:
         return None
-    if op == "in":
-        if isinstance(rt, RelSpaceType):
-            return rt.rel
-        if isinstance(rt, SetType) and rt.elem is not None:
-            return rt.elem
-        if isinstance(rt, RelType) and rt.dom is not None and rt.ran is not None:
-            return PairType(rt.dom, rt.ran)
-        return None
-    if op == "subset":
-        if isinstance(rt, RelSpaceType):
-            return None
-        if isinstance(rt, RelType):
-            return rt
-        if isinstance(rt, SetType) and rt.elem is not None:
-            return rt
-    return None
+    return rt if isinstance(rt, (SetType, RelType)) else None
 
 
 def _complete(t: Optional[EbType]) -> bool:
@@ -290,10 +283,21 @@ def _validate_annotation(t: EbType, carriers: set[str], diags, span) -> None:
                 _validate_annotation(side, carriers, diags, span)
 
 
-def _infer_types(types: dict[str, Optional[EbType]], preds, env) -> None:
-    """Fixpoint: give each untyped name in ``types`` the type set by the first
-    labelled predicate ``x : T`` or ``x <: T`` whose ``T`` is typable in
-    ``env``.  Updates ``types`` and ``env`` in place."""
+def _resolve(decls, preds, env, carriers, diags, unknown: str) -> tuple:
+    """``decls``, (identifier, type) pairs, each with its type resolved.
+
+    An annotation is checked against ``carriers``.  A missing type is
+    inferred by a fixpoint: the first labelled predicate ``x : T`` or
+    ``x <: T`` of ``preds`` whose ``T`` is typable in ``env`` gives ``x``
+    its type.  ``env`` gains every resolved type, and a name left without
+    one gets the diagnostic ``unknown`` with the name in place of ``{}``.
+    """
+    types: dict[str, Optional[EbType]] = {}
+    for ident, ty in decls:
+        if ty is not None:
+            _validate_annotation(ty, carriers, diags, ident.span)
+        types[ident.name] = ty
+    env.update({n: t for n, t in types.items() if t is not None})
     changed = True
     while changed:
         changed = False
@@ -307,66 +311,34 @@ def _infer_types(types: dict[str, Optional[EbType]], preds, env) -> None:
                 continue
             t = _type_from_typing_pred(p.op, p.right, env)
             if t is not None and _complete(t):
-                types[name] = t
-                env[name] = t
+                types[name] = env[name] = t
                 changed = True
+    for ident, _ty in decls:
+        if types[ident.name] is None:
+            diags.append(Diagnostic(unknown.format(ident.name), ident.span))
+    return tuple((ident, types[ident.name]) for ident, _ty in decls)
 
 
 def resolve_types(machine: Machine) -> tuple[Machine, list[Diagnostic]]:
     """Fill in missing variable/parameter types; returns the typed machine.
 
-    Inference is a fixpoint over typing invariants (for variables) and
-    typing guards (for parameters): the first predicate of the shape
-    ``x : T`` or ``x <: T`` whose right-hand side is already typable
-    determines the type of ``x``.
+    The variables are resolved against the typing invariants, and then
+    each event's parameters against its typing guards (see ``_resolve``).
     """
     diags: list[Diagnostic] = []
     carriers = set(machine.carrier_sets)
     env: dict[str, EbType] = {
         c: SetType(CarrierType(c)) for c in machine.carrier_sets
     }
-
-    var_types: dict[str, Optional[EbType]] = {}
-    for ident, ty in machine.variables:
-        if ty is not None:
-            _validate_annotation(ty, carriers, diags, ident.span)
-        var_types[ident.name] = ty
-    env.update({n: t for n, t in var_types.items() if t is not None})
-
-    _infer_types(var_types, machine.invariants, env)
-
-    for ident, ty in machine.variables:
-        if var_types[ident.name] is None:
-            diags.append(Diagnostic(
-                f"cannot determine the type of variable '{ident.name}' "
-                f"(annotate it or add a typing invariant)", ident.span))
-
-    new_vars = tuple(
-        (ident, var_types[ident.name]) for ident, _ in machine.variables
-    )
-
-    new_events = []
-    for ev in machine.events:
-        param_types: dict[str, Optional[EbType]] = {}
-        for ident, ty in ev.params:
-            if ty is not None:
-                _validate_annotation(ty, carriers, diags, ident.span)
-            param_types[ident.name] = ty
-        ev_env = dict(env)
-        ev_env.update({n: t for n, t in param_types.items() if t is not None})
-        _infer_types(param_types, ev.guards, ev_env)
-        for ident, ty in ev.params:
-            if param_types[ident.name] is None:
-                diags.append(Diagnostic(
-                    f"cannot determine the type of parameter '{ident.name}' "
-                    f"of event '{ev.name}'", ident.span))
-        new_events.append(replace(
-            ev,
-            params=tuple((ident, param_types[ident.name]) for ident, _ in ev.params),
-        ))
-
-    typed = replace(machine, variables=new_vars, events=tuple(new_events))
-    return typed, diags
+    variables = _resolve(
+        machine.variables, machine.invariants, env, carriers, diags,
+        "cannot determine the type of variable '{}' "
+        "(annotate it or add a typing invariant)")
+    events = tuple(replace(ev, params=_resolve(
+        ev.params, ev.guards, dict(env), carriers, diags,
+        f"cannot determine the type of parameter '{{}}' of event '{ev.name}'"))
+        for ev in machine.events)
+    return replace(machine, variables=variables, events=events), diags
 
 
 def base_type_env(machine: Machine) -> dict[str, EbType]:
@@ -428,11 +400,8 @@ def well_formedness_check(machine: Machine) -> list[Diagnostic]:
     assigned: dict[str, int] = {}
     for act in typed.initialisation:
         assigned[act.target.name] = assigned.get(act.target.name, 0) + 1
-        if act.target.name not in var_names:
-            emit(f"initialisation assigns '{act.target.name}', which is not a machine variable",
-                 act.span)
-            continue
-        _check_action(act, env[act.target.name], env, var_names, emit)
+        if check_target(act, "initialisation", var_names, emit):
+            check_action(act, env[act.target.name], env, var_names, emit)
     for name in typed.variable_names():
         n = assigned.get(name, 0)
         if n == 0:
@@ -441,7 +410,7 @@ def well_formedness_check(machine: Machine) -> list[Diagnostic]:
             emit(f"initialisation assigns variable '{name}' more than once", typed.span)
 
     for ev in typed.events:
-        _check_event(ev, typed, env, var_names, emit)
+        _check_event(ev, env, var_names, emit)
 
     return _finish(collected)
 
@@ -491,7 +460,31 @@ def _typing(p: Predicate, env, emit) -> None:
         emit(exc.message, exc.span)
 
 
-def _check_action(act, target_ty, env, no_pre_state, emit) -> None:
+# The rules below that the translator shares take an ``emit(message, span)``
+# callback: ``well_formedness_check`` collects what it is given, and the
+# translator raises the first violation as a TranslationError.
+
+def check_parameters(ev: Event, reserved, emit) -> None:
+    """The parameters of ``ev`` are distinct, and none is named in
+    ``reserved``, the machine's variables and carrier sets."""
+    _check_unique([(p.name, p.span) for p, _ in ev.params], "parameter", emit)
+    for p, _ in ev.params:
+        if p.name in reserved:
+            emit(f"parameter '{p.name}' of event '{ev.name}' shadows a "
+                 f"variable or carrier set", p.span)
+
+
+def check_target(act, where: str, var_names, emit) -> bool:
+    """Whether ``act``, an action of ``where`` (the initialisation or an
+    event), assigns a name in ``var_names``, the machine variables."""
+    if act.target.name in var_names:
+        return True
+    emit(f"{where} assigns '{act.target.name}', which is not a machine variable",
+         act.span)
+    return False
+
+
+def check_action(act, target_ty, env, no_pre_state, emit) -> None:
     """Rules for one action; ``no_pre_state`` names variables it may not read."""
     if isinstance(act, BecomesEqual):
         body, prime = act.rhs, None
@@ -517,12 +510,8 @@ def _check_action(act, target_ty, env, no_pre_state, emit) -> None:
     _check_special_positions(body, emit)
 
 
-def _check_event(ev: Event, machine, env, var_names, emit) -> None:
-    _check_unique([(p.name, p.span) for p, _ in ev.params], "parameter", emit)
-    for p, _ in ev.params:
-        if p.name in var_names or p.name in machine.carrier_sets:
-            emit(f"parameter '{p.name}' of event '{ev.name}' shadows a "
-                 f"variable or carrier set", p.span)
+def _check_event(ev: Event, env, var_names, emit) -> None:
+    check_parameters(ev, env, emit)
     ev_env = dict(env)
     for p, ty in ev.params:
         if ty is None:
@@ -542,8 +531,5 @@ def _check_event(ev: Event, machine, env, var_names, emit) -> None:
             emit(f"event '{ev.name}' assigns '{act.target.name}' twice "
                  f"(simultaneous actions must have distinct targets)", act.span)
         seen_targets.add(act.target.name)
-        if act.target.name not in var_names:
-            emit(f"event '{ev.name}' assigns '{act.target.name}', which is not "
-                 f"a machine variable", act.span)
-            continue
-        _check_action(act, env[act.target.name], ev_env, (), emit)
+        if check_target(act, f"event '{ev.name}'", var_names, emit):
+            check_action(act, env[act.target.name], ev_env, (), emit)

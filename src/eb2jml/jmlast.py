@@ -334,13 +334,16 @@ def _render_assignable(a: AssignableClause) -> str:
     return ", ".join(a.names)
 
 
-def _fill_conjuncts(text: str, head: str, cont: str, width: int = 96) -> list[str]:
+_LINE_WIDTH = 96
+
+
+def _fill_conjuncts(text: str, head: str, cont: str) -> list[str]:
     """Greedy line fill, breaking only at top-level-rendered '&&'."""
     parts = text.split(" && ")
     lines = [head + parts[0]]
     for part in parts[1:]:
         joined = f"{lines[-1]} && {part}"
-        if len(joined) <= width:
+        if len(joined) <= _LINE_WIDTH:
             lines[-1] = joined
         else:
             lines.append(f"{cont}&& {part}")

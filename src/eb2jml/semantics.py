@@ -3,7 +3,9 @@
 States map variable names to exact values (integers, finite sets, pairs,
 finite relations).  Event and method semantics are state-transition
 relations computed by exhaustive enumeration over a configurable finite
-universe; all arithmetic is exact, there are no tolerances.
+universe; all arithmetic is exact, there are no tolerances.  The values of
+every type, Event-B or JML, come from one function, ``Universe.values_of``,
+which computes each type's values once per universe.
 
 Every bound name, an invariant state's variable, an Event-B parameter or
 after-value, and a JML \\exists witness, is bound by one backtracking
@@ -14,8 +16,9 @@ a relation), which a JML evaluation reaches through its ``WitnessMemo``.
 
 Evaluation can fail (function application at a non-functional point,
 unbound identifiers); a guard or predicate whose evaluation fails counts
-as unsatisfied for that valuation, and ``_defined`` alone applies this
-rule and logs the failure.
+as unsatisfied for that valuation, and a deterministic action whose value
+fails gives no transition.  ``_defined`` alone catches such a failure,
+logs it and gives False.
 """
 
 from __future__ import annotations
@@ -179,66 +182,45 @@ class Universe:
             frozenset(base[i] for i in range(len(base)) if mask >> i & 1)
             for mask in range(2 ** len(base)))
 
-    def values_of_type(self, t: eb.EbType) -> tuple[Value, ...]:
-        key = ("eb", t)
-        if key not in self._cache:
-            self._cache[key] = self._compute_eb(t)
-        return self._cache[key]
-
-    def _compute_eb(self, t: eb.EbType) -> tuple[Value, ...]:
+    def values_of(self, t) -> tuple[Value, ...]:
+        """The values of an Event-B or a JML type, computed once per type:
+        ``INT`` takes the integer range, a carrier set its elements, and the
+        JML ``Integer`` every atomic value (see ``all_ints``)."""
+        if t in self._cache:
+            return self._cache[t]
         if isinstance(t, eb.IntType):
-            return self.ints()
-        if isinstance(t, eb.CarrierType):
-            return self.carrier_elems(t.set_name)
-        if isinstance(t, eb.SetType):
+            out = self.ints()
+        elif isinstance(t, eb.CarrierType):
+            out = self.carrier_elems(t.set_name)
+        elif isinstance(t, jml.JInt):
+            out = self.all_ints()
+        elif isinstance(t, (eb.SetType, jml.JSet)):
             if t.elem is None:
                 raise EvalError("set type with undetermined element type")
-            return self._subsets(self.values_of_type(t.elem))
-        if isinstance(t, eb.RelType):
+            out = self._subsets(self.values_of(t.elem))
+        elif isinstance(t, (eb.RelType, jml.JRel)):
             if t.dom is None or t.ran is None:
                 raise EvalError("relation type with undetermined element types")
-            pairs = tuple(itertools.product(
-                self.values_of_type(t.dom), self.values_of_type(t.ran)))
-            return self._subsets(pairs)
-        raise EvalError(f"cannot enumerate values of {t!r}")
-
-    def values_of_jml_type(self, t: jml.JmlType) -> tuple[Value, ...]:
-        key = ("jml", t)
-        if key not in self._cache:
-            self._cache[key] = self._compute_jml(t)
-        return self._cache[key]
-
-    def _compute_jml(self, t: jml.JmlType) -> tuple[Value, ...]:
-        if isinstance(t, jml.JInt):
-            return self.all_ints()
-        if isinstance(t, jml.JSet):
-            return self._subsets(self.values_of_jml_type(t.elem))
-        if isinstance(t, jml.JRel):
-            pairs = tuple(itertools.product(
-                self.values_of_jml_type(t.dom), self.values_of_jml_type(t.ran)))
-            return self._subsets(pairs)
-        raise EvalError(f"cannot enumerate values of {t!r}")
-
-
-def _typed_domains(variables, u: Universe) -> tuple[list[str], list[tuple]]:
-    names = []
-    domains = []
-    for ident, ty in variables:
-        if ty is None:
-            raise EvalError(f"variable '{ident.name}' has no resolved type")
-        names.append(ident.name)
-        domains.append(u.values_of_type(ty))
-    return names, domains
+            out = self._subsets(tuple(itertools.product(
+                self.values_of(t.dom), self.values_of(t.ran))))
+        else:
+            raise EvalError(f"cannot enumerate values of {t!r}")
+        self._cache[t] = out
+        return out
 
 
 def enumerate_states(variables, u: Universe) -> tuple[State, ...]:
     """All type-respecting total assignments to the machine variables."""
-    names, domains = _typed_domains(variables, u)
+    for ident, ty in variables:
+        if ty is None:
+            raise EvalError(f"variable '{ident.name}' has no resolved type")
+    domains = [u.values_of(ty) for _ident, ty in variables]
     total = 1
     for vals in domains:
         total *= len(vals)
     if total > u.ceiling:
         raise ResourceLimitError(total, u.ceiling)
+    names = [ident.name for ident, _ty in variables]
     return tuple(
         State(zip(names, combo)) for combo in itertools.product(*domains))
 
@@ -344,7 +326,7 @@ def _bounded_domain(variables, bounds, value, u: Universe):
         if mine:
             domains.append(_bounded_values(ty, element, mine, value, u))
         else:
-            typed = u.values_of_type(ty)
+            typed = u.values_of(ty)
             domains.append(lambda _partial, typed=typed: typed)
     return lambda k, partial: domains[k](partial)
 
@@ -360,17 +342,17 @@ def _bounded_values(ty, element: bool, bounds, value, u: Universe):
     the pool.  Where a bound is undefined, every value of the type.
     """
     if element:
-        base = u.values_of_type(ty)
+        base = u.values_of(ty)
     elif isinstance(ty, eb.SetType):
-        base = u.values_of_type(ty.elem)
+        base = u.values_of(ty.elem)
     else:
         base = tuple(itertools.product(
-            u.values_of_type(ty.dom), u.values_of_type(ty.ran)))
+            u.values_of(ty.dom), u.values_of(ty.ran)))
 
     def values(partial):
         allowed = _defined(_pool, base, bounds, partial, value)
         if allowed is False:
-            return u.values_of_type(ty)
+            return u.values_of(ty)
         pool, lower = allowed
         if element:
             return pool
@@ -591,16 +573,14 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
     for act in actions:
         target = act.target.name
         if isinstance(act, eb.BecomesEqual):
-            try:
-                val = eval_eb_expr(act.rhs, state, env, u)
-            except EvalError as exc:
-                log.debug("action %s failed (%s); no transition", act.label, exc)
+            val = _defined(eval_eb_expr, act.rhs, state, env, u)
+            if val is False:  # undefined: no transition (a value may be 0)
                 return
             per_action.append([(target, val)])
         else:
             prime = target + "'"
             choices = _solutions(
-                [prime], lambda _k, _partial: u.values_of_type(var_types[target]),
+                [prime], lambda _k, _partial: u.values_of(var_types[target]),
                 [(act.predicate, 1)],
                 lambda p, bap_env: eb_pred_holds(p, state, bap_env, u),
                 dict(env), budget.charge)
@@ -650,7 +630,7 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     rel: set[tuple[State, State]] = set()
     for a in states:
         sat_envs = _solutions(
-            names, lambda k, _partial: u.values_of_type(types[k]), guards,
+            names, lambda k, _partial: u.values_of(types[k]), guards,
             lambda c, env: eb_pred_holds(c, a, env, u), {}, budget.charge)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
@@ -885,7 +865,7 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     if hit is None:
         names, types, tests, rest = _exists_chain(p, at_pre)
         bindings = _solutions(
-            names, lambda k, _partial: u.values_of_jml_type(types[k]), tests,
+            names, lambda k, _partial: u.values_of(types[k]), tests,
             lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo), dict(env),
             memo.budget.charge)
         hit = memo[key] = (rest, bindings, p, pre)
@@ -953,6 +933,25 @@ def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
         bounds, lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
 
 
+def spec_cases(run_spec: jml.JmlMethodSpec,
+               guard_spec: jml.JmlMethodSpec) -> list[tuple]:
+    """(requires, case) for each specification case of ``run_spec``, its
+    requires clause with the guard method's calls inlined."""
+    cases = [run_spec.normal]
+    if run_spec.exceptional is not None:
+        cases.append(run_spec.exceptional)
+    return [(inline_guard_calls(case.requires, guard_spec), case)
+            for case in cases]
+
+
+def active_cases(cases, a: State, u: Universe, memo: WitnessMemo) -> list:
+    """The ``cases``, each led by its inlined requires clause (see
+    ``spec_cases``), whose requires clause holds at the pre-state ``a``; an
+    undefined one does not."""
+    return [case for case in cases
+            if _defined(jml_pred_holds, case[0], a, a, {}, u, memo)]
+
+
 def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
                    guard_spec: jml.JmlMethodSpec, variables, u: Universe,
                    budget: Budget) -> frozenset:
@@ -967,19 +966,16 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     """
     memo = WitnessMemo(budget)
     var_names = tuple(ident.name for ident, _ty in variables)
-    cases = [run_spec.normal]
-    if run_spec.exceptional is not None:
-        cases.append(run_spec.exceptional)
-    cases = [(inline_guard_calls(case.requires, guard_spec), case.ensures,
-              _outside_frame(case.assignable, var_names)) for case in cases]
-    cases = [(req, ensures, outside, _Lookup(ensures, outside, var_names))
-             for req, ensures, outside in cases]
+    cases = []
+    for req, case in spec_cases(run_spec, guard_spec):
+        outside = _outside_frame(case.assignable, var_names)
+        cases.append((req, case.ensures, outside,
+                      _Lookup(case.ensures, outside, var_names)))
     index: dict = {}
 
     rel: set[tuple[State, State]] = set()
     for a in states:
-        active = [case for case in cases
-                  if _defined(jml_pred_holds, case[0], a, a, {}, u, memo)]
+        active = active_cases(cases, a, u, memo)
         candidates = states
         if active:
             lookup = max((case[3] for case in active), key=lambda k: len(k.names))

@@ -17,8 +17,8 @@ from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine, Span
 from .ebcheck import (
-    RelSpaceType, TypeProblem, _check_action, base_type_env, expr_type,
-    resolve_types, unify,
+    RelSpaceType, TypeProblem, base_type_env, check_action, check_parameters,
+    check_target, expr_type, resolve_types, unify,
 )
 from .nodes import map_children
 
@@ -29,6 +29,12 @@ class TranslationError(Exception):
             message = f"{span.line}:{span.column}: {message}"
         super().__init__(message)
         self.span = span
+
+
+def _reject(message: str, span: Optional[Span] = None) -> None:
+    """The ``emit`` of the well-formedness rules that the translator shares
+    with ``ebcheck``: the first violation is a TranslationError."""
+    raise TranslationError(message, span)
 
 
 @dataclass(frozen=True)
@@ -212,15 +218,18 @@ def _tr_relspace_membership(left: eb.Expr, rs: eb.RelSpace, env) -> jml.JmlPredi
     return _conj(parts)
 
 
-def _tr_pred(p: eb.Predicate, env) -> jml.JmlPredicate:
+def translate_predicate(p: eb.Predicate, env) -> jml.JmlPredicate:
+    """The JML form of an Event-B predicate over the names typed in ``env``."""
     if isinstance(p, eb.BTrue):
         return jml.JmlTrue()
     if isinstance(p, eb.And):
-        return jml.JmlAnd(_tr_pred(p.left, env), _tr_pred(p.right, env))
+        return jml.JmlAnd(translate_predicate(p.left, env),
+                          translate_predicate(p.right, env))
     if isinstance(p, eb.Or):
-        return jml.JmlOr(_tr_pred(p.left, env), _tr_pred(p.right, env))
+        return jml.JmlOr(translate_predicate(p.left, env),
+                         translate_predicate(p.right, env))
     if isinstance(p, eb.Not):
-        return jml.JmlNot(_tr_pred(p.operand, env))
+        return jml.JmlNot(translate_predicate(p.operand, env))
     if isinstance(p, eb.Cmp):
         return _tr_cmp(p, env)
     raise TranslationError(f"untranslatable predicate {type(p).__name__}",
@@ -252,11 +261,6 @@ def _tr_cmp(p: eb.Cmp, env) -> jml.JmlPredicate:
     return jml.JmlNot(equal)
 
 
-def translate_predicate(p: eb.Predicate, env) -> jml.JmlPredicate:
-    """The JML form of an Event-B predicate over the names typed in ``env``."""
-    return _tr_pred(p, env)
-
-
 def _tr_becomes_such_that(a: eb.BecomesSuchThat, env, at_pre: bool) -> jml.JmlExists:
     """``v :| P`` as ``\\exists T y; P[y/v'] && v == y``, the equality
     being ``v.equals(y)`` for a set or relation ``v``.
@@ -281,7 +285,7 @@ def _tr_becomes_such_that(a: eb.BecomesSuchThat, env, at_pre: bool) -> jml.JmlEx
 
     bap_env = dict(env)
     bap_env[name] = t
-    body = _tr_pred(rename(a.predicate), bap_env)
+    body = translate_predicate(rename(a.predicate), bap_env)
     return jml.JmlExists(
         name, jml_type_of(t),
         jml.JmlAnd(jml.JmlOld(body) if at_pre else body,
@@ -311,19 +315,12 @@ def _nest_exists(params, body: jml.JmlPredicate) -> jml.JmlPredicate:
 
 
 def translate_event(e: eb.Event, env) -> tuple[jml.JmlMethodSpec, jml.JmlMethodSpec]:
-    """An event becomes the (guard_<e>, run_<e>) method pair."""
-    ev_env = dict(env)
-    for ident, ty in e.params:
-        if ident.name in env:
-            raise TranslationError(
-                f"parameter '{ident.name}' of event '{e.name}' shadows a "
-                f"variable or carrier set", ident.span)
-        if ty is None:
-            raise TranslationError(
-                f"parameter '{ident.name}' of event '{e.name}' has no type", ident.span)
-        ev_env[ident.name] = ty
+    """An event with typed parameters becomes the (guard_<e>, run_<e>)
+    method pair; ``env`` types the variables and carrier sets."""
+    check_parameters(e, env, _reject)
+    ev_env = {**env, **{ident.name: ty for ident, ty in e.params}}
 
-    guard_pred = _conj([_tr_pred(g, ev_env) for _lbl, g in e.guards])
+    guard_pred = _conj([translate_predicate(g, ev_env) for _lbl, g in e.guards])
     guard_body = jml.JmlParen(guard_pred) if isinstance(guard_pred, jml.JmlAnd) \
         else guard_pred
     guard_spec = jml.JmlMethodSpec(
@@ -355,7 +352,7 @@ def translate_event(e: eb.Event, env) -> tuple[jml.JmlMethodSpec, jml.JmlMethodS
 
 
 def translate_invariants(invariants, env) -> jml.JmlPredicate:
-    return _conj([_tr_pred(p, env) for _lbl, p in invariants])
+    return _conj([translate_predicate(p, env) for _lbl, p in invariants])
 
 
 def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
@@ -364,13 +361,10 @@ def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
     Each action must pass the well-formedness rules for initialisation
     actions; the first violation raises TranslationError.
     """
-    def reject(message: str, span) -> None:
-        raise TranslationError(message, span)
-
     var_names = set(variable_names)
     parts: list[jml.JmlPredicate] = []
     for a in actions:
-        _check_action(a, env[a.target.name], env, var_names, reject)
+        check_action(a, env[a.target.name], env, var_names, _reject)
         if isinstance(a, eb.BecomesEqual) and isinstance(a.rhs, eb.EmptySet):
             parts.append(jml.JmlBoolCall(
                 jml.JmlMethodCall(jml.JmlVar(a.target.name), "isEmpty")))
@@ -381,19 +375,14 @@ def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
 
 def translate_machine(machine: Machine) -> TranslationUnit:
     """Translate a whole machine into a single abstract JML class."""
-    typed, _diags = resolve_types(machine)
-    for ident, ty in typed.variables:
-        if ty is None:
-            raise TranslationError(
-                f"variable '{ident.name}' has no resolved type", ident.span)
+    typed, diags = resolve_types(machine)
+    if diags:
+        _reject(diags[0].message, diags[0].span)
     var_names = set(typed.variable_names())
     for where, actions in [("initialisation", typed.initialisation)] + [
             (f"event '{ev.name}'", ev.actions) for ev in typed.events]:
         for a in actions:
-            if a.target.name not in var_names:
-                raise TranslationError(
-                    f"{where} assigns '{a.target.name}', which is not a "
-                    f"machine variable", a.span)
+            check_target(a, where, var_names, _reject)
     env = base_type_env(typed)
 
     trace: list[tuple[str, str]] = []

@@ -42,7 +42,7 @@ def jml_scan_holds(p, pre, state, env, u) -> bool:
     Connectives and \\old are followed here; every other predicate goes to
     ``jml_pred_holds``.  Raises EvalError when undefined, as it does."""
     if isinstance(p, JmlExists):
-        for value in u.values_of_jml_type(p.ty):
+        for value in u.values_of(p.ty):
             try:
                 if jml_scan_holds(p.body, pre, state, {**env, p.var: value}, u):
                     return True

@@ -194,13 +194,13 @@ def test_one_check_computes_each_value_domain_once(monkeypatch, social_abstract,
     u = Universe(carriers=carriers)
     assert (universe_for(social_abstract, u) is u) == bool(carriers)
     computed = []
-    for method in ("_compute_eb", "_compute_jml"):
-        original = getattr(Universe, method)
+    original = Universe.values_of
 
-        def counted(self, t, original=original, method=method):
-            computed.append((method, t))
-            return original(self, t)
-        monkeypatch.setattr(Universe, method, counted)
+    def counted(self, t):
+        if t not in self._cache:
+            computed.append(t)
+        return original(self, t)
+    monkeypatch.setattr(Universe, "values_of", counted)
     report = check_machine(social_abstract, u)
     assert report.status == PASS
     assert computed and len(computed) == len(set(computed)), computed
@@ -279,3 +279,43 @@ def test_witness_at_an_undefined_guard_says_no_case_applies():
         assert w.eb_side == (
             "the guard is undefined at the pre-state, which counts as false, "
             "so only the pair (a, a) is allowed")
+
+
+def test_witness_names_the_case_whose_requires_clause_holds(counter):
+    # negate_guard_link swaps the requires clauses: where the guard holds,
+    # the exceptional case is the active one, and it accepts stuttering
+    unit = mutate_translation(translate_machine(counter), "negate_guard_link")
+    v = check_event(counter.event("incr"), counter, Universe(int_lo=0, int_hi=2),
+                    unit)
+    assert v.status == FAIL
+    w = next(w for w in v.witnesses
+             if w.pre == State({"v": 0}) and w.post == State({"v": 0}))
+    assert w.jml_side == ("guard_incr() is true at the pre-state; the "
+                          "exceptional case accepts this pair")
+
+
+ILL_FORMED = """
+machine m
+  variables v
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+    e
+      begin
+        act1: v := zz
+      end
+end
+"""
+
+
+def test_an_ill_formed_machine_gets_no_verdict():
+    # the translation reads the undeclared zz as a name, and the check
+    # used to PASS
+    machine = parse_machine(ILL_FORMED)
+    with pytest.raises(ValueError,
+                       match="13:20: undeclared identifier 'zz'"):
+        check_machine(machine, Universe(int_lo=0, int_hi=2))

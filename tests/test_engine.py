@@ -128,9 +128,9 @@ def _reference_eb_rel(machine, event, u, pre_states):
     corpus has deterministic actions only)."""
     assert all(isinstance(act, BecomesEqual) for act in event.actions)
     inv = eb_inv_states(machine, u)
-    allowed = {ident.name: u.values_of_type(ty) for ident, ty in machine.variables}
+    allowed = {ident.name: u.values_of(ty) for ident, ty in machine.variables}
     names = [ident.name for ident, _ty in event.params]
-    domains = [u.values_of_type(ty) for _ident, ty in event.params]
+    domains = [u.values_of(ty) for _ident, ty in event.params]
     out = set()
     for a in pre_states:
         envs = [env for env in (dict(zip(names, combo))

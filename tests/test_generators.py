@@ -220,7 +220,7 @@ def _small_machines(count=200, most_states=2 ** 10):
         u = Universe(0, 1, {c: 2 for c in machine.carrier_sets})
         typed = 1
         for _ident, ty in machine.variables:
-            typed *= len(u.values_of_type(ty))
+            typed *= len(u.values_of(ty))
         if typed <= most_states:
             count -= 1
             yield seed, machine, u

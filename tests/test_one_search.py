@@ -18,7 +18,7 @@ from collections import Counter
 
 import eb2jml.semantics as semantics
 
-TYPED_VALUES = {"values_of_type", "values_of_jml_type"}
+TYPED_VALUES = {"values_of"}
 MEMO_NAMES = {"cache", "memo"}
 ALLOWED_NONE_TESTS = Counter({("jml_pred_holds", "memo"): 1})
 
@@ -32,7 +32,7 @@ def _called(node) -> str | None:
 
 def _typed_value_loops(tree) -> list[int]:
     """Lines of the loops and comprehensions that iterate over a call of
-    ``values_of_type`` or ``values_of_jml_type``."""
+    ``values_of``."""
     return [node.iter.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.For, ast.comprehension))
             and _called(node.iter) in TYPED_VALUES]
@@ -97,8 +97,8 @@ def test_the_checks_see_a_second_search_and_a_mode_switch():
     copied = ast.parse(
         "def f(u, t, cache):\n"
         "    if cache is not None:\n        pass\n"
-        "    for y in u.values_of_type(t):\n        pass\n"
-        "    return any(y for y in values_of_jml_type(t))\n")
+        "    for y in u.values_of(t):\n        pass\n"
+        "    return any(y for y in values_of(t))\n")
     assert _typed_value_loops(copied) == [4, 6]
     assert _memo_none_tests(copied) == Counter({("f", "cache"): 1})
 

@@ -335,6 +335,17 @@ def test_every_producer_emits_the_same_equality(kind):
         == neq.format("v", "w")
 
 
+def _assert_rejected_as_well_formedness_does(machine, message):
+    # the translator applies the well-formedness rule itself: its error is
+    # the wf diagnostic, text and span
+    diagnostic = next(d for d in well_formedness_check(machine)
+                      if d.message == message)
+    with pytest.raises(TranslationError) as exc:
+        tr_machine(machine)
+    assert str(exc.value) == str(diagnostic)
+    assert exc.value.span == diagnostic.span
+
+
 NOT_A_VARIABLE = {
     "initialisation": ("act2: w := 1", "when grd1: v = 0", "act2: v := 1",
                        "initialisation assigns 'w'"),
@@ -365,14 +376,8 @@ machine m
       end
 end
 """)
-    message = f"{prefix}, which is not a machine variable"
-    # the translator rejects what the well-formedness pass rejects, in its words
-    diagnostic = next(d for d in well_formedness_check(machine)
-                      if d.message == message)
-    with pytest.raises(TranslationError) as exc:
-        tr_machine(machine)
-    assert str(exc.value) == str(diagnostic)
-    assert exc.value.span == diagnostic.span
+    _assert_rejected_as_well_formedness_does(
+        machine, f"{prefix}, which is not a machine variable")
 
 
 @pytest.mark.parametrize("name", ["v", "S"])
@@ -397,14 +402,52 @@ machine m
       end
 end
 """)
-    message = f"parameter '{name}' of event 'e' shadows a variable or carrier set"
     # without the check, the parameter captured the variable it shadows
-    diagnostic = next(d for d in well_formedness_check(machine)
-                      if d.message == message)
-    with pytest.raises(TranslationError) as exc:
-        tr_machine(machine)
-    assert str(exc.value) == str(diagnostic)
-    assert exc.value.span == diagnostic.span
+    _assert_rejected_as_well_formedness_does(
+        machine, f"parameter '{name}' of event 'e' shadows a variable or carrier set")
+
+
+# (variables, second initialisation action, event head, event action, the
+# one wf diagnostic of the machine)
+ILL_FORMED = {
+    "duplicate parameter": (
+        "v", "", "any p p where grd1: p : INT", "act1: v := p",
+        "duplicate parameter 'p'"),
+    "untyped variable": (
+        "v w", "act2: w := 0", "when grd1: v = 0", "act1: v := 1",
+        "cannot determine the type of variable 'w' "
+        "(annotate it or add a typing invariant)"),
+    "untyped parameter": (
+        "v", "", "any p where grd1: v = 0", "act1: v := 1",
+        "cannot determine the type of parameter 'p' of event 'e'"),
+    "unknown carrier set": (
+        "v w : FOO", "act2: w :| w' = w'", "when grd1: v = 0", "act1: v := 1",
+        "unknown carrier set 'FOO'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_FORMED))
+def test_an_ill_formed_declaration_is_a_translation_error(case):
+    variables, init_extra, head, action, message = ILL_FORMED[case]
+    machine = parse_machine(f"""
+machine m
+  variables {variables}
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+        {init_extra}
+      end
+    e
+      {head}
+      then
+        {action}
+      end
+end
+""")
+    _assert_rejected_as_well_formedness_does(machine, message)
 
 
 def test_jml_type_of_examples():

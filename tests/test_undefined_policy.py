@@ -1,8 +1,8 @@
 """The rule "an undefined evaluation counts as false" lives in one helper.
 
-``semantics._defined`` is the only handler that turns an EvalError into a
-truth value.  The one other handler is the deterministic action's value in
-``_action_assignments``: a value, not a truth, whose failure means no
+``semantics._defined`` is the only handler of an EvalError: it turns one
+into False, which fails a guard, predicate or conjunct, and which a
+deterministic action's value in ``_action_assignments`` reads as no
 transition.  A new handler anywhere else would copy the policy.
 """
 
@@ -11,7 +11,7 @@ from collections import Counter
 
 import eb2jml.semantics as semantics
 
-ALLOWED = Counter({"_defined": 1, "_action_assignments": 1})
+ALLOWED = Counter({"_defined": 1})
 
 
 def _catches_eval_error(handler: ast.ExceptHandler) -> bool:
@@ -39,7 +39,7 @@ def _handlers_by_function(tree) -> Counter:
     return found
 
 
-def test_eval_errors_are_caught_only_by_the_helper_and_the_action_value():
+def test_eval_errors_are_caught_only_by_the_helper():
     with open(semantics.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
     assert _handlers_by_function(tree) == ALLOWED
