@@ -90,8 +90,6 @@ def _parse_int_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise _CliError(f"--int-range must look like LO..HI, got '{text}'")
-    if lo > hi:
-        raise _CliError(f"empty integer range '{text}'")
     return lo, hi
 
 
@@ -106,8 +104,6 @@ def _build_universe(args, machine) -> Universe:
             size = int(size_text)
         except ValueError:
             raise _CliError(f"--carrier must look like NAME=N, got '{spec}'")
-        if size < 1:
-            raise _CliError(f"carrier '{name}' needs cardinality >= 1")
         if name not in machine.carrier_sets:
             declared = ", ".join(sorted(machine.carrier_sets)) or "none"
             raise _CliError(f"--carrier names '{name}', which machine "
@@ -115,9 +111,10 @@ def _build_universe(args, machine) -> Universe:
         if name in carriers:
             raise _CliError(f"--carrier gives '{name}' more than once")
         carriers[name] = size
-    if args.ceiling < 1:
-        raise _CliError("--ceiling must be at least 1")
-    return Universe(int_lo=lo, int_hi=hi, carriers=carriers, ceiling=args.ceiling)
+    try:
+        return Universe(int_lo=lo, int_hi=hi, carriers=carriers, ceiling=args.ceiling)
+    except ValueError as exc:
+        raise _CliError(str(exc))
 
 
 def cmd_translate(args) -> int:

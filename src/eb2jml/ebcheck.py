@@ -38,17 +38,12 @@ class TypeProblem(Exception):
         self.span = span
 
 
-# Internal-only types used while checking; they never appear in machines.
+# Internal-only type used while checking; it never appears in machines.
 
 @dataclass(frozen=True)
 class PairType(EbType):
     left: Optional[EbType]
     right: Optional[EbType]
-
-
-@dataclass(frozen=True)
-class RelSpaceType(EbType):
-    rel: RelType
 
 
 def _is_setlike(t) -> bool:
@@ -75,10 +70,6 @@ def unify(a: Optional[EbType], b: Optional[EbType], span=None) -> Optional[EbTyp
         return b
     if isinstance(b, SetType) and b.elem is None and isinstance(a, RelType):
         return a
-    if isinstance(a, SetType) and isinstance(a.elem, PairType) and isinstance(b, RelType):
-        return unify(_make_set(a.elem), b, span)
-    if isinstance(b, SetType) and isinstance(b.elem, PairType) and isinstance(a, RelType):
-        return unify(a, _make_set(b.elem), span)
     if isinstance(a, PairType) and isinstance(b, PairType):
         return PairType(unify(a.left, b.left, span), unify(a.right, b.right, span))
     raise TypeProblem(f"type mismatch: {type_name(a)} vs {type_name(b)}", span)
@@ -92,9 +83,19 @@ def _make_set(elem: Optional[EbType]) -> EbType:
     return SetType(elem)
 
 
-def _reject_relation_element(t: Optional[EbType]) -> None:
+def _reject_relation_element(t: Optional[EbType], span=None) -> None:
     if isinstance(t, (RelType, PairType)):
-        raise TypeProblem("relations of relations are not supported")
+        raise TypeProblem("relations of relations are not supported", span)
+
+
+def _product_type(lt: Optional[EbType], rt: Optional[EbType], span) -> RelType:
+    """The type of ``S ** T``, which is also the type of a member of
+    ``S <-> T``: relations between the members of the sets ``S`` and ``T``."""
+    dom = _member_type(unify(lt, SetType(None), span), span)
+    ran = _member_type(unify(rt, SetType(None), span), span)
+    _reject_relation_element(dom, span)
+    _reject_relation_element(ran, span)
+    return RelType(dom, ran)
 
 
 def type_name(t: Optional[EbType]) -> str:
@@ -110,8 +111,6 @@ def type_name(t: Optional[EbType]) -> str:
         return f"rel({type_name(t.dom)}, {type_name(t.ran)})"
     if isinstance(t, PairType):
         return f"{type_name(t.left)} |-> {type_name(t.right)}"
-    if isinstance(t, RelSpaceType):
-        return type_name(t.rel)
     return repr(t)
 
 
@@ -138,13 +137,9 @@ def expr_type(e: Expr, env: dict[str, EbType]) -> Optional[EbType]:
         assert isinstance(t, RelType)
         return _make_set(t.dom if e.op == "dom" else t.ran)
     if isinstance(e, RelSpace):
-        lt = unify(expr_type(e.left, env), SetType(None), e.span)
-        rt = unify(expr_type(e.right, env), SetType(None), e.span)
-        dom = lt.elem if isinstance(lt, SetType) else None
-        ran = rt.elem if isinstance(rt, SetType) else None
-        if isinstance(lt, RelType) or isinstance(rt, RelType):
-            raise TypeProblem("relations of relations are not supported", e.span)
-        return RelSpaceType(RelType(dom, ran))
+        # any arrow denotes a set of relations
+        return SetType(_product_type(
+            expr_type(e.left, env), expr_type(e.right, env), e.span))
     if isinstance(e, BinOp):
         return _binop_type(e, env)
     raise TypeProblem(f"cannot type {type(e).__name__}", getattr(e, "span", None))
@@ -164,8 +159,6 @@ def _binop_type(e: BinOp, env) -> Optional[EbType]:
         return PairType(lt, rt)
     lt = expr_type(e.left, env)
     rt = expr_type(e.right, env)
-    if isinstance(lt, RelSpaceType) or isinstance(rt, RelSpaceType):
-        raise TypeProblem("relation arrows are only allowed as a membership right-hand side", e.span)
     if op in ("union", "inter", "diff"):
         if not (_is_setlike(lt) and _is_setlike(rt)):
             raise TypeProblem(f"'{op}' needs set operands", e.span)
@@ -177,13 +170,7 @@ def _binop_type(e: BinOp, env) -> Optional[EbType]:
         unify(lt, SetType(rel.dom), e.span)
         return rel
     if op == "cross":
-        ls = unify(lt, SetType(None), e.span)
-        rs = unify(rt, SetType(None), e.span)
-        dom = ls.elem if isinstance(ls, SetType) else None
-        ran = rs.elem if isinstance(rs, SetType) else None
-        if isinstance(ls, RelType) or isinstance(rs, RelType):
-            raise TypeProblem("relations of relations are not supported", e.span)
-        return RelType(dom, ran)
+        return _product_type(lt, rt, e.span)
     if op == "image":
         rel = unify(lt, RelType(None, None), e.span)
         assert isinstance(rel, RelType)
@@ -215,8 +202,6 @@ def check_predicate(p: Predicate, env: dict[str, EbType]) -> None:
             return
         lt = expr_type(p.left, env)
         rt = expr_type(p.right, env)
-        if isinstance(lt, RelSpaceType) or isinstance(rt, RelSpaceType):
-            raise TypeProblem("relation arrows are only allowed as a membership right-hand side", p.span)
         if p.op in ("eq", "neq"):
             unify(lt, rt, p.span)
         elif p.op == "subset":
@@ -235,10 +220,8 @@ def check_predicate(p: Predicate, env: dict[str, EbType]) -> None:
 # --- type resolution ---------------------------------------------------
 
 def _member_type(rt: Optional[EbType], span=None) -> Optional[EbType]:
-    """The type of a member of a set of type ``rt``: a relation arrow's
-    members are relations, and a relation's members are pairs."""
-    if isinstance(rt, RelSpaceType):
-        return rt.rel
+    """The type of a member of a set of type ``rt``; a relation's members
+    are pairs."""
     if isinstance(rt, SetType):
         return rt.elem
     if isinstance(rt, RelType):
@@ -259,7 +242,7 @@ def _type_from_typing_pred(op: str, rhs: Expr, env) -> Optional[EbType]:
 
 
 def _complete(t: Optional[EbType]) -> bool:
-    if t is None or isinstance(t, (RelSpaceType, PairType)):
+    if t is None or isinstance(t, PairType):
         return False
     if isinstance(t, SetType):
         return _complete(t.elem)

@@ -17,8 +17,8 @@ from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine, Span
 from .ebcheck import (
-    RelSpaceType, TypeProblem, base_type_env, check_action, check_parameters,
-    check_target, expr_type, resolve_types, unify,
+    TypeProblem, base_type_env, check_action, check_parameters, check_target,
+    expr_type, resolve_types, unify,
 )
 from .nodes import map_children
 
@@ -144,11 +144,6 @@ def _tr_expr(e: eb.Expr, env, hint=None) -> jml.JmlExpr:
         return jml.JmlMethodCall(recv, "domain" if e.op == "dom" else "range")
     if isinstance(e, eb.BinOp):
         return _tr_binop(e, env, hint)
-    if isinstance(e, eb.IntSet):
-        raise TranslationError("INT is only allowed as a membership right-hand side", e.span)
-    if isinstance(e, eb.RelSpace):
-        raise TranslationError(
-            "a relation arrow is only allowed as a membership right-hand side", e.span)
     raise TranslationError(f"untranslatable expression {type(e).__name__}",
                            getattr(e, "span", None))
 
@@ -195,9 +190,8 @@ def _tr_binop(e: eb.BinOp, env, hint) -> jml.JmlExpr:
 
 
 def _tr_relspace_membership(left: eb.Expr, rs: eb.RelSpace, env) -> jml.JmlPredicate:
-    rel_t = _typed(rs, env)
-    assert isinstance(rel_t, RelSpaceType)
-    member = _tr_expr(left, env, rel_t.rel)
+    rel_t = _typed(rs, env).elem  # the arrow is a set of relations
+    member = _tr_expr(left, env, rel_t)
     dom_of = jml.JmlMethodCall(member, "domain")
     ran_of = jml.JmlMethodCall(member, "range")
     s = _tr_expr(rs.left, env)
@@ -212,9 +206,9 @@ def _tr_relspace_membership(left: eb.Expr, rs: eb.RelSpace, env) -> jml.JmlPredi
     if rs.arrow == "<->":
         parts += [subset(dom_of, s), subset(ran_of, t)]
     else:
-        parts.append(_equals(dom_of, s, eb.SetType(rel_t.rel.dom)))
+        parts.append(_equals(dom_of, s, eb.SetType(rel_t.dom)))
         parts.append(subset(ran_of, t) if rs.arrow == "-->"
-                     else _equals(ran_of, t, eb.SetType(rel_t.rel.ran)))
+                     else _equals(ran_of, t, eb.SetType(rel_t.ran)))
     return _conj(parts)
 
 
@@ -316,9 +310,12 @@ def _nest_exists(params, body: jml.JmlPredicate) -> jml.JmlPredicate:
 
 def translate_event(e: eb.Event, env) -> tuple[jml.JmlMethodSpec, jml.JmlMethodSpec]:
     """An event with typed parameters becomes the (guard_<e>, run_<e>)
-    method pair; ``env`` types the variables and carrier sets."""
+    method pair; ``env`` types the variables and carrier sets.  The first
+    action that breaks a well-formedness rule raises TranslationError."""
     check_parameters(e, env, _reject)
     ev_env = {**env, **{ident.name: ty for ident, ty in e.params}}
+    for a in e.actions:
+        check_action(a, env[a.target.name], ev_env, (), _reject)
 
     guard_pred = _conj([translate_predicate(g, ev_env) for _lbl, g in e.guards])
     guard_body = jml.JmlParen(guard_pred) if isinstance(guard_pred, jml.JmlAnd) \

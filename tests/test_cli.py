@@ -144,6 +144,13 @@ def test_bad_universe_flags(tmp_path, capsys):
     assert main(["check", str(src), "--int-range", "nope"]) == 2
     assert main(["check", str(src), "--carrier", "PERSON"]) == 2
     assert main(["check", str(src), "--int-range", "3..1"]) == 2
+    assert main(["check", str(src), "--ceiling", "0"]) == 2
+    social = _copy(tmp_path, "social_abstract.ebm")
+    assert main(["check", str(social), "--carrier", "PERSON=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("eb2jml: ") == 5 and "Traceback" not in err
+    assert "empty integer range" in err and "ceiling must be at least 1" in err
+    assert "'PERSON' needs cardinality >= 1" in err
 
 
 def test_negative_witness_cap_exits_2(tmp_path, capsys):

@@ -13,7 +13,8 @@ import eb2jml
 
 SRC = Path(eb2jml.__file__).resolve().parent
 RULE_MESSAGES = ("which is not a machine variable",
-                 "shadows a variable or carrier set")
+                 "shadows a variable or carrier set",
+                 "only allowed as a membership right-hand side")
 
 
 def _trees() -> dict:

@@ -380,6 +380,40 @@ end
         machine, f"{prefix}, which is not a machine variable")
 
 
+# (event head, event action, the wf diagnostic the action gets)
+ILL_FORMED_EVENT_ACTION = {
+    "primed identifier": ("when grd1: v = 0", "act1: v := v' + 1",
+                          "primed identifier 'v'' is not allowed in a "
+                          "deterministic action"),
+    "type mismatch": ("any p where grd1: p : S", "act1: v := p",
+                      "type mismatch: S vs INT"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_FORMED_EVENT_ACTION))
+def test_an_ill_formed_event_action_is_a_translation_error(case):
+    head, action, message = ILL_FORMED_EVENT_ACTION[case]
+    machine = parse_machine(f"""
+machine m
+  sets S
+  variables v
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+    e
+      {head}
+      then
+        {action}
+      end
+end
+""")
+    _assert_rejected_as_well_formedness_does(machine, message)
+
+
 @pytest.mark.parametrize("name", ["v", "S"])
 def test_a_parameter_shadowing_a_variable_or_set_is_a_translation_error(name):
     machine = parse_machine(f"""
