@@ -62,7 +62,7 @@ def unify(a: Optional[EbType], b: Optional[EbType], span=None) -> Optional[EbTyp
         if a.set_name == b.set_name:
             return a
     if isinstance(a, SetType) and isinstance(b, SetType):
-        return _make_set(unify(a.elem, b.elem, span))
+        return set_of(unify(a.elem, b.elem, span), span)
     if isinstance(a, RelType) and isinstance(b, RelType):
         return RelType(unify(a.dom, b.dom, span), unify(a.ran, b.ran, span))
     # the empty set unifies with relations too
@@ -75,10 +75,12 @@ def unify(a: Optional[EbType], b: Optional[EbType], span=None) -> Optional[EbTyp
     raise TypeProblem(f"type mismatch: {type_name(a)} vs {type_name(b)}", span)
 
 
-def _make_set(elem: Optional[EbType]) -> EbType:
+def set_of(elem: Optional[EbType], span=None) -> EbType:
+    """The type of a set whose members have type ``elem``; a set of pairs
+    is a relation."""
     if isinstance(elem, PairType):
-        _reject_relation_element(elem.left)
-        _reject_relation_element(elem.right)
+        _reject_relation_element(elem.left, span)
+        _reject_relation_element(elem.right, span)
         return RelType(elem.left, elem.right)
     return SetType(elem)
 
@@ -131,11 +133,11 @@ def expr_type(e: Expr, env: dict[str, EbType]) -> Optional[EbType]:
         elem: Optional[EbType] = None
         for item in e.items:
             elem = unify(elem, expr_type(item, env), e.span)
-        return _make_set(elem)
+        return set_of(elem, e.span)
     if isinstance(e, UnOp):
         t = unify(expr_type(e.operand, env), RelType(None, None), e.span)
         assert isinstance(t, RelType)
-        return _make_set(t.dom if e.op == "dom" else t.ran)
+        return set_of(t.dom if e.op == "dom" else t.ran, e.span)
     if isinstance(e, RelSpace):
         # any arrow denotes a set of relations
         return SetType(_product_type(
@@ -154,8 +156,8 @@ def _binop_type(e: BinOp, env) -> Optional[EbType]:
     if op == "maplet":
         lt = expr_type(e.left, env)
         rt = expr_type(e.right, env)
-        _reject_relation_element(lt)
-        _reject_relation_element(rt)
+        _reject_relation_element(lt, e.span)
+        _reject_relation_element(rt, e.span)
         return PairType(lt, rt)
     lt = expr_type(e.left, env)
     rt = expr_type(e.right, env)
@@ -175,7 +177,7 @@ def _binop_type(e: BinOp, env) -> Optional[EbType]:
         rel = unify(lt, RelType(None, None), e.span)
         assert isinstance(rel, RelType)
         unify(rt, SetType(rel.dom), e.span)
-        return _make_set(rel.ran)
+        return set_of(rel.ran, e.span)
     if op == "apply":
         rel = unify(lt, RelType(None, None), e.span)
         assert isinstance(rel, RelType)

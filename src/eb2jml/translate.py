@@ -18,7 +18,7 @@ from . import jmlast as jml
 from .ebast import Machine, Span
 from .ebcheck import (
     TypeProblem, base_type_env, check_action, check_parameters, check_target,
-    expr_type, resolve_types, unify,
+    expr_type, resolve_types, set_of, unify,
 )
 from .nodes import map_children
 
@@ -236,7 +236,7 @@ def _tr_cmp(p: eb.Cmp, env) -> jml.JmlPredicate:
             return jml.JmlTrue()
         if isinstance(p.right, eb.RelSpace):
             return _tr_relspace_membership(p.left, p.right, env)
-        rt = _typed(p.right, env, eb.SetType(_typed(p.left, env)))
+        rt = _typed(p.right, env, set_of(_typed(p.left, env)))
         return jml.JmlBoolCall(jml.JmlMethodCall(
             _tr_expr(p.right, env, rt), "has", (_tr_expr(p.left, env),)))
     if p.op == "subset":
