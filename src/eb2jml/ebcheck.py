@@ -17,7 +17,7 @@ from .ebast import (
     Or, Predicate, Ref, RelSpace, RelType, SetEnum, SetType, Span, UnOp,
     free_identifiers,
 )
-from .nodes import children, walk
+from .nodes import walk
 
 
 @dataclass(frozen=True)
@@ -385,8 +385,8 @@ def well_formedness_check(machine: Machine) -> list[Diagnostic]:
     assigned: dict[str, int] = {}
     for act in typed.initialisation:
         assigned[act.target.name] = assigned.get(act.target.name, 0) + 1
-        if check_target(act, "initialisation", var_names, emit):
-            check_action(act, env[act.target.name], env, var_names, emit)
+        if _check_target(act, "initialisation", var_names, emit):
+            _check_action(act, env[act.target.name], env, var_names, emit)
     for name in typed.variable_names():
         n = assigned.get(name, 0)
         if n == 0:
@@ -426,14 +426,11 @@ def _check_no_primes(p: Predicate, where: str, emit) -> None:
 
 def _check_special_positions(node, emit) -> None:
     # INT and relation arrows may appear only as the right operand of ':'
-    placed = [node]
-    for parent in walk(node):
-        kids = children(parent)
-        if isinstance(parent, Cmp) and parent.op == "in":
-            kids.pop()  # the right operand
-        placed += kids
-    for n in placed:
-        if isinstance(n, (IntSet, RelSpace)):
+    allowed = set()
+    for n in walk(node):
+        if isinstance(n, Cmp) and n.op == "in":
+            allowed.add(id(n.right))
+        elif isinstance(n, (IntSet, RelSpace)) and id(n) not in allowed:
             what = "INT" if isinstance(n, IntSet) else "a relation arrow"
             emit(f"{what} is only allowed as a membership right-hand side", n.span)
 
@@ -445,11 +442,7 @@ def _typing(p: Predicate, env, emit) -> None:
         emit(exc.message, exc.span)
 
 
-# The rules below that the translator shares take an ``emit(message, span)``
-# callback: ``well_formedness_check`` collects what it is given, and the
-# translator raises the first violation as a TranslationError.
-
-def check_parameters(ev: Event, reserved, emit) -> None:
+def _check_parameters(ev: Event, reserved, emit) -> None:
     """The parameters of ``ev`` are distinct, and none is named in
     ``reserved``, the machine's variables and carrier sets."""
     _check_unique([(p.name, p.span) for p, _ in ev.params], "parameter", emit)
@@ -459,7 +452,7 @@ def check_parameters(ev: Event, reserved, emit) -> None:
                  f"variable or carrier set", p.span)
 
 
-def check_target(act, where: str, var_names, emit) -> bool:
+def _check_target(act, where: str, var_names, emit) -> bool:
     """Whether ``act``, an action of ``where`` (the initialisation or an
     event), assigns a name in ``var_names``, the machine variables."""
     if act.target.name in var_names:
@@ -469,7 +462,7 @@ def check_target(act, where: str, var_names, emit) -> bool:
     return False
 
 
-def check_action(act, target_ty, env, no_pre_state, emit) -> None:
+def _check_action(act, target_ty, env, no_pre_state, emit) -> None:
     """Rules for one action; ``no_pre_state`` names variables it may not read."""
     if isinstance(act, BecomesEqual):
         body, prime = act.rhs, None
@@ -496,7 +489,7 @@ def check_action(act, target_ty, env, no_pre_state, emit) -> None:
 
 
 def _check_event(ev: Event, env, var_names, emit) -> None:
-    check_parameters(ev, env, emit)
+    _check_parameters(ev, env, emit)
     ev_env = dict(env)
     for p, ty in ev.params:
         if ty is None:
@@ -516,5 +509,5 @@ def _check_event(ev: Event, env, var_names, emit) -> None:
             emit(f"event '{ev.name}' assigns '{act.target.name}' twice "
                  f"(simultaneous actions must have distinct targets)", act.span)
         seen_targets.add(act.target.name)
-        if check_target(act, f"event '{ev.name}'", var_names, emit):
-            check_action(act, env[act.target.name], ev_env, (), emit)
+        if _check_target(act, f"event '{ev.name}'", var_names, emit):
+            _check_action(act, env[act.target.name], ev_env, (), emit)

@@ -22,8 +22,7 @@ in docs/grammar.ebnf.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ebast as ast
 from .ebast import Ident, Machine, Predicate, Span
@@ -92,8 +91,7 @@ class OutOfSubsetError(ParseError):
         self.found = keyword
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | int | sym | kw | reserved | eof
     text: str
     begin: int

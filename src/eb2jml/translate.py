@@ -17,8 +17,8 @@ from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine, Span
 from .ebcheck import (
-    TypeProblem, base_type_env, check_action, check_parameters, check_target,
-    expr_type, resolve_types, set_of, unify,
+    TypeProblem, base_type_env, expr_type, resolve_types, set_of, unify,
+    well_formedness_check,
 )
 from .nodes import map_children
 
@@ -29,12 +29,6 @@ class TranslationError(Exception):
             message = f"{span.line}:{span.column}: {message}"
         super().__init__(message)
         self.span = span
-
-
-def _reject(message: str, span: Optional[Span] = None) -> None:
-    """The ``emit`` of the well-formedness rules that the translator shares
-    with ``ebcheck``: the first violation is a TranslationError."""
-    raise TranslationError(message, span)
 
 
 @dataclass(frozen=True)
@@ -55,19 +49,21 @@ class TranslationUnit:
         return guard, run
 
 
-def jml_type_of(t: eb.EbType) -> jml.JmlType:
-    """Carrier elements and integers map to Integer; sets and relations nest."""
+def jml_type_of(t: eb.EbType, span: Optional[Span] = None) -> jml.JmlType:
+    """Carrier elements and integers map to Integer; sets and relations
+    nest.  ``span`` locates the expression of type ``t`` in an error."""
     if isinstance(t, (eb.IntType, eb.CarrierType)):
         return jml.JInt()
     if isinstance(t, eb.SetType):
         if t.elem is None:
-            raise TranslationError("element type of a set is not determined")
-        return jml.JSet(jml_type_of(t.elem))
+            raise TranslationError("element type of a set is not determined", span)
+        return jml.JSet(jml_type_of(t.elem, span))
     if isinstance(t, eb.RelType):
         if t.dom is None or t.ran is None:
-            raise TranslationError("element types of a relation are not determined")
-        return jml.JRel(jml_type_of(t.dom), jml_type_of(t.ran))
-    raise TranslationError(f"untranslatable type {t!r}")
+            raise TranslationError(
+                "element types of a relation are not determined", span)
+        return jml.JRel(jml_type_of(t.dom, span), jml_type_of(t.ran, span))
+    raise TranslationError(f"untranslatable type {t!r}", span)
 
 
 def _equals(left: jml.JmlExpr, right: jml.JmlExpr, t) -> jml.JmlPredicate:
@@ -117,14 +113,15 @@ def _tr_expr(e: eb.Expr, env, hint=None) -> jml.JmlExpr:
     if isinstance(e, eb.EmptySet):
         t = hint
         if isinstance(t, eb.RelType) and t.dom is not None and t.ran is not None:
-            return jml.JmlNewRelation(jml_type_of(t.dom), jml_type_of(t.ran))
+            return jml.JmlNewRelation(jml_type_of(t.dom, e.span),
+                                      jml_type_of(t.ran, e.span))
         if isinstance(t, eb.SetType) and t.elem is not None:
-            return jml.JmlNewSet(jml_type_of(t.elem))
+            return jml.JmlNewSet(jml_type_of(t.elem, e.span))
         raise TranslationError("cannot determine the type of {} here", e.span)
     if isinstance(e, eb.SetEnum):
         t = _typed(e, env, hint)
         if isinstance(t, eb.RelType):
-            dom, ran = jml_type_of(t.dom), jml_type_of(t.ran)
+            dom, ran = jml_type_of(t.dom, e.span), jml_type_of(t.ran, e.span)
             pairs = []
             for item in e.items:
                 if not (isinstance(item, eb.BinOp) and item.op == "maplet"):
@@ -136,7 +133,7 @@ def _tr_expr(e: eb.Expr, env, hint=None) -> jml.JmlExpr:
             return jml.JmlNewRelation(dom, ran, tuple(pairs))
         if isinstance(t, eb.SetType) and t.elem is not None:
             return jml.JmlNewSet(
-                jml_type_of(t.elem),
+                jml_type_of(t.elem, e.span),
                 tuple(_tr_expr(i, env, t.elem) for i in e.items))
         raise TranslationError("cannot determine the element type of this set", e.span)
     if isinstance(e, eb.UnOp):
@@ -181,7 +178,7 @@ def _tr_binop(e: eb.BinOp, env, hint) -> jml.JmlExpr:
     if op == "maplet":
         lt = _typed(e.left, env)
         rt = _typed(e.right, env)
-        return jml.JmlNewPair(jml_type_of(lt), jml_type_of(rt),
+        return jml.JmlNewPair(jml_type_of(lt, e.span), jml_type_of(rt, e.span),
                               _tr_expr(e.left, env), _tr_expr(e.right, env))
     if op in ("add", "sub", "mul"):
         sym = {"add": "+", "sub": "-", "mul": "*"}[op]
@@ -309,14 +306,9 @@ def _nest_exists(params, body: jml.JmlPredicate) -> jml.JmlPredicate:
 
 
 def translate_event(e: eb.Event, env) -> tuple[jml.JmlMethodSpec, jml.JmlMethodSpec]:
-    """An event with typed parameters becomes the (guard_<e>, run_<e>)
-    method pair; ``env`` types the variables and carrier sets.  The first
-    action that breaks a well-formedness rule raises TranslationError."""
-    check_parameters(e, env, _reject)
+    """A well-formed event with typed parameters becomes the (guard_<e>,
+    run_<e>) method pair; ``env`` types the variables and carrier sets."""
     ev_env = {**env, **{ident.name: ty for ident, ty in e.params}}
-    for a in e.actions:
-        check_action(a, env[a.target.name], ev_env, (), _reject)
-
     guard_pred = _conj([translate_predicate(g, ev_env) for _lbl, g in e.guards])
     guard_body = jml.JmlParen(guard_pred) if isinstance(guard_pred, jml.JmlAnd) \
         else guard_pred
@@ -327,12 +319,8 @@ def translate_event(e: eb.Event, env) -> tuple[jml.JmlMethodSpec, jml.JmlMethodS
                             _nest_exists(e.params, guard_body)),
     )
 
-    parts: list[jml.JmlPredicate] = [jml.JmlOld(guard_pred)]
-    if e.actions:
-        parts.extend(translate_action(a, ev_env) for a in e.actions)
-    else:
-        parts.append(jml.JmlTrue())
-    ensures = _nest_exists(e.params, _conj(parts))
+    ensures = _nest_exists(e.params, _conj(
+        [jml.JmlOld(guard_pred), translate_actions(e.actions, ev_env)]))
 
     mod = eb.mod_list(e.actions)
     assignable = (jml.AssignVars(tuple(v.name for v in mod))
@@ -352,16 +340,11 @@ def translate_invariants(invariants, env) -> jml.JmlPredicate:
     return _conj([translate_predicate(p, env) for _lbl, p in invariants])
 
 
-def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
-    """Post-state-only conjunction; the initialisation has no pre-state.
-
-    Each action must pass the well-formedness rules for initialisation
-    actions; the first violation raises TranslationError.
-    """
-    var_names = set(variable_names)
+def translate_initialisation(actions, env) -> jml.JmlPredicate:
+    """Post-state-only conjunction of well-formed initialisation actions;
+    the initialisation has no pre-state."""
     parts: list[jml.JmlPredicate] = []
     for a in actions:
-        check_action(a, env[a.target.name], env, var_names, _reject)
         if isinstance(a, eb.BecomesEqual) and isinstance(a.rhs, eb.EmptySet):
             parts.append(jml.JmlBoolCall(
                 jml.JmlMethodCall(jml.JmlVar(a.target.name), "isEmpty")))
@@ -371,15 +354,15 @@ def translate_initialisation(actions, env, variable_names) -> jml.JmlPredicate:
 
 
 def translate_machine(machine: Machine) -> TranslationUnit:
-    """Translate a whole machine into a single abstract JML class."""
-    typed, diags = resolve_types(machine)
-    if diags:
-        _reject(diags[0].message, diags[0].span)
-    var_names = set(typed.variable_names())
-    for where, actions in [("initialisation", typed.initialisation)] + [
-            (f"event '{ev.name}'", ev.actions) for ev in typed.events]:
-        for a in actions:
-            check_target(a, where, var_names, _reject)
+    """Translate a whole machine into a single abstract JML class.
+
+    An ill-formed machine is a TranslationError carrying the first
+    diagnostic of ``well_formedness_check``, text and span.
+    """
+    diagnostics = well_formedness_check(machine)
+    if diagnostics:
+        raise TranslationError(diagnostics[0].message, diagnostics[0].span)
+    typed, _diags = resolve_types(machine)
     env = base_type_env(typed)
 
     trace: list[tuple[str, str]] = []
@@ -395,8 +378,7 @@ def translate_machine(machine: Machine) -> TranslationUnit:
     invariant = translate_invariants(typed.invariants, env)
     for lbl, _p in typed.invariants:
         trace.append((lbl, "class invariant"))
-    initially = translate_initialisation(
-        typed.initialisation, env, typed.variable_names())
+    initially = translate_initialisation(typed.initialisation, env)
     for a in typed.initialisation:
         trace.append((a.label, "initially"))
 

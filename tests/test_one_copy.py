@@ -1,9 +1,10 @@
 """Each well-formedness rule exists once.
 
-The translator rejects an ill-formed machine through the public rule
-functions of ``ebcheck`` themselves.  A module that imports an underscore
-name of another ``eb2jml`` module reaches past that interface, and a second
-module that words a rule's diagnostic keeps a copy of the rule.
+The translator rejects an ill-formed machine through
+``well_formedness_check`` alone, and the rule functions are private to
+``ebcheck``.  A module that imports an underscore name of another ``eb2jml``
+module reaches past that gate, and a second module that words a rule's
+diagnostic keeps a copy of the rule.
 """
 
 import ast

@@ -249,51 +249,26 @@ def test_invariant_subset_example(social_ref1):
 
 def test_translate_initialisation_all_empty(social_ref1):
     env = base_type_env(social_ref1)
-    out = render_jml_predicate(translate_initialisation(
-        social_ref1.initialisation, env, social_ref1.variable_names()))
+    out = render_jml_predicate(
+        translate_initialisation(social_ref1.initialisation, env))
     assert out == ("persons.isEmpty() && contents.isEmpty() && "
                    "owner.isEmpty() && pages.isEmpty() && "
                    "viewp.isEmpty() && editp.isEmpty()")
-    assert not _contains_old(translate_initialisation(
-        social_ref1.initialisation, env, social_ref1.variable_names()))
+    assert not _contains_old(translate_initialisation(social_ref1.initialisation, env))
 
 
 def test_translate_initialisation_integer(counter):
     env = base_type_env(counter)
-    out = render_jml_predicate(translate_initialisation(
-        counter.initialisation, env, counter.variable_names()))
+    out = render_jml_predicate(translate_initialisation(counter.initialisation, env))
     assert out == "v == 0"
 
 
 def test_translate_initialisation_becomes_such_that():
     acts = (BecomesSuchThat("act1", Ident("who"), parse_predicate("who' : PERSON")),)
     env = {"who": CarrierType("PERSON"), "PERSON": SetType(CarrierType("PERSON"))}
-    out = render_jml_predicate(translate_initialisation(acts, env, ("who",)))
+    out = render_jml_predicate(translate_initialisation(acts, env))
     assert out == ("(\\exists Integer who_after; PERSON.has(who_after) "
                    "&& who == who_after)")
-
-
-def test_translate_initialisation_rejects_variable_reads():
-    acts = (BecomesEqual("act1", Ident("v"), Ref(Ident("w"))),)
-    env = {"v": IntType(), "w": IntType()}
-    with pytest.raises(TranslationError):
-        translate_initialisation(acts, env, ("v", "w"))
-
-
-@pytest.mark.parametrize("action,message", [
-    (BecomesEqual("act1", Ident("v"), Ref(Ident("w", primed=True))),
-     "primed identifier 'w'' is not allowed in a deterministic action"),
-    (BecomesEqual("act1", Ident("v"), Ref(Ident("v", primed=True))),
-     "primed identifier 'v'' is not allowed in a deterministic action"),
-    (BecomesSuchThat("act1", Ident("v"), Cmp(
-        "eq", Ref(Ident("w", primed=True)), IntLit(0))),
-     "'w'' cannot appear here; only 'v'' may be primed"),
-])
-def test_translate_initialisation_rejects_primed_identifiers(action, message):
-    # the well-formedness rules for initialisation actions, one copy of them
-    env = {"v": IntType(), "w": IntType()}
-    with pytest.raises(TranslationError, match=message):
-        translate_initialisation((action,), env, ("v", "w"))
 
 
 # one type per kind: the equality that the type takes, and its negation
@@ -319,7 +294,7 @@ def test_every_producer_emits_the_same_equality(kind):
     rendered = {
         "guard": translate_predicate(Cmp("eq", v, w), env),
         "event": translate_action(assign, env),
-        "initialisation": translate_initialisation((assign,), env, ("v",)),
+        "initialisation": translate_initialisation((assign,), env),
         "link": translate_action(choose, env),
     }
     rendered = {k: render_jml_predicate(p) for k, p in rendered.items()}
@@ -336,14 +311,49 @@ def test_every_producer_emits_the_same_equality(kind):
 
 
 def _assert_rejected_as_well_formedness_does(machine, message):
-    # the translator applies the well-formedness rule itself: its error is
-    # the wf diagnostic, text and span
+    # the translator's gate is well_formedness_check: its error is the
+    # machine's first wf diagnostic, text and span, here the one named
     diagnostic = next(d for d in well_formedness_check(machine)
                       if d.message == message)
     with pytest.raises(TranslationError) as exc:
         tr_machine(machine)
     assert str(exc.value) == str(diagnostic)
     assert exc.value.span == diagnostic.span
+
+
+def _initialisation_machine(action):
+    return parse_machine(f"""
+machine m
+  variables v w
+  invariants
+    inv1: v : INT
+    inv2: w : INT
+  events
+    initialisation
+      begin
+        {action}
+        act2: w := 0
+      end
+end
+""")
+
+
+def test_translate_initialisation_rejects_variable_reads():
+    _assert_rejected_as_well_formedness_does(
+        _initialisation_machine("act1: v := w"),
+        "initialisation of 'v' reads variable 'w' (there is no pre-state)")
+
+
+@pytest.mark.parametrize("action,message", [
+    ("act1: v := w'",
+     "primed identifier 'w'' is not allowed in a deterministic action"),
+    ("act1: v := v'",
+     "primed identifier 'v'' is not allowed in a deterministic action"),
+    ("act1: v :| w' = 0", "'w'' cannot appear here; only 'v'' may be primed"),
+])
+def test_translate_initialisation_rejects_primed_identifiers(action, message):
+    _assert_rejected_as_well_formedness_does(
+        _initialisation_machine(action), message)
 
 
 NOT_A_VARIABLE = {
@@ -482,6 +492,37 @@ machine m
 end
 """)
     _assert_rejected_as_well_formedness_does(machine, message)
+
+
+@pytest.mark.parametrize("guard,position", [
+    ("{} : {}", "13:20"),  # the right-hand '{}'
+    ("{} |-> 1 = {} |-> 1", "13:15"),  # the first maplet
+])
+def test_an_undetermined_set_type_is_rejected_at_its_position(guard, position):
+    # well-formed, but no JML type exists for the elements of '{}'
+    machine = parse_machine(f"""
+machine m
+  variables v
+  invariants
+    inv1: v : INT
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+    e
+      when
+        grd1: {guard}
+      then
+        act1: v := 1
+      end
+end
+""")
+    assert well_formedness_check(machine) == []
+    with pytest.raises(TranslationError) as exc:
+        tr_machine(machine)
+    assert str(exc.value) == (
+        f"{position}: element type of a set is not determined")
 
 
 def test_jml_type_of_examples():

@@ -20,10 +20,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 TESTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS_DIR))
 
-from eb2jml import ParseError, parse_machine, well_formedness_check  # noqa: E402
+from eb2jml import (  # noqa: E402
+    ParseError, TranslationError, parse_machine, translate_machine,
+    well_formedness_check,
+)
 from eb2jml.ebast import (  # noqa: E402
     BecomesEqual, BecomesSuchThat, BinOp, Cmp, EmptySet, Ident, Ref, RelSpace,
 )
@@ -204,6 +209,22 @@ def report() -> str:
 
 def test_diagnostics_match_golden():
     assert report() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_translation_rejects_with_the_first_diagnostic():
+    # the translator's only gate is well_formedness_check
+    for name, source in cases():
+        try:
+            machine = parse_machine(source) if isinstance(source, str) else source
+        except ParseError:
+            continue
+        diagnostics = well_formedness_check(machine)
+        if not diagnostics:
+            continue
+        with pytest.raises(TranslationError) as exc:
+            translate_machine(machine)
+        assert (str(exc.value), exc.value.span) == \
+            (str(diagnostics[0]), diagnostics[0].span), name
 
 
 def test_golden_covers_every_merged_rule():
