@@ -14,7 +14,6 @@ from typing import Optional
 from . import ebast as eb
 from . import jmlast as jml
 from .ebast import Machine
-from .ebcheck import well_formedness_check
 from .nodes import map_children, walk
 from .semantics import (
     Budget, ResourceLimitError, State, Universe, WitnessMemo, active_cases,
@@ -294,13 +293,11 @@ def check_machine(machine: Machine, universe: Universe,
     Each side's invariant states are enumerated once and shared by all
     verdicts; if that enumeration hits the ceiling, every verdict reports
     it.  A resource limit on one event is recorded in its verdict and does
-    not stop the remaining checks.  An ill-formed machine gets no verdict:
-    its first well-formedness diagnostic is raised as a ValueError.
+    not stop the remaining checks.  The gate rejects an ill-formed machine;
+    a ``unit`` that does not translate ``machine`` is a ValueError.
     """
-    diagnostics = well_formedness_check(machine)
-    if diagnostics:
-        raise ValueError(f"machine '{machine.name}' is not well-formed: "
-                         f"{diagnostics[0]}")
+    if unit is not None and unit.source != machine:
+        raise ValueError(f"the unit does not translate '{machine.name}'")
     started = time.perf_counter()
     unit = unit if unit is not None else translate_machine(machine)
     u = universe_for(machine, universe)

@@ -1,9 +1,9 @@
 """Command-line front door: translate, check and parse machine files.
 
 Exit codes: 0 success / all checks PASS, 1 a refinement check FAILed,
-2 parse or well-formedness errors (and unreadable input), 3 a resource
-limit was hit.  Diagnostics go to stderr; artifacts and reports go to
-stdout or the --out path.
+2 parse or well-formedness errors, unreadable input or an unwritable
+output, 3 a resource limit was hit.  Diagnostics go to stderr; artifacts
+and reports go to stdout or the --out path.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .ebcheck import well_formedness_check
 from .jmlast import render_class
 from .parser import ParseError, parse_machine, render_machine
 from .semantics import DEFAULT_CEILING, Universe
-from .translate import TranslationError, translate_machine
+from .translate import TranslationError, TranslationUnit, translate_machine
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,19 +67,26 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read '{path}': {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read '{path}': {exc}")
+
+
+def _located(path: str, problems) -> _CliError:
+    return _CliError("\n".join(f"{path}:{p}" for p in problems))
 
 
 def _load_machine(path: str):
-    text = _read(path)
     try:
-        machine = parse_machine(text)
+        return parse_machine(_read(path))
     except ParseError as exc:
-        raise _CliError(f"{path}:{exc}")
-    diagnostics = well_formedness_check(machine)
-    if diagnostics:
-        message = "\n".join(f"{path}:{d}" for d in diagnostics)
-        raise _CliError(message)
-    return machine
+        raise _located(path, [exc])
+
+
+def _translate(path: str, machine) -> TranslationUnit:
+    try:
+        return translate_machine(machine)
+    except TranslationError as exc:
+        raise _located(path, well_formedness_check(machine) or [exc])
 
 
 def _parse_int_range(text: str) -> tuple[int, int]:
@@ -119,12 +126,12 @@ def _build_universe(args, machine) -> Universe:
 
 def cmd_translate(args) -> int:
     machine = _load_machine(args.input)
-    try:
-        unit = translate_machine(machine)
-    except TranslationError as exc:
-        raise _CliError(f"{args.input}: {exc}")
+    unit = _translate(args.input, machine)
     out_path = Path(args.out) if args.out else Path(f"{machine.name}.java")
-    out_path.write_text(render_class(unit.result), encoding="utf-8")
+    try:
+        out_path.write_text(render_class(unit.result), encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write '{out_path}': {exc.strerror or exc}")
     print(f"wrote {out_path}")
     print(f"class {unit.result.name}: {len(unit.result.model_fields)} model "
           f"fields, {len(unit.result.methods)} methods")
@@ -135,13 +142,10 @@ def cmd_translate(args) -> int:
 
 def cmd_check(args) -> int:
     machine = _load_machine(args.input)
+    unit = _translate(args.input, machine)
     universe = _build_universe(args, machine)
     if args.witnesses < 0:
         raise _CliError("--witnesses must be at least 0")
-    try:
-        unit = translate_machine(machine)
-    except TranslationError as exc:
-        raise _CliError(f"{args.input}: {exc}")
     report = check_machine(machine, universe, unit, witness_cap=args.witnesses)
     if args.format == "tree":
         print(json.dumps(report.to_tree(), indent=2))
@@ -156,6 +160,9 @@ def cmd_check(args) -> int:
 
 def cmd_parse(args) -> int:
     machine = _load_machine(args.input)
+    diagnostics = well_formedness_check(machine)
+    if diagnostics:
+        raise _located(args.input, diagnostics)
     print(render_machine(machine), end="")
     return EXIT_OK
 

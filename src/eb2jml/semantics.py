@@ -161,6 +161,10 @@ class Universe:
         return Universe(self.int_lo, self.int_hi, carriers, self.ceiling)
 
     def ints(self) -> tuple[int, ...]:
+        """The integer range; like a powerset, it may not outgrow the ceiling."""
+        count = self.int_hi - self.int_lo + 1
+        if count > self.ceiling:
+            raise ResourceLimitError(count, self.ceiling)
         return tuple(range(self.int_lo, self.int_hi + 1))
 
     def carrier_elems(self, name: str) -> tuple[int, ...]:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from eb2jml import parse_machine, translate_machine
+from eb2jml import TranslationError, parse_machine, translate_machine
 from eb2jml.checker import (
     FAIL, PASS, RESOURCE_LIMIT, MutationError, check_event, check_init,
     check_machine, mutate_translation, universe_for,
@@ -316,6 +316,22 @@ def test_an_ill_formed_machine_gets_no_verdict():
     # the translation reads the undeclared zz as a name, and the check
     # used to PASS
     machine = parse_machine(ILL_FORMED)
-    with pytest.raises(ValueError,
+    with pytest.raises(TranslationError,
                        match="13:20: undeclared identifier 'zz'"):
         check_machine(machine, Universe(int_lo=0, int_hi=2))
+
+
+def test_a_unit_of_another_machine_gets_no_verdict(counter, swap):
+    # the unit stands for the gate's check, so it must translate the machine
+    with pytest.raises(ValueError, match="does not translate 'counter'"):
+        check_machine(counter, U01, translate_machine(swap))
+
+
+def test_a_too_wide_integer_range_is_a_resource_limit_verdict(counter):
+    # the range is refused whole, not metered value by value until the
+    # budget runs out
+    report = check_machine(counter, Universe(0, 20_000, ceiling=5))
+    assert report.status == RESOURCE_LIMIT
+    assert {v.detail for v in report.verdicts} == {
+        "Event-B invariant enumeration needs 20001 work units, exceeding "
+        "the ceiling of 5"}

@@ -1,6 +1,7 @@
 import json
 import shutil
 
+from eb2jml import parse_machine, well_formedness_check
 from eb2jml.cli import main
 
 from conftest import MACHINES_DIR
@@ -216,3 +217,64 @@ def test_repeated_carrier_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("eb2jml: ") and "'PERSON'" in err
     assert "more than once" in err
+
+
+UNTYPABLE_EMPTY_SET = """machine m
+  variables v
+  invariants
+    inv1: v : INT
+    inv2: {} = {}
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+end
+"""
+
+
+def test_translator_rejection_has_the_diagnostic_format(tmp_path, capsys):
+    # wf accepts this machine; the translator's own rejection is printed
+    # as path:line:col: message, like every diagnostic, and comes before
+    # the universe flags are read
+    src = tmp_path / "empty.ebm"
+    src.write_text(UNTYPABLE_EMPTY_SET)
+    expected = f"eb2jml: {src}:5:11: cannot determine the type of {{}} here\n"
+    assert main(["translate", str(src), "-o", str(tmp_path / "m.java")]) == 2
+    assert capsys.readouterr().err == expected
+    assert main(["check", str(src), "--carrier", "X=1"]) == 2
+    assert capsys.readouterr().err == expected
+
+
+def test_every_wf_diagnostic_is_listed(tmp_path, capsys):
+    # the gate raises only the first; each command still lists them all
+    text = ("machine m variables v invariants i1: v : INT events "
+            "initialisation begin a1: w := 0 end e begin a1: v := zz end end")
+    src = tmp_path / "bad.ebm"
+    src.write_text(text)
+    diagnostics = well_formedness_check(parse_machine(text))
+    assert len(diagnostics) == 3
+    expected = "eb2jml: " + "".join(f"{src}:{d}\n" for d in diagnostics)
+    for command in ("translate", "check", "parse"):
+        assert main([command, str(src)]) == 2
+        assert capsys.readouterr().err == expected
+
+
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    src = tmp_path / "latin1.ebm"
+    src.write_bytes("machine m # café\nend\n".encode("latin-1"))
+    for command in ("translate", "check", "parse"):
+        assert main([command, str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eb2jml: cannot read '{src}': ")
+        assert "can't decode byte 0xe9" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    src = _copy(tmp_path, "counter.ebm")
+    out = tmp_path / "missing" / "dir" / "x.java"
+    assert main(["translate", str(src), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"eb2jml: cannot write '{out}': "
+                            f"No such file or directory\n")
+    assert captured.out == ""

@@ -349,6 +349,13 @@ def test_enumeration_ceiling():
     assert exc.value.count == 16
 
 
+def test_an_integer_range_wider_than_the_ceiling_is_never_built():
+    with pytest.raises(ResourceLimitError) as exc:
+        Universe(0, 10 ** 6, ceiling=10 ** 6).values_of(IntType())
+    assert exc.value.count == 10 ** 6 + 1
+    assert len(Universe(0, 9, ceiling=10).values_of(IntType())) == 10
+
+
 def test_budget_charges_and_raises():
     b = Budget(3)
     b.charge(3)
