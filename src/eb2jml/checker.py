@@ -7,6 +7,7 @@ the two enumerated relations, so a PASS is re-checkable by brute force.
 from __future__ import annotations
 
 import functools
+import heapq
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -198,7 +199,8 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     the ceiling, an invariant enumeration or one of the two sides, makes
     the verdict a RESOURCE_LIMIT that names it.  A FAIL explains the first
     ``witness_cap`` of the sorted missing transitions, each explanation on
-    its own Budget.
+    its own Budget.  They are selected with a heap, not by sorting every
+    missing transition, and each state's sort key is computed once.
     """
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
@@ -206,9 +208,10 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     u = universe_for(machine, universe)
     spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
     variables = machine.variables
+    state_key = functools.cache(State.sort_key)
     if event is None:
         name, subject = "initialisation", "initialisation's {} state set"
-        key, explain = State.sort_key, lambda s: Counterexample(
+        key, explain = state_key, lambda s: Counterexample(
             name, None, s, "satisfies the initially clause and the class invariant",
             "not a result of the Event-B initialisation")
         jml_side, eb_side = (
@@ -219,7 +222,7 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     else:
         name, subject = event.name, f"event {event.name}'s {{}} relation"
         guard_spec, run_spec = unit.method_pair(event.name)
-        key, explain = (lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
+        key, explain = (lambda pair: (state_key(pair[0]), state_key(pair[1])),
                         functools.partial(_explain_pair, event, guard_spec,
                                           run_spec, u))
         jml_side, eb_side = (
@@ -241,7 +244,7 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
         return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=limit.count,
                        detail=f"{phase} needs {limit.count} work units, "
                               f"exceeding the ceiling of {limit.ceiling}")
-    missing = sorted(found - allowed, key=key)
+    missing = found - allowed
     return Verdict(
         name=name,
         status=PASS if not missing else FAIL,
@@ -249,7 +252,8 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
         jml_size=len(found),
         eb_size=len(allowed),
         bisimulation=allowed <= found,
-        witnesses=tuple(explain(m) for m in missing[:witness_cap]),
+        witnesses=tuple(explain(m) for m in
+                        heapq.nsmallest(witness_cap, missing, key=key)),
     )
 
 

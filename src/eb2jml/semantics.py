@@ -179,6 +179,12 @@ class Universe:
             out.update(self.carrier_elems(name))
         return tuple(sorted(out))
 
+    def int_set(self) -> frozenset:
+        """Event-B's ``INT`` as a set value (see ``all_ints``), built once."""
+        if eb.IntSet not in self._cache:
+            self._cache[eb.IntSet] = frozenset(self.all_ints())
+        return self._cache[eb.IntSet]
+
     def _subsets(self, base: tuple[Value, ...]) -> tuple[frozenset, ...]:
         if 2 ** len(base) > self.ceiling:
             raise ResourceLimitError(2 ** len(base), self.ceiling)
@@ -463,7 +469,7 @@ def eval_eb_expr(e: eb.Expr, state: Mapping, env: Mapping, u: Universe) -> Value
     if isinstance(e, eb.EmptySet):
         return frozenset()
     if isinstance(e, eb.IntSet):
-        return frozenset(u.all_ints())
+        return u.int_set()
     if isinstance(e, eb.SetEnum):
         return frozenset(eval_eb_expr(i, state, env, u) for i in e.items)
     if isinstance(e, eb.UnOp):

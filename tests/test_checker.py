@@ -206,6 +206,21 @@ def test_one_check_computes_each_value_domain_once(monkeypatch, social_abstract,
     assert computed and len(computed) == len(set(computed)), computed
 
 
+def test_int_is_built_once_per_universe(monkeypatch, counter):
+    # each `v : INT` test evaluates INT; its set is built once, not 1,002 times
+    calls = []
+    original = Universe.all_ints
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+    monkeypatch.setattr(Universe, "all_ints", counted)
+    report = check_machine(counter, Universe(int_lo=0, int_hi=1000),
+                           translate_machine(counter))
+    assert report.status == PASS
+    assert len(calls) <= 2
+
+
 def test_report_keeps_the_universe_without_its_value_domains(social_abstract):
     # a kept report must not keep every value domain the check computed
     u = Universe(carriers={"PERSON": 2, "CONTENTS": 2})

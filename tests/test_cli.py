@@ -1,6 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import eb2jml
 from eb2jml import parse_machine, well_formedness_check
 from eb2jml.cli import main
 
@@ -278,3 +285,34 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert captured.err == (f"eb2jml: cannot write '{out}': "
                             f"No such file or directory\n")
     assert captured.out == ""
+
+
+# a faked FAIL, as in test_check_fail_maps_to_exit_1, set before the module runs
+FAKE_FAIL = """
+import eb2jml.cli as cli
+from eb2jml.checker import Report, Verdict
+cli.check_machine = lambda machine, universe, unit, witness_cap=5: Report(
+    machine.name, universe, (Verdict("incr", "FAIL", 1),), 0.0)
+"""
+
+
+@pytest.mark.parametrize("args,code,prelude", [
+    (["counter.ebm", "--int-range", "0..1"], 0, None),
+    (["counter.ebm"], 1, FAKE_FAIL),
+    (["no_such_machine.ebm"], 2, None),
+])
+def test_python_m_eb2jml_runs_from_a_checkout(tmp_path, args, code, prelude):
+    _copy(tmp_path, "counter.ebm")
+    if prelude is None:
+        command = [sys.executable, "-m", "eb2jml", "check", *args]
+    else:
+        command = [sys.executable, "-c", prelude + "import runpy\n"
+                   "runpy.run_module('eb2jml', run_name='__main__', "
+                   "alter_sys=True)", "check", *args]
+    src = Path(eb2jml.__file__).resolve().parent.parent
+    done = subprocess.run(command, cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 0:
+        assert "overall: PASS" in done.stdout
