@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -38,6 +39,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Translate Event-B machines to JML class specifications "
                     "and check the translation by exhaustive finite-universe "
                     "simulation.")
+    top.add_argument("-v", "--verbose", action="store_true",
+                     help="log debug records to stderr, such as each "
+                          "undefined evaluation counted as false")
     sub = top.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("translate", help="translate a machine to a .java spec")
@@ -172,11 +176,20 @@ _COMMANDS = {"translate": cmd_translate, "check": cmd_check, "parse": cmd_parse}
 
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
+    log = logging.getLogger("eb2jml")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return _COMMANDS[args.command](args)
     except _CliError as exc:
         print(f"eb2jml: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

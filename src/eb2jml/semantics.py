@@ -10,7 +10,9 @@ which computes each type's values once per universe.
 Every bound name, an invariant state's variable, an Event-B parameter or
 after-value, and a JML \\exists witness, is bound by one backtracking
 search, ``_solutions``, which tests each conjunct as soon as the names it
-reads are bound.  Every search charges each value it tests to the one
+reads are bound.  Event-B parameters and \\exists witnesses are drawn from
+the bounds and pins of their own side's pre-state conjuncts, most
+constrained name first.  Every search charges each value it tests to the one
 ``Budget`` of the phase it serves (an invariant enumeration, a state set or
 a relation), which a JML evaluation reaches through its ``WitnessMemo``.
 
@@ -23,9 +25,9 @@ logs it and gives False.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -67,13 +69,15 @@ class Budget:
 
 
 class WitnessMemo(dict):
-    """The \\exists witnesses found so far (see ``_exists_witnesses``), and
-    the Budget that pays for the searches that find them."""
+    """The \\exists witnesses found so far (see ``_exists_witnesses``), the
+    analysis of each quantifier searched (see ``_exists_chain``), and the
+    Budget that pays for the searches that find them."""
 
-    __slots__ = ("budget",)
+    __slots__ = ("budget", "chains")
 
     def __init__(self, budget: Budget):
         self.budget = budget
+        self.chains: dict = {}
 
 
 def fmt_value(v: Value) -> str:
@@ -245,26 +249,36 @@ def _defined(test, *args) -> bool:
         return False
 
 
-def _depth(reads, names) -> int:
-    """How many of ``names`` must be bound before a conjunct that reads
-    ``reads`` can be tested (the last binding of a repeated name counts)."""
-    return max((k + 1 for k, n in enumerate(names) if n in reads), default=0)
+def _positions(reads, names) -> frozenset:
+    """The positions among ``names`` of the names in ``reads``; a repeated
+    name is read at its last position."""
+    where = {n: k for k, n in enumerate(names)}
+    return frozenset(where[n] for n in reads if n in where)
 
 
-def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dict]:
+def _solutions(names, domain, conjuncts, holds, start: dict, charge,
+               first_fail: bool = False) -> list[dict]:
     """Every extension of ``start`` binding ``names`` at which all conjuncts
     hold, found by backtracking.
 
-    Names are bound one at a time, in order: the k-th to each value of
-    ``domain(k, partial)``, where ``partial`` binds the names before it;
-    ``charge`` is called once per value test.  ``conjuncts``
-    pairs each conjunct with its depth, the number of names bound before it
-    is tested, so a partial binding that violates a conjunct is never
-    extended.  A conjunct whose evaluation fails counts as false.
+    Names are bound one at a time: in declaration order, or with
+    ``first_fail`` the unbound name with the fewest values to try at each
+    node, ties going to declaration order (the most-constrained-first order
+    of Haralick & Elliott, AIJ 14(3), 1980).  The k-th name takes each
+    value of ``domain(k, partial, bound)``, where ``partial`` binds the
+    names at the positions in ``bound``; ``charge`` is called once per
+    value test.  ``conjuncts`` pairs each conjunct with the positions of
+    the names it reads, and a conjunct is tested as soon as all of them are
+    bound, so a partial binding that violates a conjunct is never extended.
+    A conjunct whose evaluation fails counts as false.
     """
-    due: list[list] = [[] for _ in range(len(names) + 1)]
-    for conj, depth in conjuncts:
-        due[depth].append(conj)
+    first: list = []
+    watch: list[list] = [[] for _ in names]
+    for conj, reads in conjuncts:
+        for k in reads:
+            watch[k].append((conj, reads))
+        if not reads:
+            first.append(conj)
 
     def all_hold(conjs, partial) -> bool:
         for conj in conjs:
@@ -274,19 +288,29 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge) -> list[dic
 
     out: list[dict] = []
 
-    def extend(k: int, partial: dict) -> None:
-        if k == len(names):
+    def extend(partial: dict, bound: frozenset) -> None:
+        if len(bound) == len(names):
             out.append(partial)
             return
-        for value in domain(k, partial):
+        if first_fail:
+            k, values = min(
+                ((k, domain(k, partial, bound))
+                 for k in range(len(names)) if k not in bound),
+                key=lambda choice: len(choice[1]))
+        else:
+            k = len(bound)
+            values = domain(k, partial, bound)
+        now = bound | {k}
+        due = [conj for conj, reads in watch[k] if reads <= now]
+        for value in values:
             charge()
             inner = dict(partial)
             inner[names[k]] = value
-            if all_hold(due[k + 1], inner):
-                extend(k + 1, inner)
+            if all_hold(due, inner):
+                extend(inner, now)
 
-    if all_hold(due[0], start):
-        extend(0, start)
+    if all_hold(first, start):
+        extend(start, frozenset())
     return out
 
 
@@ -301,95 +325,132 @@ def _invariant_states(variables, conjuncts, holds, bounds, value, u: Universe,
     charged to ``budget``.
     """
     names = [ident.name for ident, _ty in variables]
+    plan = _bound_plan(names, [ty for _ident, ty in variables],
+                       _placed(bounds, names))
     return frozenset(State(s) for s in _solutions(
-        names, _bounded_domain(variables, bounds, value, u),
-        [(conj, _depth(reads, names)) for conj, reads in conjuncts],
+        names, _bounded_domain(plan, value, u),
+        [(conj, _positions(reads, names)) for conj, reads in conjuncts],
         holds, {}, budget.charge))
 
 
-def _bounded_domain(variables, bounds, value, u: Universe):
-    """``domain(k, partial)`` for ``_solutions``: the typed values of the
-    k-th variable that its bounds allow.
+def _placed(bounds, names) -> list:
+    """(kind, position, expression, positions read) for each of ``bounds``,
+    a (kind, name, expression, names read), that bounds one of ``names``
+    (a repeated name at its last position)."""
+    return [(kind, k, expr, _positions(reads, names))
+            for kind, name, expr, reads in bounds
+            for k in _positions((name,), names)]
 
-    ``bounds`` holds (kind, name, expression, reads) found in one side's
-    conjuncts, and ``value(expression, partial)`` evaluates an expression
-    with that side's evaluator.  A bound counts only when its expression
-    reads variables bound before its own, and when its kind fits the
-    variable's type (see ``_bounded_values``).  The bounds only decide what
-    is tried: every conjunct is still tested.
+
+_ELEMENT_TYPES = (eb.IntType, eb.CarrierType, jml.JInt)
+_RELATION_TYPES = (eb.RelType, jml.JRel)
+
+
+def _bound_plan(names, types, bounds) -> tuple:
+    """Per name of ``names``, of the matching type in ``types``: its type,
+    whether it is an element, and the ``bounds`` (placed, see ``_placed``)
+    whose kind fits its type, split into those whose expression reads none
+    of the names and the rest.
+
+    An element takes "member" and "pin" bounds; a set "upper", "lower"
+    and "pin" bounds, and a relation "dom" and "ran" bounds as well.
     """
-    names = [ident.name for ident, _ty in variables]
-    used: list[list] = [[] for _ in names]
-    for kind, name, expr, reads in bounds:
-        if name in names:
-            k = names.index(name)
-            if _depth(reads, names) <= k:
-                used[k].append((kind, expr))
-    domains = []
-    for (ident, ty), mine in zip(variables, used):
+    plan = []
+    for k, (name, ty) in enumerate(zip(names, types)):
         if ty is None:
-            raise EvalError(f"variable '{ident.name}' has no resolved type")
-        element = isinstance(ty, (eb.IntType, eb.CarrierType))
-        kinds = ("member",) if element else ("upper", "lower", "dom", "ran") \
-            if isinstance(ty, eb.RelType) else ("upper", "lower")
-        mine = [(kind, expr) for kind, expr in mine if kind in kinds]
-        if mine:
-            domains.append(_bounded_values(ty, element, mine, value, u))
-        else:
-            typed = u.values_of(ty)
-            domains.append(lambda _partial, typed=typed: typed)
-    return lambda k, partial: domains[k](partial)
+            raise EvalError(f"'{name}' has no resolved type")
+        element = isinstance(ty, _ELEMENT_TYPES)
+        kinds = ("member", "pin") if element else ("upper", "lower", "pin") + (
+            ("dom", "ran") if isinstance(ty, _RELATION_TYPES) else ())
+        mine = [(kind, expr, reads) for kind, at, expr, reads in bounds
+                if at == k and kind in kinds]
+        plan.append((ty, element,
+                     [(kind, expr) for kind, expr, reads in mine if not reads],
+                     [bound for bound in mine if bound[2]]))
+    return tuple(plan)
 
 
-def _bounded_values(ty, element: bool, bounds, value, u: Universe):
-    """``values(partial)``: the values of type ``ty`` within ``bounds``.
+def _bounded_domain(plan, value, u: Universe):
+    """``domain(k, partial, bound)`` for ``_solutions``: the typed values of
+    the k-th name that its bounds allow (see ``_bound_plan``).
 
-    An element takes the values of its type in every "member" set.  A set
-    or relation takes ``L | X`` for each subset X of the rest of its pool,
-    the elements of its type in every "upper" set, with first components in
-    every "dom" set and second components in every "ran" set; L is the
-    union of the "lower" sets, and no value is taken when L is not inside
-    the pool.  Where a bound is undefined, every value of the type.
+    ``value(expression, partial)`` evaluates a bound's expression with one
+    side's evaluator.  A bound counts once every name it reads is bound;
+    those that read none are evaluated once, at the first node that asks.
+    Where a bound is undefined, every value of the type.  The bounds only
+    decide what is tried: every conjunct is still tested.
     """
-    if element:
-        base = u.values_of(ty)
-    elif isinstance(ty, eb.SetType):
-        base = u.values_of(ty.elem)
-    else:
-        base = tuple(itertools.product(
-            u.values_of(ty.dom), u.values_of(ty.ran)))
+    fixed: dict = {}
 
-    def values(partial):
-        allowed = _defined(_pool, base, bounds, partial, value)
+    def domain(k, partial, bound):
+        ty, element, static, dynamic = plan[k]
+        mine = [(kind, expr) for kind, expr, reads in dynamic if reads <= bound]
+        if not static and not mine:
+            return u.values_of(ty)
+        if k not in fixed:
+            fixed[k] = _defined(_pool, (_base(ty, element, u), frozenset()),
+                                static, partial, value, element)
+        allowed = fixed[k]
+        if mine and allowed is not False:
+            allowed = _defined(_pool, allowed, mine, partial, value, element)
         if allowed is False:
             return u.values_of(ty)
         pool, lower = allowed
         if element:
             return pool
-        return _supersets(lower, pool) if lower <= frozenset(pool) else ()
+        return _Supersets(lower, pool) if lower <= frozenset(pool) else ()
 
-    return values
+    return domain
 
 
-def _pool(base, bounds, partial, value):
-    """The elements of ``base`` inside every upper bound, and the union of
-    the lower bounds, at ``partial``."""
-    sets: dict[str, list] = {"member": [], "upper": [], "lower": [],
-                             "dom": [], "ran": []}
+def _base(ty, element: bool, u: Universe) -> tuple:
+    """The values a bound filters: those of an element's type, or the
+    possible members of a set or relation."""
+    if element:
+        return u.values_of(ty)
+    if isinstance(ty, _RELATION_TYPES):
+        return tuple(itertools.product(u.values_of(ty.dom), u.values_of(ty.ran)))
+    return u.values_of(ty.elem)
+
+
+def _pool(start, bounds, partial, value, element: bool):
+    """``start``, a pool of elements and a lower bound, narrowed by
+    ``bounds`` at ``partial``: the elements every upper bound allows, and
+    the union of the lower bounds.  A member bound is an upper bound; a pin
+    is the one-value upper bound of an element, and both bounds of a set."""
+    pool, lower = start
     for kind, expr in bounds:
-        sets[kind].append(_as_set(value(expr, partial), "bound"))
-    pool = tuple(e for e in base
-                 if all(e in s for s in sets["member"] + sets["upper"])
-                 and all(e[0] in s for s in sets["dom"])
-                 and all(e[1] in s for s in sets["ran"]))
-    return pool, frozenset().union(*sets["lower"])
+        v = value(expr, partial)
+        s = frozenset((v,)) if kind == "pin" and element else _as_set(v, "bound")
+        if kind == "dom":
+            pool = tuple(e for e in pool if e[0] in s)
+        elif kind == "ran":
+            pool = tuple(e for e in pool if e[1] in s)
+        elif kind != "lower":
+            pool = tuple(e for e in pool if e in s)
+        if kind == "lower" or kind == "pin" and not element:
+            lower |= s
+    return pool, lower
 
 
-def _supersets(lower: frozenset, pool: tuple):
-    """``lower`` joined with each subset of the rest of ``pool``."""
-    free = [e for e in pool if e not in lower]
-    for mask in range(2 ** len(free)):
-        yield lower.union(free[i] for i in range(len(free)) if mask >> i & 1)
+class _Supersets:
+    """``lower`` joined with each subset of the rest of ``pool``, generated
+    lazily; its length (capped at ``sys.maxsize``) lets first-fail order
+    compare it without building it."""
+
+    __slots__ = ("lower", "free")
+
+    def __init__(self, lower: frozenset, pool: tuple):
+        self.lower = lower
+        self.free = [e for e in pool if e not in lower]
+
+    def __len__(self):
+        return min(2 ** len(self.free), sys.maxsize)
+
+    def __iter__(self):
+        free = self.free
+        for mask in range(2 ** len(free)):
+            yield self.lower.union(free[i] for i in range(len(free)) if mask >> i & 1)
 
 
 def _eb_conjuncts(p: eb.Predicate):
@@ -420,12 +481,26 @@ def _eb_bounds(c: eb.Predicate) -> list:
     return out
 
 
+def _eb_pins(c: eb.Predicate) -> list:
+    """The (name, expression) pairs an Event-B conjunct ``x = E`` or
+    ``E = x`` pins: x can take only the value of E."""
+    if not isinstance(c, eb.Cmp) or c.op != "eq":
+        return []
+    return [(side.ident.key, other)
+            for side, other in ((c.left, c.right), (c.right, c.left))
+            if isinstance(side, eb.Ref)]
+
+
+def _eb_reads(node) -> set[str]:
+    return {i.key for i in eb.free_identifiers(node)}
+
+
 def eb_invariant_states(invariants, variables, u: Universe,
                         budget: Budget) -> frozenset:
     """Typed states satisfying every labelled Event-B invariant."""
     conjs = [c for _lbl, p in invariants for c in _eb_conjuncts(p)]
-    conjuncts = [(c, {i.key for i in eb.free_identifiers(c)}) for c in conjs]
-    bounds = [(kind, name, e, {i.key for i in eb.free_identifiers(e)})
+    conjuncts = [(c, _eb_reads(c)) for c in conjs]
+    bounds = [(kind, name, e, _eb_reads(e))
               for c in conjs for kind, name, e in _eb_bounds(c)]
     return _invariant_states(
         variables, conjuncts, lambda c, s: eb_pred_holds(c, s, {}, u), bounds,
@@ -590,8 +665,8 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
         else:
             prime = target + "'"
             choices = _solutions(
-                [prime], lambda _k, _partial: u.values_of(var_types[target]),
-                [(act.predicate, 1)],
+                [prime], lambda _k, _partial, _bound: u.values_of(var_types[target]),
+                [(act.predicate, frozenset((0,)))],
                 lambda p, bap_env: eb_pred_holds(p, state, bap_env, u),
                 dict(env), budget.charge)
             if not choices:
@@ -630,18 +705,24 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     valuation satisfies every guard at a and some after-value choice
     satisfies every action, with b equal to a overridden by the assigned
     values; or, when no parameter valuation satisfies the guards at a, the
-    stuttering pair (a, a).
+    stuttering pair (a, a).  Parameters are bound most constrained first,
+    each to the values its guards' bounds and pins allow at a.
     """
     posts = _eb_post_states(event.actions, variables, u, budget, states)
     names = [ident.name for ident, _ty in event.params]
-    types = [ty for _ident, ty in event.params]
-    guards = [(c, _depth({i.key for i in eb.free_identifiers(c)}, names))
-              for _lbl, g in event.guards for c in _eb_conjuncts(g)]
+    conjs = [c for _lbl, g in event.guards for c in _eb_conjuncts(g)]
+    guards = [(c, _positions(_eb_reads(c), names)) for c in conjs]
+    plan = _bound_plan(names, [ty for _ident, ty in event.params], _placed(
+        [(kind, name, e, _eb_reads(e)) for c in conjs
+         for kind, name, e in _eb_bounds(c) + [
+             ("pin", name, e) for name, e in _eb_pins(c)]], names))
     rel: set[tuple[State, State]] = set()
     for a in states:
         sat_envs = _solutions(
-            names, lambda k, _partial: u.values_of(types[k]), guards,
-            lambda c, env: eb_pred_holds(c, a, env, u), {}, budget.charge)
+            names, _bounded_domain(
+                plan, lambda e, env: eval_eb_expr(e, a, env, u), u),
+            guards, lambda c, env: eb_pred_holds(c, a, env, u), {},
+            budget.charge, first_fail=True)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
             rel.add((a, a))
@@ -825,13 +906,42 @@ def _jml_reads(p: jml.JmlPredicate) -> set[str]:
     return {n.name for n in walk(p) if isinstance(n, jml.JmlVar)}
 
 
-@functools.lru_cache(maxsize=256)
-def _exists_chain(p: jml.JmlExists, at_pre: bool):
-    """The variables and types that ``p`` and the quantifiers directly
-    nested in it bind, the pre-state conjuncts with their depths, and the
-    conjuncts left to test (see ``_exists_witnesses``); built once per
-    quantifier and ``at_pre``."""
-    names, types, tests = [], [], []
+def _jml_pins(c: jml.JmlPredicate) -> list:
+    """The (name, expression) pairs a JML conjunct ``x == E``, ``E == x``,
+    ``x.equals(E)`` or ``E.equals(x)`` pins: x can take only the value of
+    E."""
+    if isinstance(c, jml.JmlCmp) and c.op == "==":
+        left, right = c.left, c.right
+    elif isinstance(c, jml.JmlBoolCall) and c.call.method == "equals" and \
+            len(c.call.args) == 1:
+        left, right = c.call.recv, c.call.args[0]
+    else:
+        return []
+    return [(side.name, other)
+            for side, other in ((left, right), (right, left))
+            if isinstance(side, jml.JmlVar)]
+
+
+def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
+    """What ``_exists_witnesses`` searches for ``p``: the names that ``p``
+    and the quantifiers directly nested in it bind, the pre-state
+    conjuncts with the positions of the bound names they read, the
+    conjuncts left to test, the bounds of each name (see ``_bound_plan``),
+    and whether the names may be bound most constrained first.
+
+    A bound comes from a pre-state conjunct ``S.has(x)`` or a pin (see
+    ``_jml_bounds`` and ``_jml_pins``).  The names keep declaration order
+    when one of them is bound twice, or is read by a conjunct outside its
+    quantifier, where it means another binding: the search keeps one value
+    per name.  Built once per quantifier and ``at_pre``, and kept in
+    ``memo`` by the node's identity, with the node, so that the identity is
+    not reused while ``memo`` lives.
+    """
+    key = (id(p), at_pre)
+    if key in memo.chains:
+        return memo.chains[key][0]
+    names, types, tests, bounds = [], [], [], []
+    outer: set[str] = set()
     node = p
     while True:
         names.append(node.var)
@@ -843,12 +953,23 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool):
                 c = c.operand
             elif not at_pre or isinstance(c, jml.JmlExists):
                 break
-            tests += [(t, _depth(_jml_reads(t), names)) for t in _jml_conjuncts(c)]
+            for t in _jml_conjuncts(c):
+                reads = _jml_reads(t)
+                outer |= reads - set(names)
+                tests.append((t, _positions(reads, names)))
+                bounds += _placed(
+                    [(kind, name, e, _jml_reads(e)) for kind, name, e in
+                     _jml_bounds(t) + [("pin", n, e) for n, e in _jml_pins(t)]],
+                    names)
             lead += 1
         rest = tuple(spine[lead:])
         if len(rest) != 1 or not isinstance(rest[0], jml.JmlExists):
-            return tuple(names), tuple(types), tuple(tests), rest
+            break
         node = rest[0]
+    chain = (tuple(names), tuple(tests), rest, _bound_plan(names, types, bounds),
+             len(set(names)) == len(names) and not outer & set(names))
+    memo.chains[key] = (chain, p)
+    return chain
 
 
 def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: WitnessMemo):
@@ -863,8 +984,10 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     every post-state: dropping it is exact.  The pre-state conjuncts are the
     leading \\old ones, or every conjunct when ``at_pre`` says the post-state
     is the pre-state.  When the rest of a body is a single nested \\exists,
-    the two quantifiers are searched as one, and each pre-state conjunct is
-    tested as soon as the variables it reads are bound.
+    the quantifiers are searched as one, most constrained name first, each
+    name drawn from the values its pre-state conjuncts' bounds and pins
+    allow, and each pre-state conjunct tested as soon as the names it reads
+    are bound.
 
     The pre-state is keyed by identity, so a partial binding (a dict) can
     be one; each entry keeps the node and the pre-state alive, so neither
@@ -873,11 +996,12 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     key = (id(p), id(pre), at_pre, frozenset(env.items()))
     hit = memo.get(key)
     if hit is None:
-        names, types, tests, rest = _exists_chain(p, at_pre)
+        names, tests, rest, plan, first_fail = _exists_chain(p, at_pre, memo)
         bindings = _solutions(
-            names, lambda k, _partial: u.values_of(types[k]), tests,
-            lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo), dict(env),
-            memo.budget.charge)
+            names, _bounded_domain(
+                plan, lambda e, partial: eval_jml_expr(e, pre, pre, partial, u), u),
+            tests, lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo),
+            dict(env), memo.budget.charge, first_fail)
         hit = memo[key] = (rest, bindings, p, pre)
     return hit[:2]
 
@@ -980,7 +1104,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     for req, case in spec_cases(run_spec, guard_spec):
         outside = _outside_frame(case.assignable, var_names)
         cases.append((req, case.ensures, outside,
-                      _Lookup(case.ensures, outside, var_names)))
+                      _Lookup(case.ensures, outside, var_names, memo)))
     index: dict = {}
 
     rel: set[tuple[State, State]] = set()
@@ -1008,31 +1132,27 @@ class _Lookup:
     The key holds the names outside the case's frame, whose values come
     from the pre-state.  When the ensures clause is an \\exists chain, the
     key also holds the names its witnesses pin: a state variable ``v`` in
-    the frame, not bound by the chain, with a remaining conjunct
+    the frame, not bound by the chain, with a remaining conjunct that pins
+    it to an \\old expression (see ``_jml_pins``), such as
     ``v.equals(\\old(E))`` or ``v == \\old(E)`` (the first one per name).
     Every binding ``_exists_witnesses`` keeps then gives one lookup, with
     the values of those \\old expressions; a binding at which one of them is
     undefined fails the ensures clause and gives none.
     """
 
-    def __init__(self, ensures, outside, var_names):
+    def __init__(self, ensures, outside, var_names, memo: WitnessMemo):
         self.outside = outside
         self.exists = ensures if isinstance(ensures, jml.JmlExists) else None
         self.pins: dict[str, jml.JmlOldExpr] = {}
         if self.exists is not None:
-            bound, _types, _tests, rest = _exists_chain(self.exists, False)
+            bound, _tests, rest, _plan, _order = _exists_chain(
+                self.exists, False, memo)
             for c in rest:
-                if isinstance(c, jml.JmlBoolCall) and c.call.method == "equals":
-                    target, value = c.call.recv, c.call.args[0]
-                elif isinstance(c, jml.JmlCmp) and c.op == "==":
-                    target, value = c.left, c.right
-                else:
-                    continue
-                if isinstance(target, jml.JmlVar) and \
-                        isinstance(value, jml.JmlOldExpr) and \
-                        target.name in var_names and \
-                        target.name not in outside and target.name not in bound:
-                    self.pins.setdefault(target.name, value)
+                for target, value in _jml_pins(c):
+                    if isinstance(value, jml.JmlOldExpr) and \
+                            target in var_names and target not in outside and \
+                            target not in bound:
+                        self.pins.setdefault(target, value)
         self.names = outside + tuple(self.pins)
 
     def candidates(self, a: State, states, index: dict, u, memo: WitnessMemo):

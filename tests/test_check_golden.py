@@ -36,6 +36,8 @@ CELLS = (
     ("social_abstract 2x2", "social_abstract.ebm", Universe(0, 2, SOCIAL_2X2)),
     ("social_abstract 2x3 ceiling=1000", "social_abstract.ebm",
      Universe(0, 2, {"PERSON": 2, "CONTENTS": 3}, 1000)),
+    ("social_abstract 2x3 ceiling=500", "social_abstract.ebm",
+     Universe(0, 2, {"PERSON": 2, "CONTENTS": 3}, 500)),
     ("social_ref1 2x2", "social_ref1.ebm", Universe(0, 2, SOCIAL_2X2)),
 )
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from eb2jml import parse_machine, well_formedness_check
 from eb2jml.cli import main
 
 from conftest import MACHINES_DIR
+from test_checker import UNDEFINED_GUARD
 
 
 def _copy(tmp_path, name):
@@ -111,6 +113,25 @@ def test_check_fail_maps_to_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_machine", fake_check)
     src = _copy(tmp_path, "counter.ebm")
     assert main(["check", str(src)]) == 1
+
+
+def test_verbose_logs_each_undefined_evaluation(tmp_path, capsys):
+    # the guard f(x) = 1 is undefined wherever f is not functional at x;
+    # -v shows that on stderr and changes neither stdout nor the exit code
+    src = tmp_path / "undefined_guard.ebm"
+    src.write_text(UNDEFINED_GUARD)
+    args = ["check", str(src), "--int-range", "0..1"]
+    runs = []
+    for argv in (args, ["-v"] + args, args):
+        assert main(argv) == 1
+        runs.append(capsys.readouterr())
+    quiet, verbose, quiet_again = runs
+    elapsed = re.compile(r"\(\d+\.\d+s\)")
+    assert elapsed.sub("", verbose.out) == elapsed.sub("", quiet.out)
+    assert "FAIL" in quiet.out
+    assert quiet.err == quiet_again.err == ""
+    assert "eb2jml.semantics: undefined evaluation counts as false " \
+        "(apply undefined at 0)" in verbose.err.splitlines()
 
 
 def test_parse_prints_canonical_form(tmp_path, capsys):

@@ -95,6 +95,17 @@ HAND_BUILT = {
         JmlOld(JmlCmp("==", _var("x"), _int(0))),
         JmlParen(_exists("x", _and(JmlOld(JmlCmp("==", _var("x"), _int(1))),
                                    JmlCmp("==", _var("v"), _var("x"))))))),
+    # the inner x has one value and the outer two: binding the inner x
+    # first would leave the outer x's value in the body
+    "a name bound twice keeps declaration order": _exists("x", _and(
+        JmlOld(JmlCmp("<=", _var("x"), _int(1))),
+        JmlParen(_exists("x", _and(JmlOld(JmlCmp("==", _var("x"), _int(1))),
+                                   JmlCmp("==", _var("v"), _var("x"))))))),
+    # the inner v has one value and x two, but x != v reads the state's v
+    "inner binding shadows a name read outside it": _exists("x", _and(
+        JmlOld(JmlCmp("!=", _var("x"), _var("v"))),
+        JmlParen(_exists("v", _and(JmlOld(JmlCmp("==", _var("v"), _int(1))),
+                                   JmlCmp("==", _var("x"), _var("v"))))))),
     "nested quantifier followed by a conjunct": _exists("x", _and(
         JmlOld(JmlCmp("==", _var("x"), _var("v"))),
         _exists("y", JmlCmp("==", _var("v"), _var("y"))),
