@@ -142,11 +142,12 @@ def universe_for(machine: Machine, universe: Universe) -> Universe:
 @dataclass(frozen=True)
 class StateSpaces:
     """The invariant states of each side, each found by its own evaluator,
-    or the enumeration phase that hit the ceiling."""
+    or the enumeration phase that hit the ceiling, with the work it needed
+    and the ceiling."""
 
     eb: frozenset = frozenset()
     jml: frozenset = frozenset()
-    limit: Optional[tuple[str, ResourceLimitError]] = None
+    limit: Optional[tuple[str, int, int]] = None
 
 
 def state_spaces(machine: Machine, unit: TranslationUnit,
@@ -162,7 +163,7 @@ def state_spaces(machine: Machine, unit: TranslationUnit,
         jml_states = jml_invariant_states(unit.result.class_invariant,
                                           machine.variables, u, Budget(u.ceiling))
     except ResourceLimitError as exc:
-        return StateSpaces(limit=(phase, exc))
+        return StateSpaces(limit=(phase, exc.count, exc.ceiling))
     return StateSpaces(eb_states, jml_states)
 
 
@@ -230,7 +231,7 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
                 run_spec, spaces.jml, guard_spec, variables, u, budget),
             lambda budget: eb_event_rel_variants(
                 event, spaces.eb, variables, u, budget)[0])
-    phase, limit = spaces.limit or ("", None)
+    limit = spaces.limit
     if limit is None:
         budget = Budget(u.ceiling)
         try:
@@ -239,11 +240,12 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
             phase = subject.format("Event-B")
             allowed = eb_side(budget)
         except ResourceLimitError as exc:
-            limit = exc
+            limit = (phase, exc.count, exc.ceiling)
     if limit is not None:
-        return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=limit.count,
-                       detail=f"{phase} needs {limit.count} work units, "
-                              f"exceeding the ceiling of {limit.ceiling}")
+        phase, count, ceiling = limit
+        return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=count,
+                       detail=f"{phase} needs {count} work units, "
+                              f"exceeding the ceiling of {ceiling}")
     missing = found - allowed
     return Verdict(
         name=name,

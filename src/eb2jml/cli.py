@@ -90,7 +90,7 @@ def _translate(path: str, machine) -> TranslationUnit:
     try:
         return translate_machine(machine)
     except TranslationError as exc:
-        raise _located(path, well_formedness_check(machine) or [exc])
+        raise _located(path, exc.diagnostics or [exc])
 
 
 def _parse_int_range(text: str) -> tuple[int, int]:

@@ -342,17 +342,10 @@ def base_type_env(machine: Machine) -> dict[str, EbType]:
 
 def well_formedness_check(machine: Machine) -> list[Diagnostic]:
     """Every violation of the machine rules, ordered by source position."""
-    collected: list[tuple[int, Diagnostic]] = []
-    seq = 0
+    typed, collected = resolve_types(machine)
 
     def emit(message: str, span=None) -> None:
-        nonlocal seq
-        collected.append((seq, Diagnostic(message, span)))
-        seq += 1
-
-    typed, diags = resolve_types(machine)
-    for d in diags:
-        emit(d.message, d.span)
+        collected.append(Diagnostic(message, span))
 
     _check_unique(
         [(c, machine.span) for c in machine.carrier_sets], "carrier set", emit)
@@ -401,12 +394,10 @@ def well_formedness_check(machine: Machine) -> list[Diagnostic]:
 
 
 def _finish(collected) -> list[Diagnostic]:
-    def key(item):
-        seq, d = item
-        pos = d.span.begin if d.span is not None else 1 << 60
-        return (pos, seq)
-
-    return [d for _, d in sorted(collected, key=key)]
+    """The diagnostics by position, a position's in the order emitted (the
+    sort is stable), and those without one last."""
+    return sorted(collected, key=lambda d: d.span.begin if d.span is not None
+                  else 1 << 60)
 
 
 def _check_unique(named, what, emit) -> None:

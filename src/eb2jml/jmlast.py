@@ -186,6 +186,15 @@ class JmlGuardCall(JmlPredicate):
     method: str
 
 
+def conjuncts(p: JmlPredicate) -> list:
+    """The conjunction spine of ``p``, left to right, through grouping."""
+    if isinstance(p, JmlAnd):
+        return conjuncts(p.left) + conjuncts(p.right)
+    if isinstance(p, JmlParen):
+        return conjuncts(p.operand)
+    return [p]
+
+
 # --- method specifications -------------------------------------------------
 
 @dataclass(frozen=True)

@@ -449,23 +449,14 @@ class _Parser:
 
     def _postfix(self) -> ast.Expr:
         e = self._primary()
-        while True:
-            if self.at_sym("("):
-                self.advance()
-                arg = self._expr()
-                last = self.take_sym(")")
-                e = ast.BinOp("apply", e, arg,
-                              span=Span(e.span.begin, last.end, e.span.line, e.span.column)
-                              if e.span else None)
-            elif self.at_sym("["):
-                self.advance()
-                arg = self._expr()
-                last = self.take_sym("]")
-                e = ast.BinOp("image", e, arg,
-                              span=Span(e.span.begin, last.end, e.span.line, e.span.column)
-                              if e.span else None)
-            else:
-                return e
+        while self.at_sym("(", "["):
+            op, close = ("apply", ")") if self.advance().text == "(" else ("image", "]")
+            arg = self._expr()
+            last = self.take_sym(close)
+            e = ast.BinOp(op, e, arg,
+                          span=Span(e.span.begin, last.end, e.span.line, e.span.column)
+                          if e.span else None)
+        return e
 
     def _primary(self) -> ast.Expr:
         t = self.cur()

@@ -69,15 +69,17 @@ class Budget:
 
 
 class WitnessMemo(dict):
-    """The \\exists witnesses found so far (see ``_exists_witnesses``), the
-    analysis of each quantifier searched (see ``_exists_chain``), and the
-    Budget that pays for the searches that find them."""
+    """The \\exists witnesses found at one pre-state, ``pre`` (see
+    ``_exists_witnesses``), which a search at another one clears; the
+    analysis of each quantifier searched (see ``_exists_chain``), which it
+    keeps; and the Budget that pays for the searches."""
 
-    __slots__ = ("budget", "chains")
+    __slots__ = ("budget", "chains", "pre")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.chains: dict = {}
+        self.pre = None
 
 
 def fmt_value(v: Value) -> str:
@@ -286,12 +288,9 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge,
                 return False
         return True
 
-    out: list[dict] = []
-
-    def extend(partial: dict, bound: frozenset) -> None:
-        if len(bound) == len(names):
-            out.append(partial)
-            return
+    def branches(partial: dict, bound: frozenset):
+        """Each binding of one more name to ``partial`` that violates no
+        conjunct, with the positions it binds."""
         if first_fail:
             k, values = min(
                 ((k, domain(k, partial, bound))
@@ -307,10 +306,19 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge,
             inner = dict(partial)
             inner[names[k]] = value
             if all_hold(due, inner):
-                extend(inner, now)
+                yield inner, now
 
-    if all_hold(first, start):
-        extend(start, frozenset())
+    # depth first: a node's next branch is drawn once the last one is done
+    out: list[dict] = []
+    stack = [iter(((start, frozenset()),))] if all_hold(first, start) else []
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(node[1]) == len(names):
+            out.append(node[0])
+        else:
+            stack.append(branches(*node))
     return out
 
 
@@ -837,7 +845,7 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
                    memo: Optional[WitnessMemo] = None) -> bool:
     """Truth of a JML predicate over a (pre, post) state pair.
 
-    ``memo`` keeps the witnesses of each \\exists (see
+    ``memo`` keeps the witnesses of each \\exists at one pre-state (see
     ``_exists_witnesses``) and charges their search to its Budget;
     evaluations given the same memo share both, and one given none starts
     a fresh memo metered at the universe's ceiling.  \\old is evaluated
@@ -892,15 +900,6 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
     raise EvalError(f"cannot evaluate {type(p).__name__}")
 
 
-def _jml_conjuncts(p: jml.JmlPredicate) -> list:
-    """The conjunction spine of ``p``, left to right, through grouping."""
-    if isinstance(p, jml.JmlAnd):
-        return _jml_conjuncts(p.left) + _jml_conjuncts(p.right)
-    if isinstance(p, jml.JmlParen):
-        return _jml_conjuncts(p.operand)
-    return [p]
-
-
 def _jml_reads(p: jml.JmlPredicate) -> set[str]:
     """Every name ``p`` looks up, state variable or bound."""
     return {n.name for n in walk(p) if isinstance(n, jml.JmlVar)}
@@ -946,14 +945,14 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
     while True:
         names.append(node.var)
         types.append(node.ty)
-        spine = _jml_conjuncts(node.body)
+        spine = jml.conjuncts(node.body)
         lead = 0
         for c in spine:
             if isinstance(c, jml.JmlOld):
                 c = c.operand
             elif not at_pre or isinstance(c, jml.JmlExists):
                 break
-            for t in _jml_conjuncts(c):
+            for t in jml.conjuncts(c):
                 reads = _jml_reads(t)
                 outer |= reads - set(names)
                 tests.append((t, _positions(reads, names)))
@@ -974,7 +973,8 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
 
 def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: WitnessMemo):
     """The witnesses of ``p`` that can still hold, with the conjuncts left
-    to test; kept in ``memo`` per (node, pre-state, binding).
+    to test; kept in ``memo`` per (node, binding) while ``pre`` is the
+    pre-state it serves.
 
     The witnesses are found by ``_solutions``, the search that also binds
     Event-B parameters and after-values, and each value it tests is
@@ -989,21 +989,24 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     allow, and each pre-state conjunct tested as soon as the names it reads
     are bound.
 
-    The pre-state is keyed by identity, so a partial binding (a dict) can
-    be one; each entry keeps the node and the pre-state alive, so neither
-    identity is reused while ``memo`` lives.
+    A pre-state is told apart by identity, so a partial binding (a dict)
+    can be one: called at another pre-state, the memo empties itself and
+    keeps the new one, so its identity is not reused while served.  The
+    node is kept alive by its analysis (see ``_exists_chain``).
     """
-    key = (id(p), id(pre), at_pre, frozenset(env.items()))
+    if memo.pre is not pre:
+        memo.clear()
+        memo.pre = pre
+    key = (id(p), at_pre, frozenset(env.items()))
     hit = memo.get(key)
     if hit is None:
         names, tests, rest, plan, first_fail = _exists_chain(p, at_pre, memo)
-        bindings = _solutions(
+        hit = memo[key] = (rest, _solutions(
             names, _bounded_domain(
                 plan, lambda e, partial: eval_jml_expr(e, pre, pre, partial, u), u),
             tests, lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo),
-            dict(env), memo.budget.charge, first_fail)
-        hit = memo[key] = (rest, bindings, p, pre)
-    return hit[:2]
+            dict(env), memo.budget.charge, first_fail))
+    return hit
 
 
 # --- JML transition relations ----------------------------------------------
@@ -1015,12 +1018,9 @@ def inline_guard_calls(p: jml.JmlPredicate,
     The guard method is pure and its postcondition is an iff, so inlining
     the quantified guard predicate is exact.
     """
-    def inline(node):
-        if isinstance(node, jml.JmlGuardCall):
-            return guard_spec.normal.ensures if node.method == guard_spec.name else node
-        return map_children(node, inline)
-
-    return inline(p)
+    if isinstance(p, jml.JmlGuardCall):
+        return guard_spec.normal.ensures if p.method == guard_spec.name else p
+    return map_children(p, lambda node: inline_guard_calls(node, guard_spec))
 
 
 def _outside_frame(assignable, var_names: tuple[str, ...]) -> tuple[str, ...]:
@@ -1055,15 +1055,16 @@ def _jml_bounds(c: jml.JmlPredicate) -> list:
 
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
                          budget: Budget) -> frozenset:
-    """Typed states satisfying every conjunct of the class invariant; each
-    conjunct test has a witness memo of its own (a shared one would keep
-    every partial state alive), and all of them charge ``budget``."""
-    conjs = _jml_conjuncts(invariant)
+    """Typed states satisfying every conjunct of the class invariant; the
+    conjunct tests share one witness memo, charged to ``budget``, so each
+    quantifier is analysed once per enumeration."""
+    conjs = jml.conjuncts(invariant)
     bounds = [(kind, name, e, _jml_reads(e))
               for c in conjs for kind, name, e in _jml_bounds(c)]
+    memo = WitnessMemo(budget)
     return _invariant_states(
         variables, [(c, _jml_reads(c)) for c in conjs],
-        lambda c, s: jml_pred_holds(c, s, s, {}, u, WitnessMemo(budget)),
+        lambda c, s: jml_pred_holds(c, s, s, {}, u, memo),
         bounds, lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
 
 

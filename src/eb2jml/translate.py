@@ -24,11 +24,16 @@ from .nodes import map_children
 
 
 class TranslationError(Exception):
-    def __init__(self, message: str, span: Optional[Span] = None):
+    """A machine the translator refuses; when the gate refuses it,
+    ``diagnostics`` holds every well-formedness diagnostic."""
+
+    def __init__(self, message: str, span: Optional[Span] = None,
+                 diagnostics: tuple = ()):
         if span is not None:
             message = f"{span.line}:{span.column}: {message}"
         super().__init__(message)
         self.span = span
+        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -76,17 +81,7 @@ def _equals(left: jml.JmlExpr, right: jml.JmlExpr, t) -> jml.JmlPredicate:
 
 def _conj(parts: list[jml.JmlPredicate]) -> jml.JmlPredicate:
     """Left-associated conjunction; nested chains are spliced in flat."""
-    flat: list[jml.JmlPredicate] = []
-
-    def splice(p: jml.JmlPredicate) -> None:
-        if isinstance(p, jml.JmlAnd):
-            splice(p.left)
-            splice(p.right)
-        else:
-            flat.append(p)
-
-    for part in parts:
-        splice(part)
+    flat = [c for part in parts for c in jml.conjuncts(part)]
     if not flat:
         return jml.JmlTrue()
     out = flat[0]
@@ -268,19 +263,21 @@ def _tr_becomes_such_that(a: eb.BecomesSuchThat, env, at_pre: bool) -> jml.JmlEx
         k += 1
         name = f"{target}_after{k}"
 
-    def rename(node):
-        if isinstance(node, eb.Ref) and node.ident.primed and \
-                node.ident.name == target:
-            return replace(node, ident=eb.Ident(name, span=node.ident.span))
-        return map_children(node, rename)
-
     bap_env = dict(env)
     bap_env[name] = t
-    body = translate_predicate(rename(a.predicate), bap_env)
+    body = translate_predicate(_unprime(a.predicate, target, name), bap_env)
     return jml.JmlExists(
         name, jml_type_of(t),
         jml.JmlAnd(jml.JmlOld(body) if at_pre else body,
                    _equals(jml.JmlVar(target), jml.JmlVar(name), t)))
+
+
+def _unprime(node, target: str, name: str):
+    """``node`` with each after-value ``target'`` renamed ``name``."""
+    if isinstance(node, eb.Ref) and node.ident.primed and \
+            node.ident.name == target:
+        return replace(node, ident=eb.Ident(name, span=node.ident.span))
+    return map_children(node, lambda child: _unprime(child, target, name))
 
 
 def translate_action(a: eb.Action, env, at_pre: bool = True) -> jml.JmlPredicate:
@@ -356,12 +353,13 @@ def translate_initialisation(actions, env) -> jml.JmlPredicate:
 def translate_machine(machine: Machine) -> TranslationUnit:
     """Translate a whole machine into a single abstract JML class.
 
-    An ill-formed machine is a TranslationError carrying the first
-    diagnostic of ``well_formedness_check``, text and span.
+    An ill-formed machine is a TranslationError with the text and span of
+    the first diagnostic of ``well_formedness_check``, carrying them all.
     """
     diagnostics = well_formedness_check(machine)
     if diagnostics:
-        raise TranslationError(diagnostics[0].message, diagnostics[0].span)
+        raise TranslationError(diagnostics[0].message, diagnostics[0].span,
+                               tuple(diagnostics))
     typed, _diags = resolve_types(machine)
     env = base_type_env(typed)
 

@@ -2,8 +2,7 @@
 
 ``translate_machine`` is the gate for ``translate`` and ``check``, and a
 ``TranslationUnit`` is the proof that it passed: ``check_machine`` does not
-ask again when it is handed one.  The CLI runs ``well_formedness_check`` a
-second time only to list every diagnostic of a machine the gate rejected.
+ask again when it is handed one.
 """
 
 import shutil
@@ -56,10 +55,12 @@ def test_check_machine_trusts_its_unit(wf_runs, counter):
     assert wf_runs == ["counter"]
 
 
-def test_a_rejected_machine_is_checked_again_to_list_it(wf_runs, tmp_path,
-                                                        capsys):
+def test_a_rejected_machine_is_listed_from_one_run(wf_runs, tmp_path,
+                                                   capsys):
+    # the gate's TranslationError carries every diagnostic
     src = tmp_path / "bad.ebm"
     src.write_text("machine m variables v invariants i1: v : INT events "
                    "initialisation begin a1: w := 0 end end")
     assert main(["check", str(src)]) == 2
-    assert wf_runs == ["m", "m"]
+    assert wf_runs == ["m"]
+    assert len(capsys.readouterr().err.splitlines()) == 2
