@@ -41,7 +41,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     "simulation.")
     top.add_argument("-v", "--verbose", action="store_true",
                      help="log debug records to stderr, such as each "
-                          "undefined evaluation counted as false")
+                          "undefined evaluation counted as false and the "
+                          "searches each relation ran")
     sub = top.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("translate", help="translate a machine to a .java spec")

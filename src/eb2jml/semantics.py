@@ -15,6 +15,9 @@ the bounds and pins of their own side's pre-state conjuncts, most
 constrained name first.  Every search charges each value it tests to the one
 ``Budget`` of the phase it serves (an invariant enumeration, a state set or
 a relation), which a JML evaluation reaches through its ``WitnessMemo``.
+A search for \\exists witnesses, event parameters or active specification
+cases runs once per tuple of the pre-state values it reads, kept while the
+phase lasts; no memo keeps a state.
 
 Evaluation can fail (function application at a non-functional point,
 unbound identifiers); a guard or predicate whose evaluation fails counts
@@ -37,6 +40,7 @@ from . import jmlast as jml
 from .nodes import map_children, walk
 
 log = logging.getLogger(__name__)
+_UNBOUND = object()  # the value of a name that a partial binding lacks
 
 Value = Union[int, bool, frozenset, tuple]
 
@@ -69,17 +73,16 @@ class Budget:
 
 
 class WitnessMemo(dict):
-    """The \\exists witnesses found at one pre-state, ``pre`` (see
-    ``_exists_witnesses``), which a search at another one clears; the
-    analysis of each quantifier searched (see ``_exists_chain``), which it
-    keeps; and the Budget that pays for the searches."""
+    """The \\exists witnesses of each quantifier, keyed by the values its
+    search reads (see ``_exists_witnesses``), and its analysis (see
+    ``_exists_chain``), for as long as the phase it serves lasts; and the
+    Budget that pays for the searches."""
 
-    __slots__ = ("budget", "chains", "pre")
+    __slots__ = ("budget", "chains")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.chains: dict = {}
-        self.pre = None
 
 
 def fmt_value(v: Value) -> str:
@@ -256,6 +259,13 @@ def _positions(reads, names) -> frozenset:
     name is read at its last position."""
     where = {n: k for k, n in enumerate(names)}
     return frozenset(where[n] for n in reads if n in where)
+
+
+def _read(state, names) -> tuple:
+    """The values of ``names`` in ``state``, a State or a partial binding
+    (a dict): the key of a search that reads no other name."""
+    d = state._d if isinstance(state, State) else state
+    return tuple([d.get(n, _UNBOUND) for n in names])
 
 
 def _solutions(names, domain, conjuncts, holds, start: dict, charge,
@@ -714,7 +724,8 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     satisfies every action, with b equal to a overridden by the assigned
     values; or, when no parameter valuation satisfies the guards at a, the
     stuttering pair (a, a).  Parameters are bound most constrained first,
-    each to the values its guards' bounds and pins allow at a.
+    each to the values its guards' bounds and pins allow at a, once per
+    tuple of the values of the variables the guards read.
     """
     posts = _eb_post_states(event.actions, variables, u, budget, states)
     names = [ident.name for ident, _ty in event.params]
@@ -724,19 +735,27 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
         [(kind, name, e, _eb_reads(e)) for c in conjs
          for kind, name, e in _eb_bounds(c) + [
              ("pin", name, e) for name, e in _eb_pins(c)]], names))
+    read = set().union(*(_eb_reads(c) for c in conjs))
+    reads = [ident.name for ident, _ty in variables if ident.name in read]
+    found: dict = {}
     rel: set[tuple[State, State]] = set()
     for a in states:
-        sat_envs = _solutions(
-            names, _bounded_domain(
-                plan, lambda e, env: eval_eb_expr(e, a, env, u), u),
-            guards, lambda c, env: eb_pred_holds(c, a, env, u), {},
-            budget.charge, first_fail=True)
+        key = _read(a, reads)
+        sat_envs = found.get(key)
+        if sat_envs is None:
+            sat_envs = found[key] = _solutions(
+                names, _bounded_domain(
+                    plan, lambda e, env: eval_eb_expr(e, a, env, u), u),
+                guards, lambda c, env: eb_pred_holds(c, a, env, u), {},
+                budget.charge, first_fail=True)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
             rel.add((a, a))
         for env in sat_envs:
             for b in posts(a, env):
                 rel.add((a, b))
+    log.debug("%s Event-B relation: %d pre-states, %d parameter searches",
+              event.name, len(states), len(found))
     return frozenset(rel)
 
 
@@ -926,7 +945,8 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
     and the quantifiers directly nested in it bind, the pre-state
     conjuncts with the positions of the bound names they read, the
     conjuncts left to test, the bounds of each name (see ``_bound_plan``),
-    and whether the names may be bound most constrained first.
+    whether the names may be bound most constrained first, and the names
+    the pre-state conjuncts read from the outer binding or the pre-state.
 
     A bound comes from a pre-state conjunct ``S.has(x)`` or a pin (see
     ``_jml_bounds`` and ``_jml_pins``).  The names keep declaration order
@@ -966,15 +986,16 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
             break
         node = rest[0]
     chain = (tuple(names), tuple(tests), rest, _bound_plan(names, types, bounds),
-             len(set(names)) == len(names) and not outer & set(names))
+             len(set(names)) == len(names) and not outer & set(names),
+             tuple(sorted(outer)))
     memo.chains[key] = (chain, p)
     return chain
 
 
 def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: WitnessMemo):
     """The witnesses of ``p`` that can still hold, with the conjuncts left
-    to test; kept in ``memo`` per (node, binding) while ``pre`` is the
-    pre-state it serves.
+    to test; kept in ``memo`` per (node, ``at_pre``, binding ``env``) and
+    the pre-state's values of the other names the search reads.
 
     The witnesses are found by ``_solutions``, the search that also binds
     Event-B parameters and after-values, and each value it tests is
@@ -989,18 +1010,15 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     allow, and each pre-state conjunct tested as soon as the names it reads
     are bound.
 
-    A pre-state is told apart by identity, so a partial binding (a dict)
-    can be one: called at another pre-state, the memo empties itself and
-    keeps the new one, so its identity is not reused while served.  The
-    node is kept alive by its analysis (see ``_exists_chain``).
+    Pre-states that agree on the names the conjuncts read outside their
+    own binding (see ``_exists_chain``) share one search, which logs its
+    undefined evaluations once; in a partial binding, a name not bound yet
+    keys as absent.
     """
-    if memo.pre is not pre:
-        memo.clear()
-        memo.pre = pre
-    key = (id(p), at_pre, frozenset(env.items()))
+    names, tests, rest, plan, first_fail, reads = _exists_chain(p, at_pre, memo)
+    key = (id(p), at_pre, frozenset(env.items()), _read(pre, reads))
     hit = memo.get(key)
     if hit is None:
-        names, tests, rest, plan, first_fail = _exists_chain(p, at_pre, memo)
         hit = memo[key] = (rest, _solutions(
             names, _bounded_domain(
                 plan, lambda e, partial: eval_jml_expr(e, pre, pre, partial, u), u),
@@ -1081,8 +1099,8 @@ def spec_cases(run_spec: jml.JmlMethodSpec,
 
 def active_cases(cases, a: State, u: Universe, memo: WitnessMemo) -> list:
     """The ``cases``, each led by its inlined requires clause (see
-    ``spec_cases``), whose requires clause holds at the pre-state ``a``; an
-    undefined one does not."""
+    ``spec_cases``), whose requires clause holds at the pre-state ``a``, an
+    undefined one not: a function of the values the clauses read."""
     return [case for case in cases
             if _defined(jml_pred_holds, case[0], a, a, {}, u, memo)]
 
@@ -1097,7 +1115,9 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     specification case whose requires clause holds in the pre-state, the
     ensures clause holds over (a, b) and b agrees with a outside the case's
     assignable set.  Guard-method calls in requires clauses are resolved by
-    inlining the guard predicate.
+    inlining the guard predicate.  The active cases are found once per
+    tuple of the values the requires clauses read, as is each \\exists
+    search's witnesses (see ``_exists_witnesses``).
     """
     memo = WitnessMemo(budget)
     var_names = tuple(ident.name for ident, _ty in variables)
@@ -1106,11 +1126,17 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
         outside = _outside_frame(case.assignable, var_names)
         cases.append((req, case.ensures, outside,
                       _Lookup(case.ensures, outside, var_names, memo)))
+    read = set().union(*(_jml_reads(case[0]) for case in cases))
+    reads = [n for n in var_names if n in read]
+    actives: dict = {}
     index: dict = {}
 
     rel: set[tuple[State, State]] = set()
     for a in states:
-        active = active_cases(cases, a, u, memo)
+        key = _read(a, reads)
+        active = actives.get(key)
+        if active is None:
+            active = actives[key] = active_cases(cases, a, u, memo)
         candidates = states
         if active:
             lookup = max((case[3] for case in active), key=lambda k: len(k.names))
@@ -1123,6 +1149,8 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
                     break
             else:
                 rel.add((a, b))
+    log.debug("%s JML relation: %d pre-states, %d witness searches",
+              run_spec.name.removeprefix("run_"), len(states), len(memo))
     return frozenset(rel)
 
 
@@ -1146,7 +1174,7 @@ class _Lookup:
         self.exists = ensures if isinstance(ensures, jml.JmlExists) else None
         self.pins: dict[str, jml.JmlOldExpr] = {}
         if self.exists is not None:
-            bound, _tests, rest, _plan, _order = _exists_chain(
+            bound, _tests, rest, _plan, _order, _reads = _exists_chain(
                 self.exists, False, memo)
             for c in rest:
                 for target, value in _jml_pins(c):

@@ -134,6 +134,27 @@ def test_verbose_logs_each_undefined_evaluation(tmp_path, capsys):
         "(apply undefined at 0)" in verbose.err.splitlines()
 
 
+def test_verbose_logs_the_searches_of_each_relation(tmp_path, capsys):
+    # one record per relation: its pre-states, and the searches it ran,
+    # one per distinct tuple of the values they read
+    args = ["check", str(_copy(tmp_path, "social_ref1.ebm"))]
+    assert main(["-v"] + args) == 0
+    records = [line for line in capsys.readouterr().err.splitlines()
+               if " relation: " in line]
+    assert records == [
+        "eb2jml.semantics: create_account JML relation: "
+        "57 pre-states, 13 witness searches",
+        "eb2jml.semantics: create_account Event-B relation: "
+        "57 pre-states, 8 parameter searches",
+        "eb2jml.semantics: edit_owned JML relation: "
+        "57 pre-states, 13 witness searches",
+        "eb2jml.semantics: edit_owned Event-B relation: "
+        "57 pre-states, 9 parameter searches",
+    ]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_parse_prints_canonical_form(tmp_path, capsys):
     src = _copy(tmp_path, "counter.ebm")
     assert main(["parse", str(src)]) == 0

@@ -9,11 +9,13 @@ fails counts as false.
 """
 
 import itertools
+import math
+import random
 from dataclasses import replace
 
 import pytest
 
-from eb2jml import translate_machine
+from eb2jml import TranslationError, translate_machine
 from eb2jml import checker
 from eb2jml.checker import (
     PASS, RESOURCE_LIMIT, check_event, check_init, check_machine,
@@ -34,6 +36,7 @@ from eb2jml.semantics import (
 )
 
 from conftest import eb_inv_states, jml_inv_states, jml_scan_holds, load_machine
+from genmachines import random_machine
 
 CELLS = [
     ("counter", Universe(int_lo=0, int_hi=2)),
@@ -124,9 +127,8 @@ def test_checker_relations_equal_brute_force(monkeypatch, name, universe):
 
 def _reference_eb_rel(machine, event, u, pre_states):
     """The Event-B relation from ``pre_states``, by a plain loop over every
-    parameter valuation in ``itertools.product`` with every guard (the
-    corpus has deterministic actions only)."""
-    assert all(isinstance(act, BecomesEqual) for act in event.actions)
+    parameter valuation in ``itertools.product`` with every guard, and over
+    every typed after-value of a becomes-such-that action."""
     inv = eb_inv_states(machine, u)
     allowed = {ident.name: u.values_of(ty) for ident, ty in machine.variables}
     names = [ident.name for ident, _ty in event.params]
@@ -143,14 +145,99 @@ def _reference_eb_rel(machine, event, u, pre_states):
         if a not in inv:
             continue
         for env in envs:
+            for b in _reference_posts(event.actions, a, env, allowed, u):
+                if all(b[n] in allowed[n] for n in b) and b in inv:
+                    out.add((a, b))
+    return frozenset(out)
+
+
+def _reference_posts(actions, a, env, allowed, u):
+    """Each state the ``actions`` reach from ``a`` at ``env``; an undefined
+    value or after-value predicate gives no post-state."""
+    choices = []
+    for act in actions:
+        target = act.target.name
+        if isinstance(act, BecomesEqual):
             try:
-                b = a.override({act.target.name: eval_eb_expr(act.rhs, a, env, u)
-                                for act in event.actions})
+                values = [eval_eb_expr(act.rhs, a, env, u)]
             except EvalError:
-                continue
-            if all(b[n] in allowed[n] for n in b) and b in inv:
+                values = []
+        else:
+            values = [v for v in allowed[target] if _holds(
+                eb_pred_holds, act.predicate, a, {**env, f"{target}'": v}, u)]
+        choices.append([(target, v) for v in values])
+    return [a.override(dict(combo)) for combo in itertools.product(*choices)]
+
+
+def _generated_seeds(count=40, most_states=4096) -> list[int]:
+    """The first ``count`` seeds of ``random_machine`` whose machine
+    translates and whose typed product over int 0..1 and carriers of 2 has
+    at most ``most_states`` states."""
+    seeds, seed = [], 0
+    while len(seeds) < count:
+        machine, u = _generated(seed)
+        if math.prod(len(u.values_of(ty)) for _i, ty in machine.variables) \
+                <= most_states:
+            try:
+                translate_machine(machine)
+                seeds.append(seed)
+            except TranslationError:
+                pass
+        seed += 1
+    return seeds
+
+
+def _generated(seed):
+    machine = random_machine(random.Random(seed))
+    return machine, Universe(0, 1, {c: 2 for c in machine.carrier_sets})
+
+
+def _pairwise_jml_rel(run, guard, var_names, inv, u):
+    """Every pair of invariant states the run method admits, each decided
+    by the evaluator with a witness memo that serves one pre-state, so that
+    no search is shared between pre-states.  A post-state is drawn from
+    those that agree with the pre-state outside the first active case's
+    frame, which every admitted one does."""
+    cases = [c for c in (run.normal, run.exceptional) if c is not None]
+    outside = [tuple(n for n in var_names
+                     if n not in getattr(c.assignable, "names", ()))
+               for c in cases]
+    groups = [{} for _ in cases]
+    for b in inv:
+        for k, names in enumerate(outside):
+            groups[k].setdefault(tuple(b[n] for n in names), []).append(b)
+    out = set()
+    for a in inv:
+        memo = WitnessMemo(Budget(u.ceiling))
+        active = [k for k, c in enumerate(cases) if _holds(
+            jml_pred_holds, inline_guard_calls(c.requires, guard), a, a, {}, u, memo)]
+        posts = inv if not active else groups[active[0]].get(
+            tuple(a[n] for n in outside[active[0]]), ())
+        for b in posts:
+            if all(all(a[n] == b[n] for n in outside[k]) and _holds(
+                    jml_pred_holds, cases[k].ensures, a, b, {}, u, memo)
+                   for k in active):
                 out.add((a, b))
     return frozenset(out)
+
+
+@pytest.mark.parametrize("seed", _generated_seeds())
+def test_generated_relations_equal_brute_force(seed):
+    # a search is kept by the values it reads: a name left out of its key
+    # would share a search between pre-states that it tells apart
+    machine, u = _generated(seed)
+    unit = translate_machine(machine)
+    jml_inv = jml_inv_states(unit.result.class_invariant, machine.variables, u)
+    eb_inv = eb_inv_states(machine, u)
+    for event in machine.events:
+        guard, run = unit.method_pair(event.name)
+        assert jml_method_rel(run, jml_inv, guard, machine.variables, u,
+                              Budget(u.ceiling)) == \
+            _pairwise_jml_rel(run, guard, machine.variable_names(), jml_inv, u), \
+            event.name
+        assert eb_event_rel(event, eb_inv, machine.variables, u,
+                            Budget(u.ceiling)) == \
+            _reference_eb_rel(machine, event, u, eb_inv), event.name
 
 
 @pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)

@@ -13,7 +13,7 @@ compared with brute force in ``test_engine.py`` and
 
 import pytest
 
-from eb2jml import translate_machine
+from eb2jml import semantics, translate_machine
 from eb2jml.checker import check_event, state_spaces, universe_for
 from eb2jml.semantics import (
     Budget, Universe, WitnessMemo, eb_event_rel, jml_method_rel, jml_pred_holds,
@@ -68,10 +68,41 @@ def test_no_value_is_tried_where_the_guard_has_no_new_content(social_ref1, ref1_
 
 
 def test_edit_owned_work_at_ref1_2x3(social_ref1, ref1_2x3):
-    # 44,460 units when parameters and witnesses were drawn from their
-    # types in declaration order
+    # 1,635 = 1,233 JML units + 402 Event-B units.  Searching at each of
+    # the 915 pre-states it was 2,673 + 1,122 = 3,795 units, and 44,460
+    # when parameters and witnesses were drawn from their types in
+    # declaration order
     u, unit, spaces = ref1_2x3
     v = check_event(social_ref1.event("edit_owned"), social_ref1, u, unit,
                     spaces=spaces)
     assert (v.status, v.jml_size, v.eb_size) == ("PASS", 1077, 1077)
-    assert v.checked_pairs == 3795
+    assert v.checked_pairs == 1635
+
+
+# event -> (JML searches, Event-B searches) at ref1 2x3, over 915 pre-states
+# on each side.  An Event-B search runs once per distinct value of the
+# variables its guards read; a JML search once per \exists, outer binding
+# and distinct value of the names its pre-state conjuncts read.
+SEARCHES = {"create_account": (32, 19), "edit_owned": (45, 27)}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_one_search_per_value_tuple_read(monkeypatch, social_ref1, ref1_2x3, name):
+    u, unit, spaces = ref1_2x3
+    assert len(spaces.jml) == len(spaces.eb) == 915
+    calls = []
+    solutions = semantics._solutions
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return solutions(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "_solutions", spy)
+    guard, run = unit.method_pair(name)
+    jml_method_rel(run, spaces.jml, guard, social_ref1.variables, u,
+                   Budget(u.ceiling))
+    jml_searches = len(calls)
+    calls.clear()
+    eb_event_rel(social_ref1.event(name), spaces.eb, social_ref1.variables, u,
+                 Budget(u.ceiling))
+    assert (jml_searches, len(calls)) == SEARCHES[name]

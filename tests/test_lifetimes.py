@@ -1,14 +1,20 @@
-"""Nothing outlives its pre-state.
+"""Nothing keeps a pre-state.
 
-A JML witness memo holds the witnesses of one pre-state at a time, and
-neither the translator nor the checker leaves a reference cycle behind, so
-what a search allocates is freed when it is done, without the cycle
-collector.  The relations themselves are pinned elsewhere
+A relation's searches are kept by the values they read, not by the
+pre-states they serve: the JML witness memo, the Event-B parameter
+solutions and the active specification cases each hold at most one entry
+per distinct tuple of the values their search reads, and none holds a
+``State``.  Neither the translator nor the checker leaves a reference cycle
+behind, so what a search allocates is freed when it is done, without the
+cycle collector.  The relations themselves are pinned elsewhere
 (``test_first_fail.py``, ``test_check_golden.py``).
 """
 
 import gc
 import random
+import sys
+import types
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,9 +25,13 @@ from eb2jml import (
     mutate_translation, parse_machine, render_class, translate_machine,
     well_formedness_check,
 )
-from eb2jml import semantics
 from eb2jml.checker import MUTATIONS, state_spaces, universe_for
-from eb2jml.semantics import Budget, jml_method_rel
+from eb2jml.ebast import free_identifiers
+from eb2jml.jmlast import JmlOld, JmlOldExpr, JmlVar
+from eb2jml.nodes import walk
+from eb2jml.semantics import (
+    Budget, State, eb_event_rel, inline_guard_calls, jml_method_rel,
+)
 
 from conftest import MACHINES_DIR
 from genmachines import random_machine
@@ -95,29 +105,86 @@ def test_a_check_leaves_no_cycle(no_collector, label, filename, universe):
         assert details == {"Event-B invariant enumeration"}
 
 
-def test_a_witness_memo_holds_one_pre_state(monkeypatch, social_ref1):
+def _locals_at_return(fn, *args) -> tuple:
+    """``fn(*args)``, and the local variables of its frame as it returns."""
+    seen: dict = {}
+
+    def local(frame, event, _arg):
+        if event == "return":
+            seen.update(frame.f_locals)
+        return local
+
+    sys.settrace(lambda frame, _event, _arg:
+                 local if frame.f_code is fn.__code__ else None)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(None)
+    return out, seen
+
+
+def _reachable(root) -> list:
+    """Every object ``root`` refers to, directly or not, short of code:
+    classes, modules and functions."""
+    seen: dict = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def _value_tuples(states, reads) -> int:
+    """The number of distinct tuples of the values of ``reads`` in
+    ``states``."""
+    return len({tuple(v for n, v in sorted(s.items()) if n in reads)
+                for s in states})
+
+
+def _jml_names(p) -> set:
+    return {n.name for n in walk(p) if isinstance(n, JmlVar)}
+
+
+def _pre_state_names(p, at_pre: bool) -> set:
+    """The names ``p`` reads in the pre-state: every name when the
+    post-state is the pre-state, else those under \\old."""
+    if at_pre:
+        return _jml_names(p)
+    return set().union(*(_jml_names(n) for n in walk(p)
+                         if isinstance(n, (JmlOld, JmlOldExpr))))
+
+
+@pytest.mark.parametrize("name", ("create_account", "edit_owned"))
+def test_a_relation_keeps_searches_by_value_not_by_state(social_ref1, name):
     u = universe_for(social_ref1, Universe(carriers={"PERSON": 2, "CONTENTS": 3}))
     unit = translate_machine(social_ref1)
     spaces = state_spaces(social_ref1, unit, u)
-    guard, run = unit.method_pair("edit_owned")
-    real = semantics._exists_witnesses
-    found_at: dict = {}  # (memo, key) -> (entry, the pre-state it was found at)
-    held, served = set(), set()
-
-    def spy(p, pre, at_pre, env, u, memo):
-        served.add(pre)
-        out = real(p, pre, at_pre, env, u, memo)
-        for key, entry in memo.items():
-            seen = found_at.get((id(memo), key))
-            if seen is None or seen[0] is not entry:
-                found_at[id(memo), key] = (entry, pre)
-        pres = {id(found_at[id(memo), key][1]) for key in memo}
-        held.add(len(pres))
-        return out
-
-    monkeypatch.setattr(semantics, "_exists_witnesses", spy)
-    rel = jml_method_rel(run, spaces.jml, guard, social_ref1.variables, u,
-                         Budget(u.ceiling))
-    assert len(rel) == 1077
-    assert held == {1}
-    assert served == spaces.jml
+    event = social_ref1.event(name)
+    guard, run = unit.method_pair(name)
+    jml_rel, jml_frame = _locals_at_return(
+        jml_method_rel, run, spaces.jml, guard, social_ref1.variables, u,
+        Budget(u.ceiling))
+    eb_rel, eb_frame = _locals_at_return(
+        eb_event_rel, event, spaces.eb, social_ref1.variables, u,
+        Budget(u.ceiling))
+    assert jml_rel == eb_rel and len(spaces.jml) == 915
+    memo, actives, found = jml_frame["memo"], jml_frame["actives"], eb_frame["found"]
+    for held in (memo, actives, found):
+        assert held
+        assert not any(isinstance(obj, State) for obj in _reachable(held))
+    # at most one entry per distinct tuple of the values each search reads
+    guards = {i.key for _lbl, g in event.guards for i in free_identifiers(g)}
+    assert len(found) <= _value_tuples(spaces.eb, guards)
+    requires = set().union(*(_jml_names(inline_guard_calls(case.requires, guard))
+                             for case in (run.normal, run.exceptional)))
+    assert len(actives) <= _value_tuples(spaces.jml, requires)
+    searches = Counter((node, at_pre, env) for node, at_pre, env, _values in memo)
+    for (node, at_pre, _env), entries in searches.items():
+        chain, quantifier = memo.chains[node, at_pre]
+        reads = set(chain[-1])  # the other names its search reads
+        assert reads <= _pre_state_names(quantifier, at_pre)
+        assert entries <= _value_tuples(spaces.jml, reads)

@@ -21,8 +21,8 @@ from eb2jml.checker import (
 from eb2jml.ebast import Ident, IntType, RelType
 from eb2jml.jmlast import (
     AssignNothing, AssignVars, JInt, JmlAnd, JmlArith, JmlBoolCall, JmlCmp,
-    JmlExists, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlOld, JmlOldExpr,
-    JmlTrue, JmlVar, SpecCase,
+    JmlExists, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlNot, JmlOld,
+    JmlOldExpr, JmlTrue, JmlVar, SpecCase,
 )
 from eb2jml.semantics import (
     Budget, EvalError, Universe, enumerate_states, inline_guard_calls,
@@ -209,6 +209,16 @@ HAND_BUILT = {
         _case(_exists("k", JmlOld(JmlCmp("<=", _var("k"), _var("x"))),
                       _eq("x", _old(_var("y")))), "x"),
         False),
+    # both pre-states with x = 0 share the requires test and the witness
+    # search, which read x alone; the post-value of x is their y, which
+    # only the remaining conjunct reads
+    "pre-states that agree on what the searches read": (
+        SpecCase(JmlCmp("<=", _var("x"), JmlIntLit(0)), AssignVars(("x",)),
+                 _exists("k", JmlOld(JmlCmp("<=", _var("k"), _var("x"))),
+                         _eq("x", _old(JmlArith("+", _var("k"), _var("y")))))),
+        SpecCase(JmlNot(JmlCmp("<=", _var("x"), JmlIntLit(0))),
+                 AssignNothing(), JmlTrue()),
+        True),
     "int == pin inside exists": (
         _case(_exists("k", _eq("x", _old(JmlArith("*", _var("k"),
                                                    _var("y"))))), "x"),

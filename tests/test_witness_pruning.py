@@ -1,9 +1,9 @@
 """Pre-state witness pruning is exact.
 
-Each \\exists keeps in the evaluator's memo, per (node, pre-state,
-binding), only the witnesses whose leading \\old conjuncts hold (every
-conjunct when the post-state is the pre-state), and searches directly
-nested quantifiers as one.  Every evaluation here, with one memo shared
+Each \\exists keeps in the evaluator's memo, per (node, binding, and the
+pre-state's values of the names its search reads), only the witnesses
+whose leading \\old conjuncts hold (every conjunct when the post-state is
+the pre-state), and searches directly nested quantifiers as one.  Every evaluation here, with one memo shared
 across all pairs, is compared with ``conftest.jml_scan_holds``, which tries
 every witness in full.
 """
@@ -106,6 +106,13 @@ HAND_BUILT = {
         JmlOld(JmlCmp("!=", _var("x"), _var("v"))),
         JmlParen(_exists("v", _and(JmlOld(JmlCmp("==", _var("v"), _int(1))),
                                    JmlCmp("==", _var("x"), _var("v"))))))),
+    # the inner search reads v alone, but its witnesses carry the outer
+    # binding of x, which the conjunct after it reads
+    "inner search under each outer binding": _exists("x", _and(
+        JmlOld(JmlCmp("<=", _var("x"), _int(1))),
+        _exists("y", _and(JmlOld(JmlCmp("==", _var("y"), _var("v"))),
+                          JmlCmp("==", _var("x"), _var("y")))),
+        JmlCmp("<=", _var("v"), _int(1)))),
     "nested quantifier followed by a conjunct": _exists("x", _and(
         JmlOld(JmlCmp("==", _var("x"), _var("v"))),
         _exists("y", JmlCmp("==", _var("v"), _var("y"))),
