@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import logging
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -23,6 +24,8 @@ from .semantics import (
     spec_cases,
 )
 from .translate import TranslationUnit, translate_machine
+
+log = logging.getLogger(__name__)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -153,7 +156,8 @@ class StateSpaces:
 def state_spaces(machine: Machine, unit: TranslationUnit,
                  universe: Universe) -> StateSpaces:
     """Enumerate the Event-B invariant states and, separately, the states
-    satisfying the rendered class invariant."""
+    satisfying the rendered class invariant; a state that both sides
+    accept is kept as one object, the Event-B side's."""
     u = universe_for(machine, universe)
     phase = "Event-B invariant enumeration"
     try:
@@ -164,6 +168,10 @@ def state_spaces(machine: Machine, unit: TranslationUnit,
                                           machine.variables, u, Budget(u.ceiling))
     except ResourceLimitError as exc:
         return StateSpaces(limit=(phase, exc.count, exc.ceiling))
+    index = {s: s for s in eb_states}
+    jml_states = frozenset(index.get(s, s) for s in jml_states)
+    log.debug("invariant states: %d Event-B, %d JML, %d shared", len(eb_states),
+              len(jml_states), sum(s in index for s in jml_states))
     return StateSpaces(eb_states, jml_states)
 
 

@@ -41,8 +41,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     "simulation.")
     top.add_argument("-v", "--verbose", action="store_true",
                      help="log debug records to stderr, such as each "
-                          "undefined evaluation counted as false and the "
-                          "searches each relation ran")
+                          "undefined evaluation counted as false, the invariant "
+                          "states each side found and the searches each relation ran")
     sub = top.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("translate", help="translate a machine to a .java spec")

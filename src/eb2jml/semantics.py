@@ -123,11 +123,6 @@ class State(Mapping):
     def __hash__(self):
         return self._hash
 
-    def override(self, changes: Mapping) -> "State":
-        d = dict(self._d)
-        d.update(changes)
-        return State(d)
-
     def sort_key(self):
         return tuple((k, fmt_value(v)) for k, v in sorted(self._d.items()))
 
@@ -194,13 +189,6 @@ class Universe:
             self._cache[eb.IntSet] = frozenset(self.all_ints())
         return self._cache[eb.IntSet]
 
-    def _subsets(self, base: tuple[Value, ...]) -> tuple[frozenset, ...]:
-        if 2 ** len(base) > self.ceiling:
-            raise ResourceLimitError(2 ** len(base), self.ceiling)
-        return tuple(
-            frozenset(base[i] for i in range(len(base)) if mask >> i & 1)
-            for mask in range(2 ** len(base)))
-
     def values_of(self, t) -> tuple[Value, ...]:
         """The values of an Event-B or a JML type, computed once per type:
         ``INT`` takes the integer range, a carrier set its elements, and the
@@ -213,15 +201,15 @@ class Universe:
             out = self.carrier_elems(t.set_name)
         elif isinstance(t, jml.JInt):
             out = self.all_ints()
-        elif isinstance(t, (eb.SetType, jml.JSet)):
-            if t.elem is None:
-                raise EvalError("set type with undetermined element type")
-            out = self._subsets(self.values_of(t.elem))
-        elif isinstance(t, (eb.RelType, jml.JRel)):
-            if t.dom is None or t.ran is None:
-                raise EvalError("relation type with undetermined element types")
-            out = self._subsets(tuple(itertools.product(
-                self.values_of(t.dom), self.values_of(t.ran))))
+        elif isinstance(t, (eb.SetType, jml.JSet)) and t.elem is None:
+            raise EvalError("set type with undetermined element type")
+        elif isinstance(t, _RELATION_TYPES) and (t.dom is None or t.ran is None):
+            raise EvalError("relation type with undetermined element types")
+        elif isinstance(t, (eb.SetType, jml.JSet) + _RELATION_TYPES):
+            base = _base(t, False, self)
+            if 2 ** len(base) > self.ceiling:
+                raise ResourceLimitError(2 ** len(base), self.ceiling)
+            out = tuple(_Supersets(frozenset(), base))
         else:
             raise EvalError(f"cannot enumerate values of {t!r}")
         self._cache[t] = out
@@ -696,20 +684,22 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
 
 def _eb_post_states(actions, variables, u, budget, states):
     """``posts(a, env)`` yields each invariant state in ``states`` that one
-    simultaneous execution of ``actions`` at (a, env) reaches.
+    simultaneous execution of ``actions`` at (a, env) reaches: the object
+    ``states`` holds, so that equal states are one object.
 
     Each action result is one unit of work.  ``states`` holds typed states
     only, so a result outside the bounded universe is dropped with the
     states that break the invariant.
     """
     var_types = {ident.name: ty for ident, ty in variables}
+    index = {s: s for s in states}
 
     def posts(a, env):
         for assignment in _action_assignments(
                 actions, a, env, var_types, u, budget):
             budget.charge()
-            b = a.override(assignment)
-            if b in states:
+            b = index.get(State({**a._d, **assignment}))
+            if b is not None:
                 yield b
 
     return posts

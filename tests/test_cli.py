@@ -155,6 +155,17 @@ def test_verbose_logs_the_searches_of_each_relation(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verbose_logs_the_invariant_states_of_each_side(tmp_path, capsys):
+    # one record: each side's invariant states, and how many of them are
+    # one object because both sides accept them
+    args = ["check", str(_copy(tmp_path, "social_ref1.ebm"))]
+    assert main(["-v"] + args) == 0
+    records = [line for line in capsys.readouterr().err.splitlines()
+               if "invariant states" in line]
+    assert records == [
+        "eb2jml.checker: invariant states: 57 Event-B, 57 JML, 57 shared"]
+
+
 def test_parse_prints_canonical_form(tmp_path, capsys):
     src = _copy(tmp_path, "counter.ebm")
     assert main(["parse", str(src)]) == 0

@@ -90,12 +90,13 @@ def _checker_relations(monkeypatch, machine, unit, event, u):
             return seen[name]
         monkeypatch.setattr(checker, name, recorded)
 
+    spy("state_spaces", checker.state_spaces)
     spy("jml_method_rel", checker.jml_method_rel)
     spy("eb_event_rel_variants", checker.eb_event_rel_variants)
     assert check_event(event, machine, u, unit).status == PASS
     literal, strict = seen["eb_event_rel_variants"]
     assert literal == strict  # every stutter pair starts at an invariant state
-    return seen["jml_method_rel"], literal
+    return seen["jml_method_rel"], literal, seen["state_spaces"]
 
 
 @pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
@@ -108,6 +109,9 @@ def test_invariant_sets_equal_the_filtered_product(name, universe):
     assert spaces.eb == eb_inv_states(machine, u)
     assert spaces.jml == jml_inv_states(unit.result.class_invariant, machine.variables, u)
     assert spaces.eb  # the initial state at least
+    # a state both sides accept is one object
+    eb_ids = {id(s) for s in spaces.eb}
+    assert all(id(s) in eb_ids for s in spaces.jml if s in spaces.eb)
 
 
 @pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
@@ -118,10 +122,15 @@ def test_checker_relations_equal_brute_force(monkeypatch, name, universe):
     eb_inv = eb_inv_states(machine, u)
     typed = enumerate_states(machine.variables, u)
     for event in machine.events:
-        jml_rel, eb_rel = _checker_relations(monkeypatch, machine, unit, event, u)
+        jml_rel, eb_rel, spaces = _checker_relations(
+            monkeypatch, machine, unit, event, u)
         assert jml_rel == _brute_jml_rel(machine, unit, event, u), event.name
         literal = _reference_eb_rel(machine, event, u, typed)
         assert eb_rel == frozenset(p for p in literal if p[0] in eb_inv), event.name
+        # each pair holds its side's own state objects, not equal copies
+        for rel, space in ((jml_rel, spaces.jml), (eb_rel, spaces.eb)):
+            own = {s: s for s in space}
+            assert all(own[a] is a and own[b] is b for a, b in rel), event.name
         monkeypatch.undo()
 
 
@@ -166,7 +175,7 @@ def _reference_posts(actions, a, env, allowed, u):
             values = [v for v in allowed[target] if _holds(
                 eb_pred_holds, act.predicate, a, {**env, f"{target}'": v}, u)]
         choices.append([(target, v) for v in values])
-    return [a.override(dict(combo)) for combo in itertools.product(*choices)]
+    return [State({**a, **dict(combo)}) for combo in itertools.product(*choices)]
 
 
 def _generated_seeds(count=40, most_states=4096) -> list[int]:
