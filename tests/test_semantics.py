@@ -5,17 +5,21 @@ import pytest
 from genmachines import oracle_event_rel, random_int_event
 from eb2jml import parse_predicate
 from eb2jml.ebast import (
-    BecomesEqual, BecomesSuchThat, BTrue, CarrierType, Cmp, Event, Ident,
-    IntLit, IntType, Ref, RelType, SetType,
+    BecomesEqual, BecomesSuchThat, BinOp, BTrue, CarrierType, Cmp, EmptySet,
+    Event, Ident, IntLit, IntSet, IntType, Ref, RelSpace, RelType, SetEnum,
+    SetType, UnOp,
 )
 from eb2jml.jmlast import (
-    AssignNothing, AssignVars, JInt, JmlCmp, JmlExists,
-    JmlFalse, JmlIntLit, JmlMethodSpec, JmlOld, JmlTrue, JmlVar, SpecCase,
+    AssignNothing, AssignVars, JInt, JmlArith, JmlCmp, JmlCross, JmlExists,
+    JmlFalse, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlNewPair,
+    JmlNewRelation, JmlNewSet, JmlOld, JmlOldExpr, JmlTrue, JmlVar, JSet,
+    SpecCase,
 )
+from eb2jml.nodes import walk
 from eb2jml.semantics import (
     Budget, EvalError, ResourceLimitError, State, Universe, eb_event_rel,
     eb_init_states, eb_pred_holds, enumerate_states, eval_eb_expr,
-    jml_initially_states, jml_method_rel, jml_pred_holds,
+    eval_jml_expr, jml_initially_states, jml_method_rel, jml_pred_holds,
 )
 from eb2jml.translate import translate_machine, translate_predicate
 
@@ -74,6 +78,191 @@ def test_pred_membership_difference():
 def test_pred_subset_false():
     assert not holds("owner <: pages",
                      {"owner": frozenset({(1, 1)}), "pages": frozenset()})
+
+
+# --- each evaluator's values and failure texts ------------------------------
+
+EVAL_U = Universe(int_lo=0, int_hi=2, carriers={"P": 2})
+VALUES = {"n": 1, "s": frozenset({1, 2}), "t": frozenset({2, 3}),
+          "r": frozenset({(1, 2), (3, 4)}), "g": frozenset({(0, 1), (0, 2)})}
+OLD = {**VALUES, "n": 0, "s": frozenset({0})}  # the JML pre-state
+S12, PROD = frozenset({1, 2}), frozenset({(1, 2), (1, 3), (2, 2), (2, 3)})
+
+
+def _eb(x):
+    return Ref(Ident(x)) if isinstance(x, str) else IntLit(x) \
+        if isinstance(x, int) else x
+
+
+def _bin(op, left, right):
+    return BinOp(op, _eb(left), _eb(right))
+
+
+# (expression, its value at VALUES or the text of its EvalError)
+EB_CASES = [
+    (_bin("maplet", "n", "s"), (1, S12)),
+    (_bin("union", "s", "t"), frozenset({1, 2, 3})),
+    (_bin("union", "n", "s"), "union needs a set value, got 1"),
+    (_bin("union", "s", "n"), "union needs a set value, got 1"),
+    (_bin("union", "n", "z"), "unbound identifier 'z'"),  # operands first
+    (_bin("inter", "s", "t"), frozenset({2})),
+    (_bin("inter", "s", "n"), "intersection needs a set value, got 1"),
+    (_bin("diff", "s", "t"), frozenset({1})),
+    (_bin("diff", "n", "t"), "difference needs a set value, got 1"),
+    (_bin("domres", "s", "r"), frozenset({(1, 2)})),
+    (_bin("domres", "n", "r"), "domain restriction needs a set value, got 1"),
+    (_bin("domres", "s", "s"), "domain restriction needs a relation value"),
+    (_bin("domsub", "s", "r"), frozenset({(3, 4)})),
+    (_bin("domsub", "r", "n"), "domain subtraction needs a set value, got 1"),
+    (_bin("domsub", "s", "s"), "domain subtraction needs a relation value"),
+    (_bin("cross", "s", "t"), PROD),
+    (_bin("cross", "s", "n"), "cartesian product needs a set value, got 1"),
+    (_bin("image", "r", "s"), frozenset({2})),
+    (_bin("image", "r", "n"), "image needs a set value, got 1"),
+    (_bin("image", "s", "s"), "image needs a relation value"),
+    (_bin("apply", "r", 1), 2),
+    (_bin("apply", "g", 0), "apply undefined at 0"),
+    (_bin("apply", "r", 2), "apply undefined at 2"),
+    (_bin("apply", "s", 1), "application needs a relation value"),
+    (_bin("add", "n", 2), 3),
+    (_bin("add", "s", 2), "+ needs an integer value, got {1, 2}"),
+    (_bin("sub", "n", 2), -1),
+    (_bin("sub", "n", "s"), "- needs an integer value, got {1, 2}"),
+    (_bin("mul", "n", 2), 2),
+    (_bin("mul", "r", "n"), "* needs an integer value, got {(1 |-> 2), (3 |-> 4)}"),
+    (_bin("foo", "n", "n"), "cannot evaluate operator 'foo'"),
+    (_bin("foo", "n", "z"), "unbound identifier 'z'"),
+    (UnOp("dom", _eb("r")), frozenset({1, 3})),
+    (UnOp("ran", _eb("r")), frozenset({2, 4})),
+    (UnOp("dom", _eb("s")), "dom needs a relation value"),
+    (UnOp("ran", _eb("n")), "ran needs a set value, got 1"),
+    (SetEnum((_eb("n"), IntLit(2))), S12),
+    (SetEnum(()), frozenset()),
+    (SetEnum((_eb("n"), _eb("z"))), "unbound identifier 'z'"),
+    (IntSet(), frozenset({0, 1, 2})),
+    (EmptySet(), frozenset()),
+    (_eb("P"), S12),
+    (Ref(Ident("P", primed=True)), "unbound identifier 'P''"),
+    (_eb("z"), "unbound identifier 'z'"),
+    (RelSpace("<->", _eb("s"), _eb("t")), "cannot evaluate RelSpace"),
+]
+
+
+def _jml(x):
+    return JmlVar(x) if isinstance(x, str) else JmlIntLit(x) \
+        if isinstance(x, int) else x
+
+
+def _call(recv, method, *args):
+    return JmlMethodCall(_jml(recv), method, tuple(_jml(a) for a in args))
+
+
+JML_CASES = [
+    (_call("s", "has", "n"), True),
+    (_call("n", "has", "n"), "has needs a set value, got 1"),
+    (_call("n", "has", "z"), "unbound identifier 'z'"),  # arguments first
+    (_call("s", "isSubset", "t"), False),
+    (_call("s", "isSubset", "n"), "isSubset needs a set value, got 1"),
+    (_call("n", "equals", 1), True),
+    (_call("s", "isEmpty"), False),
+    (_call("n", "isEmpty"), "isEmpty needs a set value, got 1"),
+    (_call("r", "isaFunction"), True),
+    (_call("g", "isaFunction"), False),
+    (_call("s", "isaFunction"), "isaFunction needs a relation value"),
+    (_call("s", "union", "t"), frozenset({1, 2, 3})),
+    (_call("n", "union", "t"), "union needs a set value, got 1"),
+    (_call("s", "intersection", "t"), frozenset({2})),
+    (_call("s", "intersection", "n"), "intersection needs a set value, got 1"),
+    (_call("s", "difference", "t"), frozenset({1})),
+    (_call("n", "difference", "t"), "difference needs a set value, got 1"),
+    (_call("r", "domainSubtraction", "s"), frozenset({(3, 4)})),
+    (_call("r", "domainSubtraction", "n"),
+     "domainSubtraction needs a set value, got 1"),
+    (_call("s", "domainSubtraction", "s"),
+     "domainSubtraction needs a relation value"),
+    (_call("r", "domainRestriction", "s"), frozenset({(1, 2)})),
+    (_call("r", "domainRestriction", "n"),
+     "domainRestriction needs a set value, got 1"),
+    (_call("s", "domainRestriction", "s"),
+     "domainRestriction needs a relation value"),
+    (_call("r", "image", "s"), frozenset({2})),
+    (_call("r", "image", "n"), "image needs a set value, got 1"),
+    (_call("s", "image", "s"), "image needs a relation value"),
+    (_call("r", "apply", 1), 2),
+    (_call("g", "apply", 0), "apply undefined at 0"),
+    (_call("s", "apply", 1), "apply needs a relation value"),
+    (_call("r", "domain"), frozenset({1, 3})),
+    (_call("s", "domain"), "domain needs a relation value"),
+    (_call("r", "range"), frozenset({2, 4})),
+    (_call("n", "range"), "range needs a set value, got 1"),
+    (_call("s", "foo"), "unknown method 'foo'"),
+    (_call("z", "foo"), "unbound identifier 'z'"),
+    (JmlCross(_jml("s"), _jml("t")), PROD),
+    (JmlCross(_jml("s"), _jml("n")), "cross needs a set value, got 1"),
+    (JmlCross(_jml("n"), _jml("z")), "cross needs a set value, got 1"),
+    (JmlNewSet(JInt(), (_jml("n"), _jml(2))), S12),
+    (JmlNewSet(JInt()), frozenset()),
+    (JmlNewSet(JInt(), (_jml("n"), _jml("z"))), "unbound identifier 'z'"),
+    (JmlNewPair(JInt(), JSet(JInt()), _jml("n"), _jml("s")), (1, S12)),
+    (JmlNewRelation(JInt(), JInt(), (
+        JmlNewPair(JInt(), JInt(), _jml("n"), _jml(2)),
+        JmlNewPair(JInt(), JInt(), _jml(3), _jml(4)))),
+     frozenset({(1, 2), (3, 4)})),
+    (JmlArith("+", _jml("n"), _jml(2)), 3),
+    (JmlArith("-", _jml("n"), _jml(2)), -1),
+    (JmlArith("*", _jml("n"), _jml(2)), 2),
+    (JmlArith("+", _jml("s"), _jml("z")), "+ needs an integer value, got {1, 2}"),
+    (JmlArith("+", _jml("n"), _jml("z")), "unbound identifier 'z'"),
+    (JmlArith("*", _jml("n"), _call("s", "has", "n")),
+     "* needs an integer value, got True"),
+    (JmlOldExpr(_jml("n")), 0),
+    (JmlOldExpr(_call("s", "union", "t")), frozenset({0, 2, 3})),
+    (_call(JmlOldExpr(_jml("s")), "union", "s"), frozenset({0, 1, 2})),
+    (_jml("P"), S12),
+    (_jml("z"), "unbound identifier 'z'"),
+    (JmlTrue(), "cannot evaluate JmlTrue"),
+]
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except EvalError as exc:
+        return str(exc)
+
+
+def _only(values, e, var) -> dict:
+    """``values`` restricted to the names ``e`` reads: a partial binding."""
+    names = {getattr(n, "name", None) or n.ident.key
+             for n in walk(e) if isinstance(n, var)}
+    return {k: v for k, v in values.items() if k in names}
+
+
+@pytest.mark.parametrize("e, expected", EB_CASES, ids=[
+    f"{k}-{type(e).__name__}-{getattr(e, 'op', '')}"
+    for k, (e, _v) in enumerate(EB_CASES)])
+def test_event_b_values_and_failure_texts(e, expected):
+    assert _outcome(lambda: eval_eb_expr(e, State(VALUES), {}, EVAL_U)) == expected
+    partial = _only(VALUES, e, Ref)
+    assert _outcome(lambda: eval_eb_expr(e, partial, {}, EVAL_U)) == expected
+
+
+@pytest.mark.parametrize("e, expected", JML_CASES, ids=[
+    f"{k}-{type(e).__name__}-{getattr(e, 'method', getattr(e, 'op', ''))}"
+    for k, (e, _v) in enumerate(JML_CASES)])
+def test_jml_values_and_failure_texts(e, expected):
+    assert _outcome(lambda: eval_jml_expr(
+        e, State(OLD), State(VALUES), {}, EVAL_U)) == expected
+    pre, post = _only(OLD, e, JmlVar), _only(VALUES, e, JmlVar)
+    assert _outcome(lambda: eval_jml_expr(e, pre, post, {}, EVAL_U)) == expected
+
+
+def test_a_binding_shadows_the_state_and_the_carrier_sets():
+    env = {"n": 2, "P": 7}
+    assert eval_eb_expr(_eb("n"), State(VALUES), env, EVAL_U) == 2
+    assert eval_eb_expr(_eb("P"), {}, env, EVAL_U) == 7
+    assert eval_jml_expr(JmlOldExpr(_jml("n")), OLD, VALUES, env, EVAL_U) == 2
+    assert eval_jml_expr(_jml("P"), {}, {}, env, EVAL_U) == 7
 
 
 # --- Event-B relations -------------------------------------------------------
