@@ -157,7 +157,7 @@ def state_spaces(machine: Machine, unit: TranslationUnit,
                  universe: Universe) -> StateSpaces:
     """Enumerate the Event-B invariant states and, separately, the states
     satisfying the rendered class invariant; a state that both sides
-    accept is kept as one object, the Event-B side's."""
+    accept is kept as one object, the Event-B side's, as it is found."""
     u = universe_for(machine, universe)
     phase = "Event-B invariant enumeration"
     try:
@@ -165,13 +165,12 @@ def state_spaces(machine: Machine, unit: TranslationUnit,
                                         u, Budget(u.ceiling))
         phase = "JML invariant enumeration"
         jml_states = jml_invariant_states(unit.result.class_invariant,
-                                          machine.variables, u, Budget(u.ceiling))
+                                          machine.variables, u, Budget(u.ceiling),
+                                          eb_states)
     except ResourceLimitError as exc:
         return StateSpaces(limit=(phase, exc.count, exc.ceiling))
-    index = {s: s for s in eb_states}
-    jml_states = frozenset(index.get(s, s) for s in jml_states)
     log.debug("invariant states: %d Event-B, %d JML, %d shared", len(eb_states),
-              len(jml_states), sum(s in index for s in jml_states))
+              len(jml_states), sum(s in eb_states for s in jml_states))
     return StateSpaces(eb_states, jml_states)
 
 

@@ -17,7 +17,8 @@ constrained name first.  Every search charges each value it tests to the one
 a relation), which a JML evaluation reaches through its ``WitnessMemo``.
 A search for \\exists witnesses, event parameters or active specification
 cases runs once per tuple of the pre-state values it reads, kept while the
-phase lasts; no memo keeps a state.
+phase lasts; no memo keeps a state.  Predicates are interpreted; each
+expression in them is compiled into a closure once per phase.
 
 Evaluation can fail (function application at a non-functional point,
 unbound identifiers); a guard or predicate whose evaluation fails counts
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -74,15 +76,16 @@ class Budget:
 
 class WitnessMemo(dict):
     """The \\exists witnesses of each quantifier, keyed by the values its
-    search reads (see ``_exists_witnesses``), and its analysis (see
-    ``_exists_chain``), for as long as the phase it serves lasts; and the
-    Budget that pays for the searches."""
+    search reads (see ``_exists_witnesses``), its analysis (``_exists_chain``)
+    and compiled expressions (``_compiled``), for as long as the phase it
+    serves lasts; and the Budget that pays for the searches."""
 
-    __slots__ = ("budget", "chains")
+    __slots__ = ("budget", "chains", "compiled")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.chains: dict = {}
+        self.compiled: dict = {}
 
 
 def fmt_value(v: Value) -> str:
@@ -321,8 +324,8 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge,
 
 
 def _invariant_states(variables, conjuncts, holds, bounds, value, u: Universe,
-                      budget: Budget) -> frozenset:
-    """Typed states at which every conjunct holds.
+                      budget: Budget, known: frozenset = frozenset()) -> frozenset:
+    """Typed states at which every conjunct holds, each one of ``known``.
 
     ``conjuncts`` pairs each conjunct with the variable names it reads.
     Variables are bound in declaration order, each to the values its
@@ -333,10 +336,11 @@ def _invariant_states(variables, conjuncts, holds, bounds, value, u: Universe,
     names = [ident.name for ident, _ty in variables]
     plan = _bound_plan(names, [ty for _ident, ty in variables],
                        _placed(bounds, names))
-    return frozenset(State(s) for s in _solutions(
+    index = {s: s for s in known}
+    return frozenset(index.get(s, s) for s in map(State, _solutions(
         names, _bounded_domain(plan, value, u),
         [(conj, _positions(reads, names)) for conj, reads in conjuncts],
-        holds, {}, budget.charge))
+        holds, {}, budget.charge)))
 
 
 def _placed(bounds, names) -> list:
@@ -508,9 +512,11 @@ def eb_invariant_states(invariants, variables, u: Universe,
     conjuncts = [(c, _eb_reads(c)) for c in conjs]
     bounds = [(kind, name, e, _eb_reads(e))
               for c in conjs for kind, name, e in _eb_bounds(c)]
+    compiled: dict = {}
     return _invariant_states(
-        variables, conjuncts, lambda c, s: eb_pred_holds(c, s, {}, u), bounds,
-        lambda e, s: eval_eb_expr(e, s, {}, u), u, budget)
+        variables, conjuncts, lambda c, s: eb_pred_holds(c, s, {}, u, compiled),
+        bounds, lambda e, s: _compiled(_compile_eb, e, u, compiled)(s, {}), u,
+        budget)
 
 
 # --- Event-B evaluation ---------------------------------------------------
@@ -535,95 +541,116 @@ def _as_int(v: Value, what: str) -> int:
     return v
 
 
+def _compiled(compile, e, u: Universe, cache: dict):
+    """``compile(e, u)``, once per node in ``cache``: kept by the node's
+    identity, with the node, so that no identity is reused meanwhile."""
+    hit = cache.get(id(e))
+    if hit is None:
+        hit = cache[id(e)] = (compile(e, u), e)
+    return hit[0]
+
+
 def eval_eb_expr(e: eb.Expr, state: Mapping, env: Mapping, u: Universe) -> Value:
-    if isinstance(e, eb.IntLit):
-        return e.value
+    return _compile_eb(e, u)(state, env)
+
+
+def _compile_eb(e: eb.Expr, u: Universe):
+    """``f(state, env)``, the value of ``e``, its operator chosen now (after
+    Feeley & Lapalme, "Using Closures for Code Generation", 1987)."""
+    if isinstance(e, (eb.IntLit, eb.EmptySet)):
+        value = e.value if isinstance(e, eb.IntLit) else frozenset()
+        return lambda state, env: value
     if isinstance(e, eb.Ref):
         key = e.ident.key
-        if key in env:
-            return env[key]
-        if key in state:
-            return state[key]
-        if not e.ident.primed and key in u.carriers:
-            return frozenset(u.carrier_elems(key))
-        raise EvalError(f"unbound identifier '{key}'")
-    if isinstance(e, eb.EmptySet):
-        return frozenset()
+        carrier = frozenset(u.carrier_elems(key)) \
+            if not e.ident.primed and key in u.carriers else None
+
+        def ref(state, env):
+            if key in env:
+                return env[key]
+            if key in state:
+                return state[key]
+            if carrier is None:
+                raise EvalError(f"unbound identifier '{key}'")
+            return carrier
+        return ref
     if isinstance(e, eb.IntSet):
-        return u.int_set()
+        return lambda state, env: u.int_set()
     if isinstance(e, eb.SetEnum):
-        return frozenset(eval_eb_expr(i, state, env, u) for i in e.items)
+        items = [_compile_eb(i, u) for i in e.items]
+        return lambda state, env: frozenset([f(state, env) for f in items])
     if isinstance(e, eb.UnOp):
-        r = _as_rel(eval_eb_expr(e.operand, state, env, u), e.op)
-        if e.op == "dom":
-            return frozenset(x for x, _y in r)
-        return frozenset(y for _x, y in r)
+        operand, op, at = _compile_eb(e.operand, u), e.op, int(e.op != "dom")
+        return lambda state, env: frozenset(
+            p[at] for p in _as_rel(operand(state, env), op))
     if isinstance(e, eb.BinOp):
-        return _eval_eb_binop(e, state, env, u)
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
+        left, right = _compile_eb(e.left, u), _compile_eb(e.right, u)
+        op = _EB_BINARY.get(e.op) or _unknown(f"cannot evaluate operator '{e.op}'")
+        return lambda state, env: op(left(state, env), right(state, env))
+    return _unknown(f"cannot evaluate {type(e).__name__}")
 
 
-def _eval_eb_binop(e: eb.BinOp, state, env, u) -> Value:
-    op = e.op
-    left = eval_eb_expr(e.left, state, env, u)
-    right = eval_eb_expr(e.right, state, env, u)
-    if op == "union":
-        return _as_set(left, "union") | _as_set(right, "union")
-    if op == "inter":
-        return _as_set(left, "intersection") & _as_set(right, "intersection")
-    if op == "diff":
-        return _as_set(left, "difference") - _as_set(right, "difference")
-    if op == "domsub":
-        s = _as_set(left, "domain subtraction")
-        return frozenset(p for p in _as_rel(right, "domain subtraction")
-                         if p[0] not in s)
-    if op == "domres":
-        s = _as_set(left, "domain restriction")
-        return frozenset(p for p in _as_rel(right, "domain restriction")
-                         if p[0] in s)
-    if op == "cross":
-        return frozenset(itertools.product(
-            _as_set(left, "cartesian product"), _as_set(right, "cartesian product")))
-    if op == "maplet":
-        return (left, right)
-    if op == "image":
-        s = _as_set(right, "image")
-        return frozenset(y for x, y in _as_rel(left, "image") if x in s)
-    if op == "apply":
-        matches = {y for x, y in _as_rel(left, "application") if x == right}
-        if len(matches) != 1:
-            raise EvalError(f"apply undefined at {fmt_value(right)}")
-        return next(iter(matches))
-    if op == "add":
-        return _as_int(left, "+") + _as_int(right, "+")
-    if op == "sub":
-        return _as_int(left, "-") - _as_int(right, "-")
-    if op == "mul":
-        return _as_int(left, "*") * _as_int(right, "*")
-    raise EvalError(f"cannot evaluate operator '{op}'")
+def _unknown(message: str):
+    """An operator whose every use is an EvalError saying ``message``."""
+    def fail(*_values):
+        raise EvalError(message)
+    return fail
+
+
+def _eb_restrict(s, r, what: str, keep: bool) -> frozenset:
+    s = _as_set(s, what)
+    return frozenset(p for p in _as_rel(r, what) if (p[0] in s) == keep)
+
+
+def _eb_apply(f, x) -> Value:
+    matches = {y for a, y in _as_rel(f, "application") if a == x}
+    if len(matches) != 1:
+        raise EvalError(f"apply undefined at {fmt_value(x)}")
+    return next(iter(matches))
+
+
+# each binary operator, given both operands' values (both are evaluated first)
+_EB_BINARY = {
+    "union": lambda a, b: _as_set(a, "union") | _as_set(b, "union"),
+    "inter": lambda a, b: _as_set(a, "intersection") & _as_set(b, "intersection"),
+    "diff": lambda a, b: _as_set(a, "difference") - _as_set(b, "difference"),
+    "domsub": lambda a, b: _eb_restrict(a, b, "domain subtraction", False),
+    "domres": lambda a, b: _eb_restrict(a, b, "domain restriction", True),
+    "cross": lambda a, b: frozenset(itertools.product(
+        _as_set(a, "cartesian product"), _as_set(b, "cartesian product"))),
+    "maplet": lambda a, b: (a, b),
+    "image": lambda a, b: frozenset(p[1] for p in _eb_restrict(b, a, "image", True)),
+    "apply": _eb_apply,
+    "add": lambda a, b: _as_int(a, "+") + _as_int(b, "+"),
+    "sub": lambda a, b: _as_int(a, "-") - _as_int(b, "-"),
+    "mul": lambda a, b: _as_int(a, "*") * _as_int(b, "*"),
+}
 
 
 def _functional(r: frozenset) -> bool:
     return len({x for x, _y in r}) == len(r)
 
 
-def eb_pred_holds(p: eb.Predicate, state: Mapping, env: Mapping, u: Universe) -> bool:
-    """Exact truth value of a predicate; raises EvalError when undefined."""
+def eb_pred_holds(p: eb.Predicate, state: Mapping, env: Mapping, u: Universe,
+                  compiled: Optional[dict] = None) -> bool:
+    """Exact truth value of a predicate; raises EvalError when undefined.
+    Its expressions are compiled into ``compiled`` (see ``_compiled``)."""
+    compiled = compiled if compiled is not None else {}
     if isinstance(p, eb.BTrue):
         return True
     if isinstance(p, eb.And):
-        return eb_pred_holds(p.left, state, env, u) and \
-            eb_pred_holds(p.right, state, env, u)
+        return eb_pred_holds(p.left, state, env, u, compiled) and \
+            eb_pred_holds(p.right, state, env, u, compiled)
     if isinstance(p, eb.Or):
-        return eb_pred_holds(p.left, state, env, u) or \
-            eb_pred_holds(p.right, state, env, u)
+        return eb_pred_holds(p.left, state, env, u, compiled) or \
+            eb_pred_holds(p.right, state, env, u, compiled)
     if isinstance(p, eb.Not):
-        return not eb_pred_holds(p.operand, state, env, u)
+        return not eb_pred_holds(p.operand, state, env, u, compiled)
     if isinstance(p, eb.Cmp):
         if p.op == "in" and isinstance(p.right, eb.RelSpace):
-            return _relspace_holds(p.left, p.right, state, env, u)
-        left = eval_eb_expr(p.left, state, env, u)
-        right = eval_eb_expr(p.right, state, env, u)
+            return _relspace_holds(p.left, p.right, state, env, u, compiled)
+        left = _compiled(_compile_eb, p.left, u, compiled)(state, env)
+        right = _compiled(_compile_eb, p.right, u, compiled)(state, env)
         if p.op == "eq":
             return left == right
         if p.op == "neq":
@@ -639,10 +666,12 @@ def eb_pred_holds(p: eb.Predicate, state: Mapping, env: Mapping, u: Universe) ->
     raise EvalError(f"cannot evaluate {type(p).__name__}")
 
 
-def _relspace_holds(member: eb.Expr, rs: eb.RelSpace, state, env, u) -> bool:
-    r = _as_rel(eval_eb_expr(member, state, env, u), "relation membership")
-    s = _as_set(eval_eb_expr(rs.left, state, env, u), "relation membership")
-    t = _as_set(eval_eb_expr(rs.right, state, env, u), "relation membership")
+def _relspace_holds(member: eb.Expr, rs: eb.RelSpace, state, env, u, compiled) -> bool:
+    def value(e):
+        return _compiled(_compile_eb, e, u, compiled)(state, env)
+    r = _as_rel(value(member), "relation membership")
+    s = _as_set(value(rs.left), "relation membership")
+    t = _as_set(value(rs.right), "relation membership")
     dom = frozenset(x for x, _y in r)
     ran = frozenset(y for _x, y in r)
     if rs.arrow == "<->":
@@ -658,13 +687,14 @@ def _relspace_holds(member: eb.Expr, rs: eb.RelSpace, state, env, u) -> bool:
 
 # --- Event-B transition relations ------------------------------------------
 
-def _action_assignments(actions, state, env, var_types, u: Universe, budget: Budget):
+def _action_assignments(actions, state, env, var_types, u: Universe, budget: Budget,
+                        compiled: dict):
     """All simultaneous result assignments for the actions at one valuation."""
     per_action: list[list[tuple[str, Value]]] = []
     for act in actions:
         target = act.target.name
         if isinstance(act, eb.BecomesEqual):
-            val = _defined(eval_eb_expr, act.rhs, state, env, u)
+            val = _defined(_compiled(_compile_eb, act.rhs, u, compiled), state, env)
             if val is False:  # undefined: no transition (a value may be 0)
                 return
             per_action.append([(target, val)])
@@ -673,7 +703,7 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
             choices = _solutions(
                 [prime], lambda _k, _partial, _bound: u.values_of(var_types[target]),
                 [(act.predicate, frozenset((0,)))],
-                lambda p, bap_env: eb_pred_holds(p, state, bap_env, u),
+                lambda p, bap_env: eb_pred_holds(p, state, bap_env, u, compiled),
                 dict(env), budget.charge)
             if not choices:
                 return
@@ -682,7 +712,7 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
         yield dict(combo)
 
 
-def _eb_post_states(actions, variables, u, budget, states):
+def _eb_post_states(actions, variables, u, budget, states, compiled: dict):
     """``posts(a, env)`` yields each invariant state in ``states`` that one
     simultaneous execution of ``actions`` at (a, env) reaches: the object
     ``states`` holds, so that equal states are one object.
@@ -696,7 +726,7 @@ def _eb_post_states(actions, variables, u, budget, states):
 
     def posts(a, env):
         for assignment in _action_assignments(
-                actions, a, env, var_types, u, budget):
+                actions, a._d, env, var_types, u, budget, compiled):
             budget.charge()
             b = index.get(State({**a._d, **assignment}))
             if b is not None:
@@ -717,7 +747,8 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     each to the values its guards' bounds and pins allow at a, once per
     tuple of the values of the variables the guards read.
     """
-    posts = _eb_post_states(event.actions, variables, u, budget, states)
+    compiled: dict = {}
+    posts = _eb_post_states(event.actions, variables, u, budget, states, compiled)
     names = [ident.name for ident, _ty in event.params]
     conjs = [c for _lbl, g in event.guards for c in _eb_conjuncts(g)]
     guards = [(c, _positions(_eb_reads(c), names)) for c in conjs]
@@ -730,13 +761,14 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     found: dict = {}
     rel: set[tuple[State, State]] = set()
     for a in states:
-        key = _read(a, reads)
+        d = a._d
+        key = _read(d, reads)
         sat_envs = found.get(key)
         if sat_envs is None:
             sat_envs = found[key] = _solutions(
-                names, _bounded_domain(
-                    plan, lambda e, env: eval_eb_expr(e, a, env, u), u),
-                guards, lambda c, env: eb_pred_holds(c, a, env, u), {},
+                names, _bounded_domain(plan, lambda e, env: _compiled(
+                    _compile_eb, e, u, compiled)(d, env), u),
+                guards, lambda c, env: eb_pred_holds(c, d, env, u, compiled), {},
                 budget.charge, first_fail=True)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
@@ -760,7 +792,7 @@ def eb_event_rel_variants(event, states: frozenset, variables, u: Universe,
 def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
                    budget: Budget) -> frozenset:
     """The invariant ``states`` reachable by the initialisation."""
-    posts = _eb_post_states(init_actions, variables, u, budget, states)
+    posts = _eb_post_states(init_actions, variables, u, budget, states, {})
     return frozenset(posts(State(), {}))
 
 
@@ -769,84 +801,90 @@ def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
 def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
                   u: Universe) -> Value:
     """Evaluate with lookups in ``state``; \\old subterms switch to ``pre``."""
+    return _compile_jml(e, u)(pre, state, env)
+
+
+def _compile_jml(e: jml.JmlExpr, u: Universe):
+    """``f(pre, state, env)``, the value of ``e``, its method chosen now."""
     if isinstance(e, jml.JmlVar):
-        if e.name in env:
-            return env[e.name]
-        if e.name in state:
-            return state[e.name]
-        if e.name in u.carriers:
-            return frozenset(u.carrier_elems(e.name))
-        raise EvalError(f"unbound identifier '{e.name}'")
+        name = e.name
+        carrier = frozenset(u.carrier_elems(name)) if name in u.carriers else None
+
+        def var(pre, state, env):
+            if name in env:
+                return env[name]
+            if name in state:
+                return state[name]
+            if carrier is None:
+                raise EvalError(f"unbound identifier '{name}'")
+            return carrier
+        return var
     if isinstance(e, jml.JmlOldExpr):
-        return eval_jml_expr(e.expr, pre, pre, env, u)
+        inner = _compile_jml(e.expr, u)
+        return lambda pre, state, env: inner(pre, pre, env)
     if isinstance(e, jml.JmlMethodCall):
-        return _eval_jml_call(e, pre, state, env, u)
+        recv, args = _compile_jml(e.recv, u), [_compile_jml(a, u) for a in e.args]
+        method = _JML_METHODS.get(e.method) or _unknown(f"unknown method '{e.method}'")
+        if len(args) == 1:
+            arg = args[0]
+            return lambda pre, state, env: method(
+                recv(pre, state, env), (arg(pre, state, env),))
+        return lambda pre, state, env: method(
+            recv(pre, state, env), [a(pre, state, env) for a in args])
     if isinstance(e, jml.JmlIntLit):
-        return e.value
+        value = e.value
+        return lambda pre, state, env: value
     if isinstance(e, jml.JmlCross):
-        left = _as_set(eval_jml_expr(e.left, pre, state, env, u), "cross")
-        right = _as_set(eval_jml_expr(e.right, pre, state, env, u), "cross")
-        return frozenset(itertools.product(left, right))
-    if isinstance(e, jml.JmlNewSet):
-        return frozenset(eval_jml_expr(i, pre, state, env, u) for i in e.items)
-    if isinstance(e, jml.JmlNewRelation):
-        return frozenset(
-            eval_jml_expr(pair, pre, state, env, u) for pair in e.pairs)
+        left, right = _compile_jml(e.left, u), _compile_jml(e.right, u)
+        return lambda pre, state, env: frozenset(itertools.product(
+            _as_set(left(pre, state, env), "cross"),
+            _as_set(right(pre, state, env), "cross")))
+    if isinstance(e, (jml.JmlNewSet, jml.JmlNewRelation)):
+        items = [_compile_jml(i, u) for i in (
+            e.items if isinstance(e, jml.JmlNewSet) else e.pairs)]
+        return lambda pre, state, env: frozenset([f(pre, state, env) for f in items])
     if isinstance(e, jml.JmlNewPair):
-        return (eval_jml_expr(e.left, pre, state, env, u),
-                eval_jml_expr(e.right, pre, state, env, u))
+        left, right = _compile_jml(e.left, u), _compile_jml(e.right, u)
+        return lambda pre, state, env: (left(pre, state, env), right(pre, state, env))
     if isinstance(e, jml.JmlArith):
-        left = _as_int(eval_jml_expr(e.left, pre, state, env, u), e.op)
-        right = _as_int(eval_jml_expr(e.right, pre, state, env, u), e.op)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        return left * right
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
+        left, right, op = _compile_jml(e.left, u), _compile_jml(e.right, u), e.op
+        apply = {"+": operator.add, "-": operator.sub}.get(op, operator.mul)
+        return lambda pre, state, env: apply(
+            _as_int(left(pre, state, env), op), _as_int(right(pre, state, env), op))
+    return _unknown(f"cannot evaluate {type(e).__name__}")
 
 
-def _eval_jml_call(e: jml.JmlMethodCall, pre, state, env, u) -> Value:
-    recv = eval_jml_expr(e.recv, pre, state, env, u)
-    args = [eval_jml_expr(a, pre, state, env, u) for a in e.args]
-    m = e.method
-    if m == "has":
-        return args[0] in _as_set(recv, "has")
-    if m == "isSubset":
-        return _as_set(recv, "isSubset") <= _as_set(args[0], "isSubset")
-    if m == "equals":
-        return recv == args[0]
-    if m == "isEmpty":
-        return len(_as_set(recv, "isEmpty")) == 0
-    if m == "isaFunction":
-        return _functional(_as_rel(recv, "isaFunction"))
-    if m == "union":
-        return _as_set(recv, "union") | _as_set(args[0], "union")
-    if m == "intersection":
-        return _as_set(recv, "intersection") & _as_set(args[0], "intersection")
-    if m == "difference":
-        return _as_set(recv, "difference") - _as_set(args[0], "difference")
-    if m == "domainSubtraction":
-        s = _as_set(args[0], "domainSubtraction")
-        return frozenset(p for p in _as_rel(recv, "domainSubtraction")
-                         if p[0] not in s)
-    if m == "domainRestriction":
-        s = _as_set(args[0], "domainRestriction")
-        return frozenset(p for p in _as_rel(recv, "domainRestriction")
-                         if p[0] in s)
-    if m == "image":
-        s = _as_set(args[0], "image")
-        return frozenset(y for x, y in _as_rel(recv, "image") if x in s)
-    if m == "apply":
-        matches = {y for x, y in _as_rel(recv, "apply") if x == args[0]}
-        if len(matches) != 1:
-            raise EvalError(f"apply undefined at {fmt_value(args[0])}")
-        return next(iter(matches))
-    if m == "domain":
-        return frozenset(x for x, _y in _as_rel(recv, "domain"))
-    if m == "range":
-        return frozenset(y for _x, y in _as_rel(recv, "range"))
-    raise EvalError(f"unknown method '{m}'")
+def _jml_apply(recv, args) -> Value:
+    matches = {y for x, y in _as_rel(recv, "apply") if x == args[0]}
+    if len(matches) != 1:
+        raise EvalError(f"apply undefined at {fmt_value(args[0])}")
+    return next(iter(matches))
+
+
+def _jml_restrict(recv, args, method: str, keep: bool) -> frozenset:
+    s = _as_set(args[0], method)
+    return frozenset(p for p in _as_rel(recv, method) if (p[0] in s) == keep)
+
+
+# each method, given the receiver's and the arguments' values (all evaluated
+# first)
+_JML_METHODS = {
+    "has": lambda r, a: a[0] in _as_set(r, "has"),
+    "isSubset": lambda r, a: _as_set(r, "isSubset") <= _as_set(a[0], "isSubset"),
+    "equals": lambda r, a: r == a[0],
+    "isEmpty": lambda r, a: len(_as_set(r, "isEmpty")) == 0,
+    "isaFunction": lambda r, a: _functional(_as_rel(r, "isaFunction")),
+    "union": lambda r, a: _as_set(r, "union") | _as_set(a[0], "union"),
+    "intersection": lambda r, a:
+        _as_set(r, "intersection") & _as_set(a[0], "intersection"),
+    "difference": lambda r, a: _as_set(r, "difference") - _as_set(a[0], "difference"),
+    "domainSubtraction": lambda r, a: _jml_restrict(r, a, "domainSubtraction", False),
+    "domainRestriction": lambda r, a: _jml_restrict(r, a, "domainRestriction", True),
+    "image": lambda r, a: frozenset(p[1] for p in _jml_restrict(r, a, "image", True)),
+    "apply": _jml_apply,
+    "domain": lambda r, a: frozenset(x for x, _y in _as_rel(r, "domain")),
+    "range": lambda r, a: frozenset(y for _x, y in _as_rel(r, "range")),
+}
 
 
 def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
@@ -862,7 +900,7 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
     """
     memo = memo if memo is not None else WitnessMemo(Budget(u.ceiling))
     if isinstance(p, jml.JmlBoolCall):
-        v = eval_jml_expr(p.call, pre, state, env, u)
+        v = _compiled(_compile_jml, p.call, u, memo.compiled)(pre, state, env)
         if not isinstance(v, bool):
             raise EvalError(f"method '{p.call.method}' is not boolean-valued")
         return v
@@ -892,8 +930,8 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
                 return True
         return False
     if isinstance(p, jml.JmlCmp):
-        left = eval_jml_expr(p.left, pre, state, env, u)
-        right = eval_jml_expr(p.right, pre, state, env, u)
+        left = _compiled(_compile_jml, p.left, u, memo.compiled)(pre, state, env)
+        right = _compiled(_compile_jml, p.right, u, memo.compiled)(pre, state, env)
         if p.op == "==":
             return left == right
         if p.op == "!=":
@@ -1010,8 +1048,8 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = (rest, _solutions(
-            names, _bounded_domain(
-                plan, lambda e, partial: eval_jml_expr(e, pre, pre, partial, u), u),
+            names, _bounded_domain(plan, lambda e, partial: _compiled(
+                _compile_jml, e, u, memo.compiled)(pre, pre, partial), u),
             tests, lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo),
             dict(env), memo.budget.charge, first_fail))
     return hit
@@ -1062,18 +1100,19 @@ def _jml_bounds(c: jml.JmlPredicate) -> list:
 
 
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
-                         budget: Budget) -> frozenset:
-    """Typed states satisfying every conjunct of the class invariant; the
-    conjunct tests share one witness memo, charged to ``budget``, so each
-    quantifier is analysed once per enumeration."""
+                         budget: Budget, shared: frozenset = frozenset()) -> frozenset:
+    """Typed states satisfying every conjunct of the class invariant, each
+    one of ``shared`` kept as that object; the conjunct tests share one
+    witness memo, charged to ``budget``, so each quantifier is analysed once."""
     conjs = jml.conjuncts(invariant)
     bounds = [(kind, name, e, _jml_reads(e))
               for c in conjs for kind, name, e in _jml_bounds(c)]
     memo = WitnessMemo(budget)
     return _invariant_states(
         variables, [(c, _jml_reads(c)) for c in conjs],
-        lambda c, s: jml_pred_holds(c, s, s, {}, u, memo),
-        bounds, lambda e, s: eval_jml_expr(e, s, s, {}, u), u, budget)
+        lambda c, s: jml_pred_holds(c, s, s, {}, u, memo), bounds,
+        lambda e, s: _compiled(_compile_jml, e, u, memo.compiled)(s, s, {}), u,
+        budget, shared)
 
 
 def spec_cases(run_spec: jml.JmlMethodSpec,
@@ -1107,15 +1146,13 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     assignable set.  Guard-method calls in requires clauses are resolved by
     inlining the guard predicate.  The active cases are found once per
     tuple of the values the requires clauses read, as is each \\exists
-    search's witnesses (see ``_exists_witnesses``).
+    search's witnesses (see ``_exists_witnesses``), and the post-states of
+    the active case with the most names are looked up (see ``_Lookup``).
     """
     memo = WitnessMemo(budget)
     var_names = tuple(ident.name for ident, _ty in variables)
-    cases = []
-    for req, case in spec_cases(run_spec, guard_spec):
-        outside = _outside_frame(case.assignable, var_names)
-        cases.append((req, case.ensures, outside,
-                      _Lookup(case.ensures, outside, var_names, memo)))
+    cases = [(req, _Lookup(case, var_names, memo))
+             for req, case in spec_cases(run_spec, guard_spec)]
     read = set().union(*(_jml_reads(case[0]) for case in cases))
     reads = [n for n in var_names if n in read]
     actives: dict = {}
@@ -1127,15 +1164,19 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
         active = actives.get(key)
         if active is None:
             active = actives[key] = active_cases(cases, a, u, memo)
-        candidates = states
+        candidates, lookup = states, None
         if active:
-            lookup = max((case[3] for case in active), key=lambda k: len(k.names))
+            lookup = max((case[1] for case in active), key=lambda k: len(k.names))
             candidates = lookup.candidates(a, states, index, u, memo)
+        pre, found = a._d, candidates if isinstance(candidates, dict) else None
+        tests = [(case, case.frame(pre)) for _req, case in active]
         for b in candidates:
             budget.charge()
-            for _req, ensures, outside, _lookup in active:
-                if any(a[v] != b[v] for v in outside) or \
-                        not _defined(jml_pred_holds, ensures, a, b, {}, u, memo):
+            for case, fixed in tests:
+                if case.frame(b._d) != fixed or not (
+                        case.holds(pre, b._d, found[b], u, memo)
+                        if case is lookup and found is not None and b is not a else
+                        _defined(jml_pred_holds, case.ensures, pre, b._d, {}, u, memo)):
                     break
             else:
                 rel.add((a, b))
@@ -1144,9 +1185,15 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     return frozenset(rel)
 
 
+def _values(names: tuple):
+    """The values of ``names`` in a dict, through itemgetter: a tuple, or
+    with one name its value."""
+    return operator.itemgetter(*names) if names else lambda d: ()
+
+
 class _Lookup:
-    """Post-state candidates for one specification case: a superset of the
-    states it accepts from a pre-state.
+    """A specification case and its post-state candidates from a pre-state:
+    a superset of the states the case accepts from it.
 
     The key holds the names outside the case's frame, whose values come
     from the pre-state.  When the ensures clause is an \\exists chain, the
@@ -1156,47 +1203,58 @@ class _Lookup:
     ``v.equals(\\old(E))`` or ``v == \\old(E)`` (the first one per name).
     Every binding ``_exists_witnesses`` keeps then gives one lookup, with
     the values of those \\old expressions; a binding at which one of them is
-    undefined fails the ensures clause and gives none.
+    undefined fails the ensures clause and gives none.  An empty frame with
+    no \\exists leaves the pre-state as the one candidate.
     """
 
-    def __init__(self, ensures, outside, var_names, memo: WitnessMemo):
-        self.outside = outside
+    def __init__(self, case: jml.SpecCase, var_names, memo: WitnessMemo):
+        self.ensures = ensures = case.ensures
+        outside = _outside_frame(case.assignable, var_names)
+        self.frame = _values(outside)
         self.exists = ensures if isinstance(ensures, jml.JmlExists) else None
         self.pins: dict[str, jml.JmlOldExpr] = {}
         if self.exists is not None:
-            bound, _tests, rest, _plan, _order, _reads = _exists_chain(
+            bound, _tests, self.rest, _plan, _order, _reads = _exists_chain(
                 self.exists, False, memo)
-            for c in rest:
+            for c in self.rest:
                 for target, value in _jml_pins(c):
                     if isinstance(value, jml.JmlOldExpr) and \
                             target in var_names and target not in outside and \
                             target not in bound:
                         self.pins.setdefault(target, value)
         self.names = outside + tuple(self.pins)
+        self.key = _values(self.names)
+        self.only_pre = self.exists is None and len(outside) == len(var_names)
 
     def candidates(self, a: State, states, index: dict, u, memo: WitnessMemo):
         """The states matching ``a``'s lookups, from ``index`` (one table
-        per key, built on first use)."""
+        per key, built on first use); with \\exists, each with its bindings."""
+        if self.only_pre:
+            return (a,)
         table = index.get(self.names)
         if table is None:
             table = index[self.names] = {}
             for s in states:
-                table.setdefault(tuple(s[n] for n in self.names), []).append(s)
-        fixed = tuple(a[n] for n in self.outside)
+                table.setdefault(self.key(s._d), []).append(s)
         if self.exists is None:
-            return table.get(fixed, ())
-        _rest, bindings = _exists_witnesses(self.exists, a, False, {}, u, memo)
-        pins = tuple(self.pins.values())
-        found: dict[State, None] = {}
+            return table.get(self.key(a._d), ())
+        _rest, bindings = _exists_witnesses(self.exists, a._d, False, {}, u, memo)
+        pins = [_compiled(_compile_jml, e, u, memo.compiled)
+                for e in self.pins.values()]
+        found: dict[State, list] = {}
         for binding in bindings:
-            values = _defined(_old_values, pins, a, binding, u)
+            values = _defined(lambda: [f(a._d, a._d, binding) for f in pins])
             if values is not False:
-                found.update(dict.fromkeys(table.get(fixed + values, ())))
+                wanted = {**a._d, **dict(zip(self.pins, values))}
+                for b in table.get(self.key(wanted), ()):
+                    found.setdefault(b, []).append(binding)
         return found
 
-
-def _old_values(exprs, pre, env, u) -> tuple:
-    return tuple(eval_jml_expr(e, pre, pre, env, u) for e in exprs)
+    def holds(self, pre: dict, post: dict, pinned: list, u, memo: WitnessMemo) -> bool:
+        """The ensures clause over (``pre``, ``post``) at ``pinned``, the
+        bindings that found ``post``: at any other a pinned conjunct fails."""
+        return any(all(_defined(jml_pred_holds, c, pre, post, binding, u, memo)
+                       for c in self.rest) for binding in pinned)
 
 
 def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
@@ -1206,7 +1264,7 @@ def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
     out = set()
     for b in states:
         budget.charge()
-        if _defined(jml_pred_holds, initially, b, b, {}, u, memo):
+        if _defined(jml_pred_holds, initially, b._d, b._d, {}, u, memo):
             out.add(b)
     return frozenset(out)
 

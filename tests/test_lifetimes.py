@@ -19,6 +19,8 @@ from dataclasses import replace
 
 import pytest
 
+import eb2jml.checker as checker
+import eb2jml.semantics as semantics
 import test_check_golden as golden
 from eb2jml import (
     MutationError, TranslationError, Universe, check_machine,
@@ -103,6 +105,48 @@ def test_a_check_leaves_no_cycle(no_collector, label, filename, universe):
                     if v.detail}
     if label.endswith("ceiling=100"):
         assert details == {"Event-B invariant enumeration"}
+
+
+SMALL = {"counter": Universe(0, 3), "swap": Universe(0, 3),
+         "social_abstract": Universe(carriers={"PERSON": 2, "CONTENTS": 2}),
+         "social_ref1": Universe(carriers={"PERSON": 2, "CONTENTS": 2})}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_check_on_a_fresh_universe_leaves_no_cycle(no_collector, name):
+    # a cache on the universe that referred back to it would be garbage
+    # only for the collector once the universe is dropped
+    machine = parse_machine((MACHINES_DIR / f"{name}.ebm").read_text(
+        encoding="utf-8"))
+    unit = translate_machine(machine)
+    gc.collect()
+    u = Universe(SMALL[name].int_lo, SMALL[name].int_hi, dict(SMALL[name].carriers))
+    report = check_machine(machine, u, unit)
+    assert report.status == "PASS"
+    del u, report
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_kept_universe_keeps_nothing_of_a_check(no_collector, name):
+    # the universe keeps the value domains of its types, computed by the
+    # first check; a second check adds nothing, in particular no entry keyed
+    # by a node's identity, which a later syntax tree could reuse
+    machine = parse_machine((MACHINES_DIR / f"{name}.ebm").read_text(
+        encoding="utf-8"))
+    unit = translate_machine(machine)
+    u = universe_for(machine, Universe(SMALL[name].int_lo, SMALL[name].int_hi,
+                                       dict(SMALL[name].carriers)))
+    held = (u, machine, unit) + tuple(  # and every module-level container
+        v for module in (semantics, checker) for v in vars(module).values()
+        if isinstance(v, (dict, list, set)))
+    first = check_machine(machine, u, unit).verdicts
+    kept = len(_reachable(held))
+    assert check_machine(machine, u, unit).verdicts == first
+    assert gc.collect() == 0
+    assert len(_reachable(held)) == kept
+    assert not any(isinstance(key, int) for obj in _reachable(held)
+                   if isinstance(obj, dict) for key in obj)
 
 
 def _locals_at_return(fn, *args) -> tuple:

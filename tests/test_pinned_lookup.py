@@ -11,6 +11,9 @@ candidate is a transition, and the lookups return as many candidates as the
 relation has pairs.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
 import eb2jml.semantics as semantics
@@ -24,6 +27,7 @@ from eb2jml.jmlast import (
     JmlExists, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlNot, JmlOld,
     JmlOldExpr, JmlTrue, JmlVar, SpecCase,
 )
+from eb2jml.nodes import walk
 from eb2jml.semantics import (
     Budget, EvalError, Universe, enumerate_states, inline_guard_calls,
     jml_method_rel,
@@ -136,6 +140,56 @@ def test_each_candidate_is_a_transition(name, carriers, monkeypatch):
                              Budget(u.ceiling))
         assert len(counts) == len(spaces.jml), event.name
         assert rel and sum(counts) == len(rel), event.name
+
+
+@pytest.mark.parametrize("event", ("create_account", "edit_owned"))
+def test_a_pinned_candidate_searches_no_witnesses(event, monkeypatch):
+    # the witnesses of a pre-state are searched by its lookup, once, and by
+    # its requires test, once per tuple of the values the clauses read; a
+    # candidate the lookup found is tested at the bindings that found it
+    machine = load_machine("social_ref1.ebm")
+    unit = translate_machine(machine)
+    u = universe_for(machine, Universe(carriers={"PERSON": 2, "CONTENTS": 3}))
+    spaces = state_spaces(machine, unit, u)
+    guard, run = unit.method_pair(event)
+    searches, lookups, requires_tests = Counter(), [], []
+    witnesses, candidates = semantics._exists_witnesses, semantics._Lookup.candidates
+    active_cases = semantics.active_cases
+
+    def search_spy(*args):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        searches["lookup" if "candidates" in callers else
+                 "requires" if "active_cases" in callers else "ensures"] += 1
+        return witnesses(*args)
+
+    def candidates_spy(self, a, *args):
+        lookups.append(self.exists is not None)
+        return candidates(self, a, *args)
+
+    def active_cases_spy(cases, a, *args):
+        requires_tests.append(a)
+        return active_cases(cases, a, *args)
+
+    monkeypatch.setattr(semantics, "_exists_witnesses", search_spy)
+    monkeypatch.setattr(semantics._Lookup, "candidates", candidates_spy)
+    monkeypatch.setattr(semantics, "active_cases", active_cases_spy)
+    rel = jml_method_rel(run, spaces.jml, guard, machine.variables, u,
+                         Budget(u.ceiling))
+    assert rel and len(lookups) == len(spaces.jml) == 915
+    assert searches["lookup"] == sum(lookups) > 0
+    assert searches["requires"] > 0 and searches["ensures"] == 0
+    reads = set().union(*(_jml_names(inline_guard_calls(c.requires, guard))
+                          for c in (run.normal, run.exceptional)))
+    keys = [tuple(v for n, v in sorted(a.items()) if n in reads)
+            for a in requires_tests]
+    assert len(set(keys)) == len(keys)
+
+
+def _jml_names(p) -> set:
+    return {n.name for n in walk(p) if isinstance(n, JmlVar)}
 
 
 # --- hand-built specifications -------------------------------------------------
