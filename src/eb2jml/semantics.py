@@ -325,7 +325,8 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge,
 
 def _invariant_states(variables, conjuncts, holds, bounds, value, u: Universe,
                       budget: Budget, known: frozenset = frozenset()) -> frozenset:
-    """Typed states at which every conjunct holds, each one of ``known``.
+    """Typed states at which every conjunct holds; one equal to a state of
+    ``known`` is that object.
 
     ``conjuncts`` pairs each conjunct with the variable names it reads.
     Variables are bound in declaration order, each to the values its
@@ -1101,9 +1102,10 @@ def _jml_bounds(c: jml.JmlPredicate) -> list:
 
 def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
                          budget: Budget, shared: frozenset = frozenset()) -> frozenset:
-    """Typed states satisfying every conjunct of the class invariant, each
-    one of ``shared`` kept as that object; the conjunct tests share one
-    witness memo, charged to ``budget``, so each quantifier is analysed once."""
+    """Typed states satisfying every conjunct of the class invariant, one
+    equal to a state of ``shared`` kept as that object; the conjunct tests
+    share one witness memo, charged to ``budget``, so each quantifier is
+    analysed once per enumeration."""
     conjs = jml.conjuncts(invariant)
     bounds = [(kind, name, e, _jml_reads(e))
               for c in conjs for kind, name, e in _jml_bounds(c)]

@@ -120,7 +120,7 @@ def test_a_check_on_a_fresh_universe_leaves_no_cycle(no_collector, name):
         encoding="utf-8"))
     unit = translate_machine(machine)
     gc.collect()
-    u = Universe(SMALL[name].int_lo, SMALL[name].int_hi, dict(SMALL[name].carriers))
+    u = replace(SMALL[name], _cache={})
     report = check_machine(machine, u, unit)
     assert report.status == "PASS"
     del u, report
@@ -135,8 +135,7 @@ def test_a_kept_universe_keeps_nothing_of_a_check(no_collector, name):
     machine = parse_machine((MACHINES_DIR / f"{name}.ebm").read_text(
         encoding="utf-8"))
     unit = translate_machine(machine)
-    u = universe_for(machine, Universe(SMALL[name].int_lo, SMALL[name].int_hi,
-                                       dict(SMALL[name].carriers)))
+    u = universe_for(machine, replace(SMALL[name], _cache={}))
     held = (u, machine, unit) + tuple(  # and every module-level container
         v for module in (semantics, checker) for v in vars(module).values()
         if isinstance(v, (dict, list, set)))
