@@ -1,12 +1,14 @@
 """Exhaustive refinement check: every JML transition of the translated
 specification must be a transition of the source event (and likewise for
 initialisation).  Verdicts are computed by literal subset containment of
-the two enumerated relations, so a PASS is re-checkable by brute force.
+the two enumerated relations, one pre-state at a time, so a PASS is
+re-checkable by brute force.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import logging
 import time
@@ -202,13 +204,18 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
              spaces: Optional[StateSpaces]) -> Verdict:
     """The verdict on ``event``, or on the initialisation when it is None.
 
-    The JML side and then the Event-B side are built on one Budget, whose
+    Each side is a map from a pre-state to its post-states; the
+    initialisation's state sets are the posts of the empty pre-state.  The
+    JML side and then the Event-B side are built on one Budget, whose
     spending is the verdict's ``checked`` count.  The first phase to pass
     the ceiling, an invariant enumeration or one of the two sides, makes
-    the verdict a RESOURCE_LIMIT that names it.  A FAIL explains the first
-    ``witness_cap`` of the sorted missing transitions, each explanation on
-    its own Budget.  They are selected with a heap, not by sorting every
-    missing transition, and each state's sort key is computed once.
+    the verdict a RESOURCE_LIMIT that names it.  The sides are compared one
+    pre-state at a time: the JML posts at ``a`` must lie among the Event-B
+    posts at ``a``, none if ``a`` has no Event-B entry.  A FAIL explains the
+    first ``witness_cap`` missing transitions in sort order, each
+    explanation on its own Budget: the smallest pre-states with a missing
+    post are picked by heap, then the smallest missing posts in each, and
+    each state's sort key is computed once.
     """
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
@@ -216,23 +223,21 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     u = universe_for(machine, universe)
     spaces = spaces if spaces is not None else state_spaces(machine, unit, u)
     variables = machine.variables
-    state_key = functools.cache(State.sort_key)
     if event is None:
         name, subject = "initialisation", "initialisation's {} state set"
-        key, explain = state_key, lambda s: Counterexample(
-            name, None, s, "satisfies the initially clause and the class invariant",
+        explain = lambda pair: Counterexample(
+            name, None, pair[1],
+            "satisfies the initially clause and the class invariant",
             "not a result of the Event-B initialisation")
         jml_side, eb_side = (
-            lambda budget: jml_initially_states(
-                unit.result.initially, spaces.jml, u, budget),
-            lambda budget: eb_init_states(
-                machine.initialisation, spaces.eb, variables, u, budget))
+            lambda budget: {State(): jml_initially_states(
+                unit.result.initially, spaces.jml, u, budget)},
+            lambda budget: {State(): eb_init_states(
+                machine.initialisation, spaces.eb, variables, u, budget)})
     else:
         name, subject = event.name, f"event {event.name}'s {{}} relation"
         guard_spec, run_spec = unit.method_pair(event.name)
-        key, explain = (lambda pair: (state_key(pair[0]), state_key(pair[1])),
-                        functools.partial(_explain_pair, event, guard_spec,
-                                          run_spec, u))
+        explain = functools.partial(_explain_pair, event, guard_spec, run_spec, u)
         jml_side, eb_side = (
             lambda budget: jml_method_rel(
                 run_spec, spaces.jml, guard_spec, variables, u, budget),
@@ -253,16 +258,24 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
         return Verdict(name=name, status=RESOURCE_LIMIT, checked_pairs=count,
                        detail=f"{phase} needs {count} work units, "
                               f"exceeding the ceiling of {ceiling}")
-    missing = found - allowed
+    empty = frozenset()
+    gaps = [a for a, bs in found.items() if not bs <= allowed.get(a, empty)]
+    key = functools.cache(State.sort_key)
+    missing: list[tuple[State, State]] = []
+    for a in heapq.nsmallest(witness_cap, gaps, key=key):
+        room = witness_cap - len(missing)
+        if not room:
+            break
+        missing += ((a, b) for b in heapq.nsmallest(
+            room, found[a] - allowed.get(a, empty), key=key))
     return Verdict(
         name=name,
-        status=PASS if not missing else FAIL,
+        status=PASS if not gaps else FAIL,
         checked_pairs=budget.spent,
-        jml_size=len(found),
-        eb_size=len(allowed),
-        bisimulation=allowed <= found,
-        witnesses=tuple(explain(m) for m in
-                        heapq.nsmallest(witness_cap, missing, key=key)),
+        jml_size=sum(map(len, found.values())),
+        eb_size=sum(map(len, allowed.values())),
+        bisimulation=all(bs <= found.get(a, empty) for a, bs in allowed.items()),
+        witnesses=tuple(map(explain, missing)),
     )
 
 
@@ -308,7 +321,25 @@ def check_machine(machine: Machine, universe: Universe,
     it.  A resource limit on one event is recorded in its verdict and does
     not stop the remaining checks.  The gate rejects an ill-formed machine;
     a ``unit`` that does not translate ``machine`` is a ValueError.
+
+    The cycle collector is paused while the check runs and then left as
+    the caller had it: a check makes no cycle, and the collector's passes
+    over the millions of objects a large check keeps alive find nothing.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _check_machine(machine, universe, unit, witness_cap)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _check_machine(machine: Machine, universe: Universe,
+                   unit: Optional[TranslationUnit], witness_cap: int) -> Report:
+    """``check_machine`` under the paused collector.  What the check keeps
+    alive is freed as this returns, before the collector may run again:
+    restarted earlier, it would first traverse every one of those objects."""
     if unit is not None and unit.source != machine:
         raise ValueError(f"the unit does not translate '{machine.name}'")
     started = time.perf_counter()

@@ -3,7 +3,8 @@
 States map variable names to exact values (integers, finite sets, pairs,
 finite relations).  Event and method semantics are state-transition
 relations computed by exhaustive enumeration over a configurable finite
-universe; all arithmetic is exact, there are no tolerances.  The values of
+universe, each a map from a pre-state to the frozenset of its post-states;
+all arithmetic is exact, there are no tolerances.  The values of
 every type, Event-B or JML, come from one function, ``Universe.values_of``,
 which computes each type's values once per universe.
 
@@ -737,8 +738,10 @@ def _eb_post_states(actions, variables, u, budget, states, compiled: dict):
 
 
 def eb_event_rel(event, states: frozenset, variables, u: Universe,
-                 budget: Budget) -> frozenset:
-    """The transition relation of an event over the invariant ``states``.
+                 budget: Budget) -> dict[State, frozenset]:
+    """The transition relation of an event over the invariant ``states``:
+    a map from each pre-state to its post-states, a pre-state with none
+    left out, every state an object of ``states``.
 
     A pair (a, b) of invariant states is included when some parameter
     valuation satisfies every guard at a and some after-value choice
@@ -760,7 +763,7 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     read = set().union(*(_eb_reads(c) for c in conjs))
     reads = [ident.name for ident, _ty in variables if ident.name in read]
     found: dict = {}
-    rel: set[tuple[State, State]] = set()
+    rel: dict[State, frozenset] = {}
     for a in states:
         d = a._d
         key = _read(d, reads)
@@ -773,17 +776,16 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
                 budget.charge, first_fail=True)
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
-            rel.add((a, a))
-        for env in sat_envs:
-            for b in posts(a, env):
-                rel.add((a, b))
+            rel[a] = frozenset((a,))
+        elif bs := frozenset(b for env in sat_envs for b in posts(a, env)):
+            rel[a] = bs
     log.debug("%s Event-B relation: %d pre-states, %d parameter searches",
               event.name, len(states), len(found))
-    return frozenset(rel)
+    return rel
 
 
 def eb_event_rel_variants(event, states: frozenset, variables, u: Universe,
-                          budget: Budget) -> tuple[frozenset, frozenset]:
+                          budget: Budget) -> tuple[dict, dict]:
     """``eb_event_rel`` twice: over invariant pre-states, adding the
     invariant to the stuttering branch changes nothing."""
     rel = eb_event_rel(event, states, variables, u, budget)
@@ -1138,9 +1140,11 @@ def active_cases(cases, a: State, u: Universe, memo: WitnessMemo) -> list:
 
 def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
                    guard_spec: jml.JmlMethodSpec, variables, u: Universe,
-                   budget: Budget) -> frozenset:
+                   budget: Budget) -> dict[State, frozenset]:
     """The transition relation admitted by a translated run method over the
-    class-invariant ``states``.
+    class-invariant ``states``: a map from each pre-state to its
+    post-states, a pre-state with none left out, every state an object of
+    ``states``.
 
     A pair (a, b) of invariant states is in the relation when, for each
     specification case whose requires clause holds in the pre-state, the
@@ -1160,7 +1164,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     actives: dict = {}
     index: dict = {}
 
-    rel: set[tuple[State, State]] = set()
+    rel: dict[State, frozenset] = {}
     for a in states:
         key = _read(a, reads)
         active = actives.get(key)
@@ -1172,6 +1176,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
             candidates = lookup.candidates(a, states, index, u, memo)
         pre, found = a._d, candidates if isinstance(candidates, dict) else None
         tests = [(case, case.frame(pre)) for _req, case in active]
+        bs = []
         for b in candidates:
             budget.charge()
             for case, fixed in tests:
@@ -1181,10 +1186,12 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
                         _defined(jml_pred_holds, case.ensures, pre, b._d, {}, u, memo)):
                     break
             else:
-                rel.add((a, b))
+                bs.append(b)
+        if bs:
+            rel[a] = frozenset(bs)
     log.debug("%s JML relation: %d pre-states, %d witness searches",
               run_spec.name.removeprefix("run_"), len(states), len(memo))
-    return frozenset(rel)
+    return rel
 
 
 def _values(names: tuple):

@@ -29,6 +29,13 @@ def states_where(variables, u, holds) -> frozenset:
     return frozenset(out)
 
 
+def pairs(rel) -> frozenset:
+    """The (pre, post) pairs of a relation given as a map from each
+    pre-state to its post-states, as ``eb_event_rel`` and
+    ``jml_method_rel`` return it."""
+    return frozenset((a, b) for a, bs in rel.items() for b in bs)
+
+
 def eb_inv_states(machine, u) -> frozenset:
     """Typed states at which every Event-B invariant of ``machine`` holds."""
     return states_where(machine.variables, u, lambda s: all(

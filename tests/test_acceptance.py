@@ -26,7 +26,9 @@ from eb2jml.semantics import (
     guard_holds, jml_method_rel,
 )
 
-from conftest import GOLDEN_DIR, eb_inv_states, jml_inv_states, states_where
+from conftest import (
+    GOLDEN_DIR, eb_inv_states, jml_inv_states, pairs, states_where,
+)
 
 
 class _criterion:
@@ -94,8 +96,8 @@ def test_criterion_3_mutation_kill(counter):
         u = Universe(int_lo=0, int_hi=1)
         unit = translate_machine(counter)
         event = counter.event("incr")
-        eb_rel = eb_event_rel(event, eb_inv_states(counter, u),
-                              counter.variables, u, Budget(u.ceiling))
+        eb_rel = pairs(eb_event_rel(event, eb_inv_states(counter, u),
+                                    counter.variables, u, Budget(u.ceiling)))
 
         for mutation in ("widen_ensures_true", "drop_old"):
             mutated = mutate_translation(unit, mutation)
@@ -103,10 +105,10 @@ def test_criterion_3_mutation_kill(counter):
             assert verdict.status == FAIL, mutation
             assert verdict.witnesses, mutation
             guard, run = mutated.method_pair("incr")
-            jml_rel = jml_method_rel(
+            jml_rel = pairs(jml_method_rel(
                 run, jml_inv_states(mutated.result.class_invariant,
                                     counter.variables, u),
-                guard, counter.variables, u, Budget(u.ceiling))
+                guard, counter.variables, u, Budget(u.ceiling)))
             for w in verdict.witnesses:
                 assert (w.pre, w.post) in jml_rel, mutation
                 assert (w.pre, w.post) not in eb_rel, mutation
@@ -128,7 +130,7 @@ def test_criterion_4_event_semantics_against_oracle():
             event, inv = random_int_event(rng)
             states = states_where(
                 variables, u, lambda s: eb_pred_holds(inv, s, {}, u))
-            ours = eb_event_rel(event, states, variables, u, Budget(u.ceiling))
+            ours = pairs(eb_event_rel(event, states, variables, u, Budget(u.ceiling)))
             reference = frozenset(p for p in oracle_event_rel(event, inv, 0, 2)
                                   if p[0] in states)
             if ours != reference:
@@ -142,8 +144,8 @@ def test_criterion_5_simultaneous_swap(swap):
     with _criterion(5, "simultaneity of the swap body"):
         u = Universe(int_lo=0, int_hi=2)
         event = swap.event("exchange")
-        eb_rel = eb_event_rel(event, eb_inv_states(swap, u), swap.variables, u,
-                              Budget(u.ceiling))
+        eb_rel = pairs(eb_event_rel(event, eb_inv_states(swap, u), swap.variables, u,
+                                    Budget(u.ceiling)))
         expected = frozenset(
             (State({"x": a, "y": b}), State({"x": b, "y": a}))
             for a in (0, 1, 2) for b in (0, 1, 2))
@@ -151,9 +153,9 @@ def test_criterion_5_simultaneous_swap(swap):
         assert len(eb_rel) == 9
         unit = translate_machine(swap)
         guard, run = unit.method_pair("exchange")
-        jml_rel = jml_method_rel(
+        jml_rel = pairs(jml_method_rel(
             run, jml_inv_states(unit.result.class_invariant, swap.variables, u),
-            guard, swap.variables, u, Budget(u.ceiling))
+            guard, swap.variables, u, Budget(u.ceiling)))
         assert jml_rel == eb_rel
 
 
@@ -180,10 +182,10 @@ def test_criterion_7_frame_properties(flagship):
         var_names = machine.variable_names()
         for event in machine.events:
             guard_spec, run_spec = unit.method_pair(event.name)
-            rel = jml_method_rel(
+            rel = pairs(jml_method_rel(
                 run_spec, jml_inv_states(unit.result.class_invariant,
                                          machine.variables, u),
-                guard_spec, machine.variables, u, Budget(u.ceiling))
+                guard_spec, machine.variables, u, Budget(u.ceiling)))
             assigned = {v.name for v in mod_set(event.actions)}
             for a, b in rel:
                 if guard_holds(guard_spec, a, u):

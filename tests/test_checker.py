@@ -13,7 +13,7 @@ from eb2jml.semantics import (
     Budget, State, Universe, eb_event_rel, jml_method_rel,
 )
 
-from conftest import eb_inv_states, jml_inv_states
+from conftest import eb_inv_states, jml_inv_states, pairs
 
 U01 = Universe(int_lo=0, int_hi=1)
 
@@ -46,10 +46,10 @@ def _relations(machine, unit, event_name, u=U01):
     by brute force over the typed product."""
     guard, run = unit.method_pair(event_name)
     jml_states = jml_inv_states(unit.result.class_invariant, machine.variables, u)
-    return (jml_method_rel(run, jml_states, guard, machine.variables, u,
-                           Budget(u.ceiling)),
-            eb_event_rel(machine.event(event_name), eb_inv_states(machine, u),
-                         machine.variables, u, Budget(u.ceiling)))
+    return (pairs(jml_method_rel(run, jml_states, guard, machine.variables, u,
+                                 Budget(u.ceiling))),
+            pairs(eb_event_rel(machine.event(event_name), eb_inv_states(machine, u),
+                               machine.variables, u, Budget(u.ceiling))))
 
 
 def test_drop_old_fails(counter):
@@ -244,6 +244,53 @@ def test_pass_means_literal_containment(counter, swap):
             jml_rel, eb_rel = _relations(machine, unit, event.name)
             for a, b in jml_rel:
                 assert (a, b) in eb_rel
+
+
+GAP = """
+machine gap
+  variables v
+  invariants
+    inv1: v : INT
+    inv2: v <= {bound}
+  events
+    initialisation
+      begin
+        act1: v := 0
+      end
+    stay
+      begin
+        act1: v := v
+      end
+end
+"""
+
+
+def _gap(eb_bound, jml_bound):
+    """The machine ``gap`` with the bound ``eb_bound``, and its translation
+    with the class invariant of ``gap`` at the bound ``jml_bound``."""
+    machine = parse_machine(GAP.format(bound=eb_bound))
+    unit = translate_machine(machine)
+    other = translate_machine(parse_machine(GAP.format(bound=jml_bound)))
+    return machine, replace(unit, result=replace(
+        unit.result, class_invariant=other.result.class_invariant))
+
+
+def test_a_jml_pre_state_with_no_event_b_entry_is_a_witness():
+    # v = 2 satisfies the JML invariant only: it is no Event-B pre-state,
+    # so its stutter is missing although every Event-B pre-state agrees
+    machine, unit = _gap(1, 2)
+    v = check_event(machine.event("stay"), machine, Universe(0, 2), unit)
+    assert v.status == FAIL and (v.jml_size, v.eb_size) == (3, 2)
+    assert [(w.pre, w.post) for w in v.witnesses] == [
+        (State({"v": 2}), State({"v": 2}))]
+
+
+def test_an_event_b_pre_state_with_no_jml_post_is_no_bisimulation():
+    machine, unit = _gap(1, 0)
+    report = check_machine(machine, Universe(0, 2), unit)
+    assert report.status == PASS
+    assert "stay: PASS\n  jml transitions: 1   eb transitions: 2   checked: 3\n" \
+           "  bisimulation (informational): no\n" in report.to_text()
 
 
 def test_negative_witness_cap_is_rejected(counter, swap):

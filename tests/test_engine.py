@@ -18,8 +18,8 @@ import pytest
 from eb2jml import TranslationError, translate_machine
 from eb2jml import checker
 from eb2jml.checker import (
-    PASS, RESOURCE_LIMIT, check_event, check_init, check_machine,
-    state_spaces, universe_for,
+    MUTATIONS, PASS, RESOURCE_LIMIT, check_event, check_init, check_machine,
+    mutate_translation, state_spaces, universe_for,
 )
 from eb2jml.ebast import BecomesEqual, Ident, IntType, RelType
 from eb2jml.ebcheck import resolve_types
@@ -35,7 +35,9 @@ from eb2jml.semantics import (
     jml_invariant_states, jml_method_rel, jml_pred_holds,
 )
 
-from conftest import eb_inv_states, jml_inv_states, jml_scan_holds, load_machine
+from conftest import (
+    eb_inv_states, jml_inv_states, jml_scan_holds, load_machine, pairs,
+)
 from genmachines import random_machine
 
 CELLS = [
@@ -96,7 +98,7 @@ def _checker_relations(monkeypatch, machine, unit, event, u):
     assert check_event(event, machine, u, unit).status == PASS
     literal, strict = seen["eb_event_rel_variants"]
     assert literal == strict  # every stutter pair starts at an invariant state
-    return seen["jml_method_rel"], literal, seen["state_spaces"]
+    return pairs(seen["jml_method_rel"]), pairs(literal), seen["state_spaces"]
 
 
 @pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
@@ -132,6 +134,29 @@ def test_checker_relations_equal_brute_force(monkeypatch, name, universe):
             own = {s: s for s in space}
             assert all(own[a] is a and own[b] is b for a, b in rel), event.name
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mutation", (None,) + MUTATIONS)
+@pytest.mark.parametrize("name,universe", CELLS, ids=CELL_IDS)
+def test_a_relation_maps_each_pre_state_to_its_own_posts(name, universe,
+                                                         mutation):
+    machine = load_machine(f"{name}.ebm")
+    unit = translate_machine(machine)
+    unit = unit if mutation is None else mutate_translation(unit, mutation)
+    u = universe_for(machine, universe)
+    spaces = state_spaces(machine, unit, u)
+    for event in machine.events:
+        guard, run = unit.method_pair(event.name)
+        for rel, space in (
+                (jml_method_rel(run, spaces.jml, guard, machine.variables, u,
+                                Budget(u.ceiling)), spaces.jml),
+                (eb_event_rel(event, spaces.eb, machine.variables, u,
+                              Budget(u.ceiling)), spaces.eb)):
+            # no empty entry; every key and post is its side's own object
+            own = {id(s) for s in space}
+            assert all(rel.values()), event.name
+            assert all(id(a) in own and all(id(b) in own for b in bs)
+                       for a, bs in rel.items()), event.name
 
 
 def _reference_eb_rel(machine, event, u, pre_states):
@@ -240,12 +265,12 @@ def test_generated_relations_equal_brute_force(seed):
     eb_inv = eb_inv_states(machine, u)
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
-        assert jml_method_rel(run, jml_inv, guard, machine.variables, u,
-                              Budget(u.ceiling)) == \
+        assert pairs(jml_method_rel(run, jml_inv, guard, machine.variables, u,
+                                    Budget(u.ceiling))) == \
             _pairwise_jml_rel(run, guard, machine.variable_names(), jml_inv, u), \
             event.name
-        assert eb_event_rel(event, eb_inv, machine.variables, u,
-                            Budget(u.ceiling)) == \
+        assert pairs(eb_event_rel(event, eb_inv, machine.variables, u,
+                                  Budget(u.ceiling))) == \
             _reference_eb_rel(machine, event, u, eb_inv), event.name
 
 
@@ -255,8 +280,8 @@ def test_eb_relation_equals_a_loop_over_every_parameter_valuation(name, universe
     u = universe_for(machine, universe)
     eb_inv = eb_inv_states(machine, u)
     for event in machine.events:
-        assert eb_event_rel(event, eb_inv, machine.variables, u,
-                            Budget(u.ceiling)) == \
+        assert pairs(eb_event_rel(event, eb_inv, machine.variables, u,
+                                  Budget(u.ceiling))) == \
             _reference_eb_rel(machine, event, u, eb_inv), event.name
 
 
@@ -341,15 +366,15 @@ def _partial():
 
 def _partial_rel(event):
     machine = _partial()
-    return eb_event_rel(machine.event(event), R_STATES, machine.variables, U01,
-                        Budget(U01.ceiling))
+    return pairs(eb_event_rel(machine.event(event), R_STATES, machine.variables, U01,
+                              Budget(U01.ceiling)))
 
 
 def _run_rel(requires=JmlTrue(), ensures=JmlTrue(), assignable=AssignVars(("r",))):
     run = JmlMethodSpec("run_e", "run", SpecCase(requires, assignable, ensures))
     guard = JmlMethodSpec("guard_e", "guard",
                           SpecCase(JmlTrue(), AssignNothing(), JmlTrue()))
-    return jml_method_rel(run, R_STATES, guard, (R,), U01, Budget(U01.ceiling))
+    return pairs(jml_method_rel(run, R_STATES, guard, (R,), U01, Budget(U01.ceiling)))
 
 
 def _exists_outcomes(cache, same_object):

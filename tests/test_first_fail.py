@@ -19,6 +19,8 @@ from eb2jml.semantics import (
     Budget, Universe, WitnessMemo, eb_event_rel, jml_method_rel, jml_pred_holds,
 )
 
+from conftest import pairs
+
 REF1_2X3 = Universe(carriers={"PERSON": 2, "CONTENTS": 3})
 
 
@@ -42,15 +44,15 @@ def test_no_value_is_tried_where_the_guard_has_no_new_content(social_ref1, ref1_
     assert len(full) == 752
     event = social_ref1.event("edit_owned")
     guard, run = unit.method_pair("edit_owned")
-    eb_rel = eb_event_rel(event, spaces.eb, social_ref1.variables, u,
-                          Budget(u.ceiling))
-    jml_rel = jml_method_rel(run, spaces.jml, guard, social_ref1.variables, u,
-                             Budget(u.ceiling))
+    eb_rel = pairs(eb_event_rel(event, spaces.eb, social_ref1.variables, u,
+                                Budget(u.ceiling)))
+    jml_rel = pairs(jml_method_rel(run, spaces.jml, guard, social_ref1.variables, u,
+                                   Budget(u.ceiling)))
     for a in full:
         # the parameter search: no value, no post-state
         budget = Budget(u.ceiling)
-        assert eb_event_rel(event, frozenset((a,)), social_ref1.variables, u,
-                            budget) == {(a, a)}
+        assert pairs(eb_event_rel(event, frozenset((a,)), social_ref1.variables, u,
+                                  budget)) == {(a, a)}
         assert budget.spent == 0
         # the witness search of the guard and of the ensures clause
         memo = WitnessMemo(Budget(u.ceiling))
@@ -60,8 +62,8 @@ def test_no_value_is_tried_where_the_guard_has_no_new_content(social_ref1, ref1_
         assert memo.budget.spent == 0
         # one candidate post-state, the pre-state, for the exceptional case
         budget = Budget(u.ceiling)
-        assert jml_method_rel(run, frozenset((a,)), guard,
-                              social_ref1.variables, u, budget) == {(a, a)}
+        assert pairs(jml_method_rel(run, frozenset((a,)), guard,
+                                    social_ref1.variables, u, budget)) == {(a, a)}
         assert budget.spent == 1
         assert {b for pre, b in eb_rel if pre == a} == {a}
         assert {b for pre, b in jml_rel if pre == a} == {a}

@@ -107,6 +107,28 @@ def test_a_check_leaves_no_cycle(no_collector, label, filename, universe):
         assert details == {"Event-B invariant enumeration"}
 
 
+@pytest.mark.parametrize("enabled", (True, False), ids=("on", "off"))
+def test_a_check_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    counter, swap = (parse_machine((MACHINES_DIR / f"{name}.ebm").read_text(
+        encoding="utf-8")) for name in ("counter", "swap"))
+    during = []
+
+    def spaces(*args):
+        during.append(gc.isenabled())
+        return state_spaces(*args)
+    monkeypatch.setattr(checker, "state_spaces", spaces)
+    saved = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert check_machine(counter, Universe(0, 1)).status == "PASS"
+        assert during == [False] and gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="does not translate 'counter'"):
+            check_machine(counter, Universe(0, 1), translate_machine(swap))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if saved else gc.disable)()
+
+
 SMALL = {"counter": Universe(0, 3), "swap": Universe(0, 3),
          "social_abstract": Universe(carriers={"PERSON": 2, "CONTENTS": 2}),
          "social_ref1": Universe(carriers={"PERSON": 2, "CONTENTS": 2})}

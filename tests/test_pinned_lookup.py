@@ -33,7 +33,7 @@ from eb2jml.semantics import (
     jml_method_rel,
 )
 
-from conftest import jml_scan_holds, load_machine
+from conftest import jml_scan_holds, load_machine, pairs
 
 
 def _holds(p, a, b, u) -> bool:
@@ -113,8 +113,8 @@ def test_corpus_relations_equal_brute_force(name, universe, mutation):
     assert state_spaces(machine, unit, u).jml == inv_states
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
-        rel = jml_method_rel(run, inv_states, guard, machine.variables, u,
-                             Budget(u.ceiling))
+        rel = pairs(jml_method_rel(run, inv_states, guard, machine.variables, u,
+                                   Budget(u.ceiling)))
         assert rel == _brute_rel(run, guard, machine.variable_names(),
                                  inv_states, u), event.name
 
@@ -136,8 +136,8 @@ def test_each_candidate_is_a_transition(name, carriers, monkeypatch):
     for event in machine.events:
         guard, run = unit.method_pair(event.name)
         counts.clear()
-        rel = jml_method_rel(run, spaces.jml, guard, machine.variables, u,
-                             Budget(u.ceiling))
+        rel = pairs(jml_method_rel(run, spaces.jml, guard, machine.variables, u,
+                                   Budget(u.ceiling)))
         assert len(counts) == len(spaces.jml), event.name
         assert rel and sum(counts) == len(rel), event.name
 
@@ -176,8 +176,8 @@ def test_a_pinned_candidate_searches_no_witnesses(event, monkeypatch):
     monkeypatch.setattr(semantics, "_exists_witnesses", search_spy)
     monkeypatch.setattr(semantics._Lookup, "candidates", candidates_spy)
     monkeypatch.setattr(semantics, "active_cases", active_cases_spy)
-    rel = jml_method_rel(run, spaces.jml, guard, machine.variables, u,
-                         Budget(u.ceiling))
+    rel = pairs(jml_method_rel(run, spaces.jml, guard, machine.variables, u,
+                               Budget(u.ceiling)))
     assert rel and len(lookups) == len(spaces.jml) == 915
     assert searches["lookup"] == sum(lookups) > 0
     assert searches["requires"] > 0 and searches["ensures"] == 0
@@ -286,7 +286,7 @@ def test_hand_built_specs(name, monkeypatch):
     run = JmlMethodSpec("run_e", "run", normal, exceptional)
     guard = JmlMethodSpec("guard_e", "guard", _case(JmlTrue()))
     counts = _candidate_counts(monkeypatch)
-    rel = jml_method_rel(run, STATES, guard, VARIABLES, U01, Budget(10 ** 6))
+    rel = pairs(jml_method_rel(run, STATES, guard, VARIABLES, U01, Budget(10 ** 6)))
     assert rel == _brute_rel(run, guard, ("x", "y", "r"), STATES, U01)
     assert rel  # every spec admits some pair
     assert len(counts) == len(STATES)

@@ -23,7 +23,7 @@ from eb2jml.semantics import (
 )
 from eb2jml.translate import translate_machine, translate_predicate
 
-from conftest import jml_inv_states, states_where
+from conftest import jml_inv_states, pairs, states_where
 
 U01 = Universe(int_lo=0, int_hi=1)
 U02 = Universe(int_lo=0, int_hi=2)
@@ -286,13 +286,13 @@ def _states(variables, u, invariant=BTrue()):
 def _assg_rel(actions, variables, u, invariant=BTrue()):
     """The relation of the unguarded simultaneous substitution ``actions``."""
     ev = Event(name="assg", params=(), guards=(), actions=tuple(actions))
-    return eb_event_rel(ev, _states(variables, u, invariant), variables, u,
-                        Budget(u.ceiling))
+    return pairs(eb_event_rel(ev, _states(variables, u, invariant), variables, u,
+                              Budget(u.ceiling)))
 
 
 def test_counter_event_relation_exact():
-    rel = eb_event_rel(_counter_event(), _states((INT_V,), U01), (INT_V,), U01,
-                       Budget(U01.ceiling))
+    rel = pairs(eb_event_rel(_counter_event(), _states((INT_V,), U01), (INT_V,), U01,
+                             Budget(U01.ceiling)))
     assert rel == frozenset({(s(v=0), s(v=1)), (s(v=1), s(v=1))})
 
 
@@ -300,8 +300,8 @@ def test_guard_false_everywhere_gives_identity():
     ev = Event(name="stuck", params=(),
                guards=(("grd1", parse_predicate("v = 5")),),
                actions=(BecomesEqual("act1", Ident("v"), IntLit(1)),))
-    rel = eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01,
-                       Budget(U01.ceiling))
+    rel = pairs(eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01,
+                             Budget(U01.ceiling)))
     assert rel == frozenset({(s(v=0), s(v=0)), (s(v=1), s(v=1))})
 
 
@@ -310,8 +310,8 @@ def test_nondeterministic_choice_full_relation():
                actions=(BecomesSuchThat(
                    "act1", Ident("v"),
                    parse_predicate("v' = 0 or v' = 1")),))
-    rel = eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01,
-                       Budget(U01.ceiling))
+    rel = pairs(eb_event_rel(ev, _states((INT_V,), U01), (INT_V,), U01,
+                             Budget(U01.ceiling)))
     assert rel == frozenset({
         (s(v=a), s(v=b)) for a in (0, 1) for b in (0, 1)})
 
@@ -368,7 +368,8 @@ def test_erroring_guard_counts_as_unsatisfied():
                               parse_predicate("r = {0 |-> 1}").right),))
     variables = ((Ident("r"), RelType(IntType(), IntType())),)
     u = Universe(int_lo=0, int_hi=1, ceiling=10 ** 5)
-    rel = eb_event_rel(ev, _states(variables, u), variables, u, Budget(u.ceiling))
+    rel = pairs(eb_event_rel(ev, _states(variables, u), variables, u,
+                             Budget(u.ceiling)))
     # r(0) errors where r is not functional at 0 and where 0 is unmapped
     empty = frozenset()
     assert (s(r=empty), s(r=empty)) in rel
@@ -460,7 +461,7 @@ def _counter_specs():
 def test_jml_method_relation_counter():
     _m, unit, guard, run = _counter_specs()
     states = jml_inv_states(unit.result.class_invariant, (INT_V,), U01)
-    rel = jml_method_rel(run, states, guard, (INT_V,), U01, Budget(U01.ceiling))
+    rel = pairs(jml_method_rel(run, states, guard, (INT_V,), U01, Budget(U01.ceiling)))
     assert rel == frozenset({(s(v=0), s(v=1)), (s(v=1), s(v=1))})
 
 
@@ -471,8 +472,8 @@ def test_jml_method_relation_vacuous_cases():
         "run_e", "run",
         normal=SpecCase(JmlFalse(), AssignVars(("v",)), JmlFalse()),
         exceptional=SpecCase(JmlFalse(), AssignNothing(), JmlTrue()))
-    rel = jml_method_rel(run, _states((INT_V,), U01), guard, (INT_V,), U01,
-                         Budget(U01.ceiling))
+    rel = pairs(jml_method_rel(run, _states((INT_V,), U01), guard, (INT_V,), U01,
+                               Budget(U01.ceiling)))
     # both requires false: nothing constrains the pair beyond the invariant
     assert rel == frozenset({
         (s(v=a), s(v=b)) for a in (0, 1) for b in (0, 1)})
@@ -483,7 +484,8 @@ def test_jml_method_relation_false_ensures_blocks_pre_state():
     from dataclasses import replace
     mutated = replace(run, normal=replace(run.normal, ensures=JmlFalse()))
     states = jml_inv_states(unit.result.class_invariant, (INT_V,), U01)
-    rel = jml_method_rel(mutated, states, guard, (INT_V,), U01, Budget(U01.ceiling))
+    rel = pairs(jml_method_rel(mutated, states, guard, (INT_V,), U01,
+                               Budget(U01.ceiling)))
     assert all(dict(a) != {"v": 0} for a, _b in rel)
     assert (s(v=1), s(v=1)) in rel
 
@@ -565,6 +567,6 @@ def test_event_relation_matches_oracle_sample():
     for _ in range(25):
         event, inv = random_int_event(rng)
         states = _states((INT_V,), U02, inv)
-        ours = eb_event_rel(event, states, (INT_V,), U02, Budget(U02.ceiling))
+        ours = pairs(eb_event_rel(event, states, (INT_V,), U02, Budget(U02.ceiling)))
         reference = oracle_event_rel(event, inv, 0, 2)
         assert ours == frozenset(p for p in reference if p[0] in states), (event, inv)

@@ -2,8 +2,10 @@
 sort order, chosen without sorting every missing transition.
 
 The reference here sorts the whole difference of the two relations, each
-built by its own relation builder; the checker must report the same pairs
-in the same order, and FAIL exactly when the difference is non-empty.
+built by its own relation builder and flattened to its pairs; the checker,
+which compares them one pre-state at a time, must report the same pairs in
+the same order, FAIL exactly when the difference is non-empty, and count
+and compare the same pairs.
 """
 
 import pytest
@@ -16,7 +18,7 @@ from eb2jml.semantics import (
     Budget, State, Universe, eb_event_rel, jml_method_rel,
 )
 
-from conftest import load_machine
+from conftest import load_machine, pairs
 
 CELLS = [
     ("counter.ebm", Universe(int_lo=0, int_hi=2)),
@@ -30,14 +32,13 @@ def _pair_key(pair):
     return pair[0].sort_key(), pair[1].sort_key()
 
 
-def _missing(machine, unit, event, u, spaces) -> frozenset:
-    """The JML transitions of ``event`` that are no Event-B transitions."""
+def _relations(machine, unit, event, u, spaces) -> tuple[frozenset, frozenset]:
+    """The JML and the Event-B transitions of ``event``, as pair sets."""
     guard, run = unit.method_pair(event.name)
-    jml_rel = jml_method_rel(run, spaces.jml, guard, machine.variables, u,
-                             Budget(u.ceiling))
-    eb_rel = eb_event_rel(event, spaces.eb, machine.variables, u,
-                          Budget(u.ceiling))
-    return jml_rel - eb_rel
+    return (pairs(jml_method_rel(run, spaces.jml, guard, machine.variables, u,
+                                 Budget(u.ceiling))),
+            pairs(eb_event_rel(event, spaces.eb, machine.variables, u,
+                               Budget(u.ceiling))))
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -48,11 +49,14 @@ def test_witnesses_are_the_sorted_prefix_of_the_missing_pairs(name, u,
     unit = mutate_translation(translate_machine(machine), mutation)
     spaces = state_spaces(machine, unit, u)
     for event in machine.events:
-        missing = _missing(machine, unit, event, u, spaces)
+        jml_rel, eb_rel = _relations(machine, unit, event, u, spaces)
+        missing = jml_rel - eb_rel
         expected = sorted(missing, key=_pair_key)
         for cap in (0, 1, 5, len(missing) + 1):
             v = check_event(event, machine, u, unit, cap, spaces)
             assert v.status == (FAIL if missing else PASS), (event.name, cap)
+            assert (v.jml_size, v.eb_size, v.bisimulation) == (
+                len(jml_rel), len(eb_rel), eb_rel <= jml_rel), (event.name, cap)
             assert [(w.pre, w.post) for w in v.witnesses] == expected[:cap]
 
 
