@@ -10,8 +10,8 @@ from eb2jml.ebast import (
     SetType, UnOp,
 )
 from eb2jml.jmlast import (
-    AssignNothing, AssignVars, JInt, JmlArith, JmlCmp, JmlCross, JmlExists,
-    JmlFalse, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlNewPair,
+    AssignNothing, AssignVars, JInt, JmlArith, JmlBoolCall, JmlCmp, JmlCross,
+    JmlExists, JmlFalse, JmlIntLit, JmlMethodCall, JmlMethodSpec, JmlNewPair,
     JmlNewRelation, JmlNewSet, JmlOld, JmlOldExpr, JmlTrue, JmlVar, JSet,
     SpecCase,
 )
@@ -145,6 +145,32 @@ EB_CASES = [
     (Ref(Ident("P", primed=True)), "unbound identifier 'P''"),
     (_eb("z"), "unbound identifier 'z'"),
     (RelSpace("<->", _eb("s"), _eb("t")), "cannot evaluate RelSpace"),
+    # a set operand is tested before a relation operand
+    (_bin("image", "s", "n"), "image needs a set value, got 1"),
+    (_bin("domres", "n", "s"), "domain restriction needs a set value, got 1"),
+    (_bin("domsub", "n", "s"), "domain subtraction needs a set value, got 1"),
+    # predicates: a comparison evaluates both operands first
+    (Cmp("eq", _eb("n"), IntLit(1)), True),
+    (Cmp("in", _eb("n"), _eb("s")), True),
+    (Cmp("in", _eb("n"), _eb("n")), "membership needs a set value, got 1"),
+    (Cmp("subset", _eb("s"), _eb("t")), False),
+    (Cmp("subset", _eb("n"), _eb("s")), "subset needs a set value, got 1"),
+    (Cmp("subset", _eb("s"), _eb("n")), "subset needs a set value, got 1"),
+    (Cmp("lt", _eb("n"), IntLit(2)), True),
+    (Cmp("lt", _eb("s"), _eb("n")), "< needs an integer value, got {1, 2}"),
+    (Cmp("lt", _eb("s"), _eb("z")), "unbound identifier 'z'"),
+    (Cmp("le", _eb("n"), _eb("s")), "<= needs an integer value, got {1, 2}"),
+    # relation-space membership tests each operand as it is evaluated
+    (Cmp("in", _eb("g"), RelSpace("<->", IntSet(), IntSet())), True),
+    (Cmp("in", _eb("g"), RelSpace("-->", IntSet(), IntSet())), False),
+    (Cmp("in", _eb("s"), RelSpace("<->", _eb("s"), _eb("t"))),
+     "relation membership needs a relation value"),
+    (Cmp("in", _eb("s"), RelSpace("<->", _eb("z"), _eb("t"))),
+     "relation membership needs a relation value"),
+    (Cmp("in", _eb("r"), RelSpace("-->", _eb("n"), _eb("t"))),
+     "relation membership needs a set value, got 1"),
+    (Cmp("in", _eb("r"), RelSpace("<->", _eb("s"), _eb("n"))),
+     "relation membership needs a set value, got 1"),
 ]
 
 
@@ -221,6 +247,20 @@ JML_CASES = [
     (_jml("P"), S12),
     (_jml("z"), "unbound identifier 'z'"),
     (JmlTrue(), "cannot evaluate JmlTrue"),
+    # a set operand is tested before a relation operand
+    (_call("s", "image", "n"), "image needs a set value, got 1"),
+    (_call("s", "domainRestriction", "n"),
+     "domainRestriction needs a set value, got 1"),
+    (_call("s", "domainSubtraction", "n"),
+     "domainSubtraction needs a set value, got 1"),
+    # predicates: a comparison evaluates both operands first
+    (JmlCmp("==", _jml("n"), _jml(1)), True),
+    (JmlCmp("<", _jml("n"), _jml(2)), True),
+    (JmlCmp("<", _jml("s"), _jml("n")), "< needs an integer value, got {1, 2}"),
+    (JmlCmp("<", _jml("s"), _jml("z")), "unbound identifier 'z'"),
+    (JmlCmp("<=", _jml("n"), _jml("s")), "<= needs an integer value, got {1, 2}"),
+    (JmlBoolCall(_call("s", "has", "n")), True),
+    (JmlBoolCall(_call("s", "union", "t")), "method 'union' is not boolean-valued"),
 ]
 
 
@@ -242,19 +282,21 @@ def _only(values, e, var) -> dict:
     f"{k}-{type(e).__name__}-{getattr(e, 'op', '')}"
     for k, (e, _v) in enumerate(EB_CASES)])
 def test_event_b_values_and_failure_texts(e, expected):
-    assert _outcome(lambda: eval_eb_expr(e, State(VALUES), {}, EVAL_U)) == expected
+    evaluate = eb_pred_holds if isinstance(e, Cmp) else eval_eb_expr
+    assert _outcome(lambda: evaluate(e, State(VALUES), {}, EVAL_U)) == expected
     partial = _only(VALUES, e, Ref)
-    assert _outcome(lambda: eval_eb_expr(e, partial, {}, EVAL_U)) == expected
+    assert _outcome(lambda: evaluate(e, partial, {}, EVAL_U)) == expected
 
 
 @pytest.mark.parametrize("e, expected", JML_CASES, ids=[
     f"{k}-{type(e).__name__}-{getattr(e, 'method', getattr(e, 'op', ''))}"
     for k, (e, _v) in enumerate(JML_CASES)])
 def test_jml_values_and_failure_texts(e, expected):
-    assert _outcome(lambda: eval_jml_expr(
+    evaluate = jml_pred_holds if isinstance(e, (JmlCmp, JmlBoolCall)) else eval_jml_expr
+    assert _outcome(lambda: evaluate(
         e, State(OLD), State(VALUES), {}, EVAL_U)) == expected
     pre, post = _only(OLD, e, JmlVar), _only(VALUES, e, JmlVar)
-    assert _outcome(lambda: eval_jml_expr(e, pre, post, {}, EVAL_U)) == expected
+    assert _outcome(lambda: evaluate(e, pre, post, {}, EVAL_U)) == expected
 
 
 def test_a_binding_shadows_the_state_and_the_carrier_sets():
