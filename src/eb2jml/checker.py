@@ -228,7 +228,8 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
         explain = lambda pair: Counterexample(
             name, None, pair[1],
             "satisfies the initially clause and the class invariant",
-            "not a result of the Event-B initialisation")
+            "not a result of the Event-B initialisation" if pair[1] in spaces.eb
+            else "the state violates the Event-B invariant")
         jml_side, eb_side = (
             lambda budget: {State(): jml_initially_states(
                 unit.result.initially, spaces.jml, u, budget)},
@@ -237,7 +238,7 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     else:
         name, subject = event.name, f"event {event.name}'s {{}} relation"
         guard_spec, run_spec = unit.method_pair(event.name)
-        explain = functools.partial(_explain_pair, event, guard_spec, run_spec, u)
+        explain = functools.partial(_explain_pair, event, guard_spec, run_spec, u, spaces.eb)
         jml_side, eb_side = (
             lambda budget: jml_method_rel(
                 run_spec, spaces.jml, guard_spec, variables, u, budget),
@@ -279,10 +280,10 @@ def _verdict(event: Optional[eb.Event], machine: Machine, universe: Universe,
     )
 
 
-def _explain_pair(event, guard_spec, run_spec, u, pair) -> Counterexample:
+def _explain_pair(event, guard_spec, run_spec, u, eb_states, pair) -> Counterexample:
     """Why the pair is a JML transition but no Event-B one: whether the
-    guard is true, false or undefined at its pre-state, and which
-    specification cases are active there and so accept the pair."""
+    guard is true, false or undefined at its pre-state, which cases accept
+    it there, and whether an end lies outside the Event-B ``eb_states``."""
     a, b = pair
     normal = guard_spec.normal
     negated = replace(guard_spec, normal=replace(
@@ -298,6 +299,10 @@ def _explain_pair(event, guard_spec, run_spec, u, pair) -> Counterexample:
         guard = "undefined"
         eb_side = ("the guard is undefined at the pre-state, which counts as "
                    "false, so only the pair (a, a) is allowed")
+    if a not in eb_states:
+        eb_side = "the pre-state violates the Event-B invariant"
+    elif b not in eb_states:
+        eb_side = "the post-state violates the Event-B invariant"
     active = active_cases(spec_cases(run_spec, guard_spec), a, u,
                           WitnessMemo(Budget(u.ceiling)))
     accepts = "; ".join(

@@ -18,14 +18,17 @@ constrained name first.  Every search charges each value it tests to the one
 a relation), which a JML evaluation reaches through its ``WitnessMemo``.
 A search for \\exists witnesses, event parameters or active specification
 cases runs once per tuple of the pre-state values it reads, kept while the
-phase lasts; no memo keeps a state.  Predicates are interpreted; each
-expression in them is compiled into a closure once per phase.
+phase lasts; no memo keeps a state.  Event-B predicates and JML atoms are
+compiled into closures once per phase, each operator bare: the
+well-formedness gate typed the machine, and every state value comes from
+its type.  Evaluations outside a phase, of hand-built trees, compile each
+operator with the operand-kind tests of its side's signature table.
 
-Evaluation can fail (function application at a non-functional point,
-unbound identifiers); a guard or predicate whose evaluation fails counts
-as unsatisfied for that valuation, and a deterministic action whose value
-fails gives no transition.  ``_defined`` alone catches such a failure,
-logs it and gives False.
+Evaluation can fail (an operand of the wrong kind outside a phase, function
+application at a non-functional point, unbound identifiers); a guard or
+predicate whose evaluation fails counts as unsatisfied for that valuation,
+and a deterministic action whose value fails gives no transition.
+``_defined`` alone catches such a failure, logs it and gives False.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import ebast as eb
 from . import jmlast as jml
@@ -86,7 +89,7 @@ class WitnessMemo(dict):
     def __init__(self, budget: Budget):
         self.budget = budget
         self.chains: dict = {}
-        self.compiled: dict = {}
+        self.compiled: Optional[dict] = {}
 
 
 def fmt_value(v: Value) -> str:
@@ -205,10 +208,6 @@ class Universe:
             out = self.carrier_elems(t.set_name)
         elif isinstance(t, jml.JInt):
             out = self.all_ints()
-        elif isinstance(t, (eb.SetType, jml.JSet)) and t.elem is None:
-            raise EvalError("set type with undetermined element type")
-        elif isinstance(t, _RELATION_TYPES) and (t.dom is None or t.ran is None):
-            raise EvalError("relation type with undetermined element types")
         elif isinstance(t, (eb.SetType, jml.JSet) + _RELATION_TYPES):
             base = _base(t, False, self)
             if 2 ** len(base) > self.ceiling:
@@ -261,9 +260,9 @@ def _read(state, names) -> tuple:
 
 
 def _solutions(names, domain, conjuncts, holds, start: dict, charge,
-               first_fail: bool = False) -> list[dict]:
-    """Every extension of ``start`` binding ``names`` at which all conjuncts
-    hold, found by backtracking.
+               first_fail: bool = False) -> Iterator[dict]:
+    """Each extension of ``start`` binding ``names`` at which all conjuncts
+    hold, found by backtracking and yielded as it is found.
 
     Names are bound one at a time: in declaration order, or with
     ``first_fail`` the unbound name with the fewest values to try at each
@@ -311,17 +310,15 @@ def _solutions(names, domain, conjuncts, holds, start: dict, charge,
                 yield inner, now
 
     # depth first: a node's next branch is drawn once the last one is done
-    out: list[dict] = []
     stack = [iter(((start, frozenset()),))] if all_hold(first, start) else []
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
         elif len(node[1]) == len(names):
-            out.append(node[0])
+            yield node[0]
         else:
             stack.append(branches(*node))
-    return out
 
 
 def _invariant_states(variables, conjuncts, holds, bounds, value, u: Universe,
@@ -369,8 +366,6 @@ def _bound_plan(names, types, bounds) -> tuple:
     """
     plan = []
     for k, (name, ty) in enumerate(zip(names, types)):
-        if ty is None:
-            raise EvalError(f"'{name}' has no resolved type")
         element = isinstance(ty, _ELEMENT_TYPES)
         kinds = ("member", "pin") if element else ("upper", "lower", "pin") + (
             ("dom", "ran") if isinstance(ty, _RELATION_TYPES) else ())
@@ -382,13 +377,14 @@ def _bound_plan(names, types, bounds) -> tuple:
     return tuple(plan)
 
 
-def _bounded_domain(plan, value, u: Universe):
+def _bounded_domain(plan, value, u: Universe, checked: bool = False):
     """``domain(k, partial, bound)`` for ``_solutions``: the typed values of
     the k-th name that its bounds allow (see ``_bound_plan``).
 
     ``value(expression, partial)`` evaluates a bound's expression with one
-    side's evaluator.  A bound counts once every name it reads is bound;
-    those that read none are evaluated once, at the first node that asks.
+    side's evaluator, and ``checked`` tests that a set's bound is a set.  A
+    bound counts once every name it reads is bound; those that read none
+    are evaluated once, at the first node that asks.
     Where a bound is undefined, every value of the type.  The bounds only
     decide what is tried: every conjunct is still tested.
     """
@@ -401,10 +397,10 @@ def _bounded_domain(plan, value, u: Universe):
             return u.values_of(ty)
         if k not in fixed:
             fixed[k] = _defined(_pool, (_base(ty, element, u), frozenset()),
-                                static, partial, value, element)
+                                static, partial, value, element, checked)
         allowed = fixed[k]
         if mine and allowed is not False:
-            allowed = _defined(_pool, allowed, mine, partial, value, element)
+            allowed = _defined(_pool, allowed, mine, partial, value, element, checked)
         if allowed is False:
             return u.values_of(ty)
         pool, lower = allowed
@@ -425,7 +421,7 @@ def _base(ty, element: bool, u: Universe) -> tuple:
     return u.values_of(ty.elem)
 
 
-def _pool(start, bounds, partial, value, element: bool):
+def _pool(start, bounds, partial, value, element: bool, checked: bool):
     """``start``, a pool of elements and a lower bound, narrowed by
     ``bounds`` at ``partial``: the elements every upper bound allows, and
     the union of the lower bounds.  A member bound is an upper bound; a pin
@@ -433,7 +429,8 @@ def _pool(start, bounds, partial, value, element: bool):
     pool, lower = start
     for kind, expr in bounds:
         v = value(expr, partial)
-        s = frozenset((v,)) if kind == "pin" and element else _as_set(v, "bound")
+        s = frozenset((v,)) if kind == "pin" and element else \
+            _kind("set", "bound", v) if checked else v
         if kind == "dom":
             pool = tuple(e for e in pool if e[0] in s)
         elif kind == "ran":
@@ -521,44 +518,133 @@ def eb_invariant_states(invariants, variables, u: Universe,
         budget)
 
 
-# --- Event-B evaluation ---------------------------------------------------
+# --- operators and their operand kinds -------------------------------------
 
-def _as_set(v: Value, what: str) -> frozenset:
-    if not isinstance(v, frozenset):
-        raise EvalError(f"{what} needs a set value, got {fmt_value(v)}")
+def _kind(kind: Optional[str], label: str, v: Value) -> Value:
+    """``v`` when it is of ``kind``, "set", "rel" (a set of pairs), "int",
+    "bool" or None for any; else the EvalError that names ``label``."""
+    if kind == "int" and (not isinstance(v, int) or isinstance(v, bool)):
+        raise EvalError(f"{label} needs an integer value, got {fmt_value(v)}")
+    if kind == "bool" and not isinstance(v, bool):
+        raise EvalError(f"method '{label}' is not boolean-valued")
+    if kind in ("set", "rel") and not isinstance(v, frozenset):
+        raise EvalError(f"{label} needs a set value, got {fmt_value(v)}")
+    if kind == "rel" and not all(isinstance(p, tuple) and len(p) == 2 for p in v):
+        raise EvalError(f"{label} needs a relation value")
     return v
 
 
-def _as_rel(v: Value, what: str) -> frozenset:
-    s = _as_set(v, what)
-    for item in s:
-        if not (isinstance(item, tuple) and len(item) == 2):
-            raise EvalError(f"{what} needs a relation value")
-    return s
+def _checked(label: str, kinds: tuple, operation):
+    """``operation`` testing the kind of each operand (see ``_kind``) once
+    all are evaluated: a set before a relation, else in operand order."""
+    order = sorted((k for k, kind in enumerate(kinds) if kind),
+                   key=lambda k: kinds[k] == "rel")
+
+    def checked(*values):
+        for k in order:
+            _kind(kinds[k], label, values[k])
+        return operation(*values)
+    return checked if order else operation
 
 
-def _as_int(v: Value, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise EvalError(f"{what} needs an integer value, got {fmt_value(v)}")
-    return v
+def _tested(f, label: str, kind: str):
+    """The closure ``f`` testing the kind of its value (see ``_kind``)."""
+    return lambda *args: _kind(kind, label, f(*args))
 
 
-def _compiled(compile, e, u: Universe, cache: dict):
-    """``compile(e, u)``, once per node in ``cache``: kept by the node's
-    identity, with the node, so that no identity is reused meanwhile."""
+def _compiled(compile, e, u: Universe, cache: Optional[dict]):
+    """``compile(e, u, checked)``: with ``cache``, the table of a phase of
+    the checker, whose gate typed the machine, the bare form once per node,
+    kept by the node's identity with the node so that no identity is reused
+    meanwhile; with none, the checked form."""
+    if cache is None:
+        return compile(e, u, True)
     hit = cache.get(id(e))
     if hit is None:
-        hit = cache[id(e)] = (compile(e, u), e)
+        hit = cache[id(e)] = (compile(e, u, False), e)
     return hit[0]
 
 
+def _unknown(message: str):
+    """An operator whose every use is an EvalError saying ``message``."""
+    def fail(*_values):
+        raise EvalError(message)
+    return fail
+
+
+def _apply(f: frozenset, x: Value) -> Value:
+    matches = {y for a, y in f if a == x}
+    if len(matches) != 1:
+        raise EvalError(f"apply undefined at {fmt_value(x)}")
+    return next(iter(matches))
+
+
+# --- Event-B evaluation ---------------------------------------------------
+
+def _in_space(r: frozenset, s: frozenset, t: frozenset, arrow: str) -> bool:
+    """Whether ``r`` is a member of the relation space ``s arrow t``: total
+    on ``s`` but for <->, onto ``t`` for -->> and <<->>, a function for -->
+    and -->>."""
+    if arrow not in ("<->", "-->", "-->>", "<<->>"):
+        raise EvalError(f"unknown relation arrow '{arrow}'")
+    dom, ran = frozenset(x for x, _y in r), frozenset(y for _x, y in r)
+    return (dom <= s if arrow == "<->" else dom == s) and \
+        (ran == t if arrow in ("-->>", "<<->>") else ran <= t) and \
+        (arrow in ("<->", "<<->>") or len(dom) == len(r))
+
+
+# each operator: its label in failure texts, the kinds of its operands (see
+# ``_kind``) and its operation on their values
+_EB_OPS = {
+    "union": ("union", ("set", "set"), operator.or_),
+    "inter": ("intersection", ("set", "set"), operator.and_),
+    "diff": ("difference", ("set", "set"), operator.sub),
+    "domsub": ("domain subtraction", ("set", "rel"),
+               lambda s, r: frozenset(p for p in r if p[0] not in s)),
+    "domres": ("domain restriction", ("set", "rel"),
+               lambda s, r: frozenset(p for p in r if p[0] in s)),
+    "cross": ("cartesian product", ("set", "set"),
+              lambda a, b: frozenset(itertools.product(a, b))),
+    "maplet": ("maplet", (None, None), lambda a, b: (a, b)),
+    "image": ("image", ("rel", "set"), lambda r, s: frozenset(y for x, y in r if x in s)),
+    "apply": ("application", ("rel", None), _apply),
+    "add": ("+", ("int", "int"), operator.add),
+    "sub": ("-", ("int", "int"), operator.sub),
+    "mul": ("*", ("int", "int"), operator.mul),
+    "dom": ("dom", ("rel",), lambda r: frozenset(x for x, _y in r)),
+    "ran": ("ran", ("rel",), lambda r: frozenset(y for _x, y in r)),
+    "eq": ("=", (None, None), operator.eq),
+    "neq": ("/=", (None, None), operator.ne),
+    "in": ("membership", (None, "set"), lambda x, s: x in s),
+    "subset": ("subset", ("set", "set"), operator.le),
+    "lt": ("<", ("int", "int"), operator.lt),
+    "le": ("<=", ("int", "int"), operator.le),
+    "relspace": ("relation membership", ("rel", "set", "set"), _in_space),
+}
+_EB_BARE = {name: operation for name, (_label, _kinds, operation) in _EB_OPS.items()}
+_EB_CHECKED = {name: _checked(*entry) for name, entry in _EB_OPS.items()}
+
+
 def eval_eb_expr(e: eb.Expr, state: Mapping, env: Mapping, u: Universe) -> Value:
-    return _compile_eb(e, u)(state, env)
+    return _compile_eb(e, u, True)(state, env)
 
 
-def _compile_eb(e: eb.Expr, u: Universe):
-    """``f(state, env)``, the value of ``e``, its operator chosen now (after
-    Feeley & Lapalme, "Using Closures for Code Generation", 1987)."""
+def _compile_eb(e, u: Universe, checked: bool):
+    """``f(state, env)``, the value of the expression or predicate ``e``,
+    its operators chosen now (after Feeley & Lapalme, "Using Closures for
+    Code Generation", 1987) in their ``checked`` form or bare; a checked
+    relation-space membership tests each operand as it is evaluated."""
+    ops = _EB_CHECKED if checked else _EB_BARE
+    if isinstance(e, eb.BTrue):
+        return lambda state, env: True
+    if isinstance(e, eb.Not):
+        operand = _compile_eb(e.operand, u, checked)
+        return lambda state, env: not operand(state, env)
+    if isinstance(e, (eb.And, eb.Or)):
+        left, right = _compile_eb(e.left, u, checked), _compile_eb(e.right, u, checked)
+        if isinstance(e, eb.And):
+            return lambda state, env: left(state, env) and right(state, env)
+        return lambda state, env: left(state, env) or right(state, env)
     if isinstance(e, (eb.IntLit, eb.EmptySet)):
         value = e.value if isinstance(e, eb.IntLit) else frozenset()
         return lambda state, env: value
@@ -579,112 +665,32 @@ def _compile_eb(e: eb.Expr, u: Universe):
     if isinstance(e, eb.IntSet):
         return lambda state, env: u.int_set()
     if isinstance(e, eb.SetEnum):
-        items = [_compile_eb(i, u) for i in e.items]
+        items = [_compile_eb(i, u, checked) for i in e.items]
         return lambda state, env: frozenset([f(state, env) for f in items])
     if isinstance(e, eb.UnOp):
-        operand, op, at = _compile_eb(e.operand, u), e.op, int(e.op != "dom")
-        return lambda state, env: frozenset(
-            p[at] for p in _as_rel(operand(state, env), op))
-    if isinstance(e, eb.BinOp):
-        left, right = _compile_eb(e.left, u), _compile_eb(e.right, u)
-        op = _EB_BINARY.get(e.op) or _unknown(f"cannot evaluate operator '{e.op}'")
+        operand = _compile_eb(e.operand, u, checked)
+        op = ops.get(e.op) or _unknown(f"cannot evaluate operator '{e.op}'")
+        return lambda state, env: op(operand(state, env))
+    if isinstance(e, eb.Cmp) and e.op == "in" and isinstance(e.right, eb.RelSpace):
+        label, kinds, holds = _EB_OPS["relspace"]
+        arrow, parts = e.right.arrow, (e.left, e.right.left, e.right.right)
+        r, s, t = [_tested(_compile_eb(x, u, True), label, kind) if checked
+                   else _compile_eb(x, u, False) for x, kind in zip(parts, kinds)]
+        return lambda state, env: holds(
+            r(state, env), s(state, env), t(state, env), arrow)
+    if isinstance(e, (eb.BinOp, eb.Cmp)):
+        left, right = _compile_eb(e.left, u, checked), _compile_eb(e.right, u, checked)
+        op = ops.get(e.op) or _unknown("cannot evaluate Cmp" if isinstance(e, eb.Cmp)
+                                       else f"cannot evaluate operator '{e.op}'")
         return lambda state, env: op(left(state, env), right(state, env))
     return _unknown(f"cannot evaluate {type(e).__name__}")
-
-
-def _unknown(message: str):
-    """An operator whose every use is an EvalError saying ``message``."""
-    def fail(*_values):
-        raise EvalError(message)
-    return fail
-
-
-def _eb_restrict(s, r, what: str, keep: bool) -> frozenset:
-    s = _as_set(s, what)
-    return frozenset(p for p in _as_rel(r, what) if (p[0] in s) == keep)
-
-
-def _eb_apply(f, x) -> Value:
-    matches = {y for a, y in _as_rel(f, "application") if a == x}
-    if len(matches) != 1:
-        raise EvalError(f"apply undefined at {fmt_value(x)}")
-    return next(iter(matches))
-
-
-# each binary operator, given both operands' values (both are evaluated first)
-_EB_BINARY = {
-    "union": lambda a, b: _as_set(a, "union") | _as_set(b, "union"),
-    "inter": lambda a, b: _as_set(a, "intersection") & _as_set(b, "intersection"),
-    "diff": lambda a, b: _as_set(a, "difference") - _as_set(b, "difference"),
-    "domsub": lambda a, b: _eb_restrict(a, b, "domain subtraction", False),
-    "domres": lambda a, b: _eb_restrict(a, b, "domain restriction", True),
-    "cross": lambda a, b: frozenset(itertools.product(
-        _as_set(a, "cartesian product"), _as_set(b, "cartesian product"))),
-    "maplet": lambda a, b: (a, b),
-    "image": lambda a, b: frozenset(p[1] for p in _eb_restrict(b, a, "image", True)),
-    "apply": _eb_apply,
-    "add": lambda a, b: _as_int(a, "+") + _as_int(b, "+"),
-    "sub": lambda a, b: _as_int(a, "-") - _as_int(b, "-"),
-    "mul": lambda a, b: _as_int(a, "*") * _as_int(b, "*"),
-}
-
-
-def _functional(r: frozenset) -> bool:
-    return len({x for x, _y in r}) == len(r)
 
 
 def eb_pred_holds(p: eb.Predicate, state: Mapping, env: Mapping, u: Universe,
                   compiled: Optional[dict] = None) -> bool:
     """Exact truth value of a predicate; raises EvalError when undefined.
-    Its expressions are compiled into ``compiled`` (see ``_compiled``)."""
-    compiled = compiled if compiled is not None else {}
-    if isinstance(p, eb.BTrue):
-        return True
-    if isinstance(p, eb.And):
-        return eb_pred_holds(p.left, state, env, u, compiled) and \
-            eb_pred_holds(p.right, state, env, u, compiled)
-    if isinstance(p, eb.Or):
-        return eb_pred_holds(p.left, state, env, u, compiled) or \
-            eb_pred_holds(p.right, state, env, u, compiled)
-    if isinstance(p, eb.Not):
-        return not eb_pred_holds(p.operand, state, env, u, compiled)
-    if isinstance(p, eb.Cmp):
-        if p.op == "in" and isinstance(p.right, eb.RelSpace):
-            return _relspace_holds(p.left, p.right, state, env, u, compiled)
-        left = _compiled(_compile_eb, p.left, u, compiled)(state, env)
-        right = _compiled(_compile_eb, p.right, u, compiled)(state, env)
-        if p.op == "eq":
-            return left == right
-        if p.op == "neq":
-            return left != right
-        if p.op == "in":
-            return left in _as_set(right, "membership")
-        if p.op == "subset":
-            return _as_set(left, "subset") <= _as_set(right, "subset")
-        if p.op == "lt":
-            return _as_int(left, "<") < _as_int(right, "<")
-        if p.op == "le":
-            return _as_int(left, "<=") <= _as_int(right, "<=")
-    raise EvalError(f"cannot evaluate {type(p).__name__}")
-
-
-def _relspace_holds(member: eb.Expr, rs: eb.RelSpace, state, env, u, compiled) -> bool:
-    def value(e):
-        return _compiled(_compile_eb, e, u, compiled)(state, env)
-    r = _as_rel(value(member), "relation membership")
-    s = _as_set(value(rs.left), "relation membership")
-    t = _as_set(value(rs.right), "relation membership")
-    dom = frozenset(x for x, _y in r)
-    ran = frozenset(y for _x, y in r)
-    if rs.arrow == "<->":
-        return dom <= s and ran <= t
-    if rs.arrow == "-->":
-        return _functional(r) and dom == s and ran <= t
-    if rs.arrow == "-->>":
-        return _functional(r) and dom == s and ran == t
-    if rs.arrow == "<<->>":
-        return dom == s and ran == t
-    raise EvalError(f"unknown relation arrow '{rs.arrow}'")
+    It is compiled into ``compiled`` (see ``_compiled``)."""
+    return _compiled(_compile_eb, p, u, compiled)(state, env)
 
 
 # --- Event-B transition relations ------------------------------------------
@@ -702,11 +708,11 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
             per_action.append([(target, val)])
         else:
             prime = target + "'"
-            choices = _solutions(
+            choices = list(_solutions(
                 [prime], lambda _k, _partial, _bound: u.values_of(var_types[target]),
                 [(act.predicate, frozenset((0,)))],
                 lambda p, bap_env: eb_pred_holds(p, state, bap_env, u, compiled),
-                dict(env), budget.charge)
+                dict(env), budget.charge))
             if not choices:
                 return
             per_action.append([(target, c[prime]) for c in choices])
@@ -769,11 +775,11 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
         key = _read(d, reads)
         sat_envs = found.get(key)
         if sat_envs is None:
-            sat_envs = found[key] = _solutions(
+            sat_envs = found[key] = list(_solutions(
                 names, _bounded_domain(plan, lambda e, env: _compiled(
                     _compile_eb, e, u, compiled)(d, env), u),
                 guards, lambda c, env: eb_pred_holds(c, d, env, u, compiled), {},
-                budget.charge, first_fail=True)
+                budget.charge, first_fail=True))
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
             rel[a] = frozenset((a,))
@@ -801,14 +807,49 @@ def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
 
 # --- JML evaluation --------------------------------------------------------
 
+# each method (the receiver its first operand), product, arithmetic
+# operator and comparison, as in ``_EB_OPS``
+_JML_OPS = {
+    "has": ("has", ("set", None), lambda s, x: x in s),
+    "isSubset": ("isSubset", ("set", "set"), operator.le),
+    "equals": ("equals", (None, None), operator.eq),
+    "isEmpty": ("isEmpty", ("set",), lambda s: not s),
+    "isaFunction": ("isaFunction", ("rel",), lambda r: len({x for x, _y in r}) == len(r)),
+    "union": ("union", ("set", "set"), operator.or_),
+    "intersection": ("intersection", ("set", "set"), operator.and_),
+    "difference": ("difference", ("set", "set"), operator.sub),
+    "domainSubtraction": ("domainSubtraction", ("rel", "set"),
+                          lambda r, s: frozenset(p for p in r if p[0] not in s)),
+    "domainRestriction": ("domainRestriction", ("rel", "set"),
+                          lambda r, s: frozenset(p for p in r if p[0] in s)),
+    "image": ("image", ("rel", "set"), lambda r, s: frozenset(y for x, y in r if x in s)),
+    "apply": ("apply", ("rel", None), _apply),
+    "domain": ("domain", ("rel",), lambda r: frozenset(x for x, _y in r)),
+    "range": ("range", ("rel",), lambda r: frozenset(y for _x, y in r)),
+    "cross": ("cross", ("set", "set"), lambda a, b: frozenset(itertools.product(a, b))),
+    "+": ("+", ("int", "int"), operator.add),
+    "-": ("-", ("int", "int"), operator.sub),
+    "*": ("*", ("int", "int"), operator.mul),
+    "==": ("==", (None, None), operator.eq),
+    "!=": ("!=", (None, None), operator.ne),
+    "<": ("<", ("int", "int"), operator.lt),
+    "<=": ("<=", ("int", "int"), operator.le),
+}
+_JML_BARE = {name: operation for name, (_label, _kinds, operation) in _JML_OPS.items()}
+_JML_CHECKED = {name: _checked(*entry) for name, entry in _JML_OPS.items()}
+
+
 def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
                   u: Universe) -> Value:
     """Evaluate with lookups in ``state``; \\old subterms switch to ``pre``."""
-    return _compile_jml(e, u)(pre, state, env)
+    return _compile_jml(e, u, True)(pre, state, env)
 
 
-def _compile_jml(e: jml.JmlExpr, u: Universe):
-    """``f(pre, state, env)``, the value of ``e``, its method chosen now."""
+def _compile_jml(e, u: Universe, checked: bool):
+    """``f(pre, state, env)``, the value of the expression, comparison or
+    boolean method call ``e``, as ``_compile_eb`` has it; the product and
+    arithmetic test each operand as soon as it is evaluated."""
+    ops = _JML_CHECKED if checked else _JML_BARE
     if isinstance(e, jml.JmlVar):
         name = e.name
         carrier = frozenset(u.carrier_elems(name)) if name in u.carriers else None
@@ -823,71 +864,42 @@ def _compile_jml(e: jml.JmlExpr, u: Universe):
             return carrier
         return var
     if isinstance(e, jml.JmlOldExpr):
-        inner = _compile_jml(e.expr, u)
+        inner = _compile_jml(e.expr, u, checked)
         return lambda pre, state, env: inner(pre, pre, env)
     if isinstance(e, jml.JmlMethodCall):
-        recv, args = _compile_jml(e.recv, u), [_compile_jml(a, u) for a in e.args]
-        method = _JML_METHODS.get(e.method) or _unknown(f"unknown method '{e.method}'")
+        recv = _compile_jml(e.recv, u, checked)
+        args = [_compile_jml(a, u, checked) for a in e.args]
+        method = ops.get(e.method) or _unknown(f"unknown method '{e.method}'")
         if len(args) == 1:
             arg = args[0]
             return lambda pre, state, env: method(
-                recv(pre, state, env), (arg(pre, state, env),))
+                recv(pre, state, env), arg(pre, state, env))
         return lambda pre, state, env: method(
-            recv(pre, state, env), [a(pre, state, env) for a in args])
+            recv(pre, state, env), *[a(pre, state, env) for a in args])
+    if isinstance(e, jml.JmlBoolCall):
+        call = _compile_jml(e.call, u, checked)
+        return _tested(call, e.call.method, "bool") if checked else call
     if isinstance(e, jml.JmlIntLit):
         value = e.value
         return lambda pre, state, env: value
-    if isinstance(e, jml.JmlCross):
-        left, right = _compile_jml(e.left, u), _compile_jml(e.right, u)
-        return lambda pre, state, env: frozenset(itertools.product(
-            _as_set(left(pre, state, env), "cross"),
-            _as_set(right(pre, state, env), "cross")))
+    if isinstance(e, (jml.JmlCross, jml.JmlArith)):
+        label, kinds, op = _JML_OPS["cross" if isinstance(e, jml.JmlCross) else e.op]
+        left, right = _compile_jml(e.left, u, checked), _compile_jml(e.right, u, checked)
+        if checked:
+            left, right = _tested(left, label, kinds[0]), _tested(right, label, kinds[1])
+        return lambda pre, state, env: op(left(pre, state, env), right(pre, state, env))
+    if isinstance(e, jml.JmlCmp):
+        left, right = _compile_jml(e.left, u, checked), _compile_jml(e.right, u, checked)
+        op = ops.get(e.op) or _unknown(f"unknown comparison '{e.op}'")
+        return lambda pre, state, env: op(left(pre, state, env), right(pre, state, env))
     if isinstance(e, (jml.JmlNewSet, jml.JmlNewRelation)):
-        items = [_compile_jml(i, u) for i in (
+        items = [_compile_jml(i, u, checked) for i in (
             e.items if isinstance(e, jml.JmlNewSet) else e.pairs)]
         return lambda pre, state, env: frozenset([f(pre, state, env) for f in items])
     if isinstance(e, jml.JmlNewPair):
-        left, right = _compile_jml(e.left, u), _compile_jml(e.right, u)
+        left, right = _compile_jml(e.left, u, checked), _compile_jml(e.right, u, checked)
         return lambda pre, state, env: (left(pre, state, env), right(pre, state, env))
-    if isinstance(e, jml.JmlArith):
-        left, right, op = _compile_jml(e.left, u), _compile_jml(e.right, u), e.op
-        apply = {"+": operator.add, "-": operator.sub}.get(op, operator.mul)
-        return lambda pre, state, env: apply(
-            _as_int(left(pre, state, env), op), _as_int(right(pre, state, env), op))
     return _unknown(f"cannot evaluate {type(e).__name__}")
-
-
-def _jml_apply(recv, args) -> Value:
-    matches = {y for x, y in _as_rel(recv, "apply") if x == args[0]}
-    if len(matches) != 1:
-        raise EvalError(f"apply undefined at {fmt_value(args[0])}")
-    return next(iter(matches))
-
-
-def _jml_restrict(recv, args, method: str, keep: bool) -> frozenset:
-    s = _as_set(args[0], method)
-    return frozenset(p for p in _as_rel(recv, method) if (p[0] in s) == keep)
-
-
-# each method, given the receiver's and the arguments' values (all evaluated
-# first)
-_JML_METHODS = {
-    "has": lambda r, a: a[0] in _as_set(r, "has"),
-    "isSubset": lambda r, a: _as_set(r, "isSubset") <= _as_set(a[0], "isSubset"),
-    "equals": lambda r, a: r == a[0],
-    "isEmpty": lambda r, a: len(_as_set(r, "isEmpty")) == 0,
-    "isaFunction": lambda r, a: _functional(_as_rel(r, "isaFunction")),
-    "union": lambda r, a: _as_set(r, "union") | _as_set(a[0], "union"),
-    "intersection": lambda r, a:
-        _as_set(r, "intersection") & _as_set(a[0], "intersection"),
-    "difference": lambda r, a: _as_set(r, "difference") - _as_set(a[0], "difference"),
-    "domainSubtraction": lambda r, a: _jml_restrict(r, a, "domainSubtraction", False),
-    "domainRestriction": lambda r, a: _jml_restrict(r, a, "domainRestriction", True),
-    "image": lambda r, a: frozenset(p[1] for p in _jml_restrict(r, a, "image", True)),
-    "apply": _jml_apply,
-    "domain": lambda r, a: frozenset(x for x, _y in _as_rel(r, "domain")),
-    "range": lambda r, a: frozenset(y for _x, y in _as_rel(r, "range")),
-}
 
 
 def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
@@ -898,19 +910,16 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
     ``memo`` keeps the witnesses of each \\exists at one pre-state (see
     ``_exists_witnesses``) and charges their search to its Budget;
     evaluations given the same memo share both, and one given none starts
-    a fresh memo metered at the universe's ceiling.  \\old is evaluated
-    each time.
+    a fresh memo metered at the universe's ceiling, with no phase's table
+    of compiled expressions (see ``_compiled``).  \\old is evaluated each time.
     """
-    memo = memo if memo is not None else WitnessMemo(Budget(u.ceiling))
-    if isinstance(p, jml.JmlBoolCall):
-        v = _compiled(_compile_jml, p.call, u, memo.compiled)(pre, state, env)
-        if not isinstance(v, bool):
-            raise EvalError(f"method '{p.call.method}' is not boolean-valued")
-        return v
-    if isinstance(p, jml.JmlTrue):
-        return True
-    if isinstance(p, jml.JmlFalse):
-        return False
+    if memo is None:
+        memo = WitnessMemo(Budget(u.ceiling))
+        memo.compiled = None
+    if isinstance(p, (jml.JmlBoolCall, jml.JmlCmp)):
+        return _compiled(_compile_jml, p, u, memo.compiled)(pre, state, env)
+    if isinstance(p, (jml.JmlTrue, jml.JmlFalse)):
+        return isinstance(p, jml.JmlTrue)
     if isinstance(p, jml.JmlAnd):
         return jml_pred_holds(p.left, pre, state, env, u, memo) and \
             jml_pred_holds(p.right, pre, state, env, u, memo)
@@ -925,25 +934,8 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
         return jml_pred_holds(p.operand, pre, pre, env, u, memo)
     if isinstance(p, jml.JmlExists):
         rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, memo)
-        for inner in bindings:
-            for c in rest:
-                if not _defined(jml_pred_holds, c, pre, state, inner, u, memo):
-                    break
-            else:
-                return True
-        return False
-    if isinstance(p, jml.JmlCmp):
-        left = _compiled(_compile_jml, p.left, u, memo.compiled)(pre, state, env)
-        right = _compiled(_compile_jml, p.right, u, memo.compiled)(pre, state, env)
-        if p.op == "==":
-            return left == right
-        if p.op == "!=":
-            return left != right
-        if p.op == "<":
-            return _as_int(left, "<") < _as_int(right, "<")
-        if p.op == "<=":
-            return _as_int(left, "<=") <= _as_int(right, "<=")
-        raise EvalError(f"unknown comparison '{p.op}'")
+        return any(all(_defined(jml_pred_holds, c, pre, state, inner, u, memo)
+                       for c in rest) for inner in bindings)
     if isinstance(p, jml.JmlGuardCall):
         raise EvalError(
             f"guard method call '{p.method}()' must be inlined before evaluation")
@@ -1050,11 +1042,12 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     key = (id(p), at_pre, frozenset(env.items()), _read(pre, reads))
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (rest, _solutions(
+        hit = memo[key] = (rest, list(_solutions(
             names, _bounded_domain(plan, lambda e, partial: _compiled(
-                _compile_jml, e, u, memo.compiled)(pre, pre, partial), u),
+                _compile_jml, e, u, memo.compiled)(pre, pre, partial), u,
+                memo.compiled is None),
             tests, lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo),
-            dict(env), memo.budget.charge, first_fail))
+            dict(env), memo.budget.charge, first_fail)))
     return hit
 
 

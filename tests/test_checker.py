@@ -255,22 +255,27 @@ machine gap
   events
     initialisation
       begin
-        act1: v := 0
+        act1: v := {start}
       end
     stay
       begin
         act1: v := v
       end
+    step
+      begin
+        act1: v := v + 1
+      end
 end
 """
 
 
-def _gap(eb_bound, jml_bound):
-    """The machine ``gap`` with the bound ``eb_bound``, and its translation
-    with the class invariant of ``gap`` at the bound ``jml_bound``."""
-    machine = parse_machine(GAP.format(bound=eb_bound))
+def _gap(eb_bound, jml_bound, start=0):
+    """The machine ``gap`` with the bound ``eb_bound`` and the initial value
+    ``start``, and its translation with the class invariant of ``gap`` at
+    the bound ``jml_bound``."""
+    machine = parse_machine(GAP.format(bound=eb_bound, start=start))
     unit = translate_machine(machine)
-    other = translate_machine(parse_machine(GAP.format(bound=jml_bound)))
+    other = translate_machine(parse_machine(GAP.format(bound=jml_bound, start=start)))
     return machine, replace(unit, result=replace(
         unit.result, class_invariant=other.result.class_invariant))
 
@@ -281,8 +286,18 @@ def test_a_jml_pre_state_with_no_event_b_entry_is_a_witness():
     machine, unit = _gap(1, 2)
     v = check_event(machine.event("stay"), machine, Universe(0, 2), unit)
     assert v.status == FAIL and (v.jml_size, v.eb_size) == (3, 2)
-    assert [(w.pre, w.post) for w in v.witnesses] == [
-        (State({"v": 2}), State({"v": 2}))]
+    assert [(w.pre, w.post, w.eb_side) for w in v.witnesses] == [
+        (State({"v": 2}), State({"v": 2}),
+         "the pre-state violates the Event-B invariant")]
+    # v = 1 -> v = 2 leaves the Event-B invariant, which the guard allows
+    v = check_event(machine.event("step"), machine, Universe(0, 2), unit)
+    assert [(w.pre, w.post, w.eb_side) for w in v.witnesses] == [
+        (State({"v": 1}), State({"v": 2}),
+         "the post-state violates the Event-B invariant")]
+    machine, unit = _gap(1, 2, start=2)
+    v = check_init(machine, Universe(0, 2), unit)
+    assert [(w.post, w.eb_side) for w in v.witnesses] == [
+        (State({"v": 2}), "the state violates the Event-B invariant")]
 
 
 def test_an_event_b_pre_state_with_no_jml_post_is_no_bisimulation():
