@@ -81,15 +81,15 @@ class Budget:
 class WitnessMemo(dict):
     """The \\exists witnesses of each quantifier, keyed by the values its
     search reads (see ``_exists_witnesses``), its analysis (``_exists_chain``)
-    and compiled expressions (``_compiled``), for as long as the phase it
-    serves lasts; and the Budget that pays for the searches."""
+    and its ``phase``'s compiled expressions (``_compiled``), for as long as
+    the phase lasts; and the Budget that pays for the searches."""
 
     __slots__ = ("budget", "chains", "compiled")
 
-    def __init__(self, budget: Budget):
+    def __init__(self, budget: Budget, phase: bool = True):
         self.budget = budget
         self.chains: dict = {}
-        self.compiled: Optional[dict] = {}
+        self.compiled: Optional[dict] = {} if phase else None
 
 
 def fmt_value(v: Value) -> str:
@@ -381,10 +381,9 @@ def _bounded_domain(plan, value, u: Universe, checked: bool = False):
     """``domain(k, partial, bound)`` for ``_solutions``: the typed values of
     the k-th name that its bounds allow (see ``_bound_plan``).
 
-    ``value(expression, partial)`` evaluates a bound's expression with one
-    side's evaluator, and ``checked`` tests that a set's bound is a set.  A
-    bound counts once every name it reads is bound; those that read none
-    are evaluated once, at the first node that asks.
+    ``value(expression, partial)`` evaluates a bound's expression, and with
+    ``checked`` a set's bounds are tested to be sets.  A bound counts once
+    every name it reads is bound; one that reads none is evaluated once.
     Where a bound is undefined, every value of the type.  The bounds only
     decide what is tried: every conjunct is still tested.
     """
@@ -539,7 +538,6 @@ def _checked(label: str, kinds: tuple, operation):
     all are evaluated: a set before a relation, else in operand order."""
     order = sorted((k for k, kind in enumerate(kinds) if kind),
                    key=lambda k: kinds[k] == "rel")
-
     def checked(*values):
         for k in order:
             _kind(kinds[k], label, values[k])
@@ -553,10 +551,9 @@ def _tested(f, label: str, kind: str):
 
 
 def _compiled(compile, e, u: Universe, cache: Optional[dict]):
-    """``compile(e, u, checked)``: with ``cache``, the table of a phase of
-    the checker, whose gate typed the machine, the bare form once per node,
-    kept by the node's identity with the node so that no identity is reused
-    meanwhile; with none, the checked form."""
+    """``compile(e, u, checked)``: with ``cache``, a phase's table (the gate
+    typed the machine), the bare form once per node, kept by the node's
+    identity with the node so that no identity is reused meanwhile."""
     if cache is None:
         return compile(e, u, True)
     hit = cache.get(id(e))
@@ -582,9 +579,7 @@ def _apply(f: frozenset, x: Value) -> Value:
 # --- Event-B evaluation ---------------------------------------------------
 
 def _in_space(r: frozenset, s: frozenset, t: frozenset, arrow: str) -> bool:
-    """Whether ``r`` is a member of the relation space ``s arrow t``: total
-    on ``s`` but for <->, onto ``t`` for -->> and <<->>, a function for -->
-    and -->>."""
+    """Whether ``r`` is in the relation space ``s arrow t``."""
     if arrow not in ("<->", "-->", "-->>", "<<->>"):
         raise EvalError(f"unknown relation arrow '{arrow}'")
     dom, ran = frozenset(x for x, _y in r), frozenset(y for _x, y in r)
@@ -593,8 +588,7 @@ def _in_space(r: frozenset, s: frozenset, t: frozenset, arrow: str) -> bool:
         (arrow in ("<->", "<<->>") or len(dom) == len(r))
 
 
-# each operator: its label in failure texts, the kinds of its operands (see
-# ``_kind``) and its operation on their values
+# each operator: its label in failure texts, operand kinds and operation
 _EB_OPS = {
     "union": ("union", ("set", "set"), operator.or_),
     "inter": ("intersection", ("set", "set"), operator.and_),
@@ -807,8 +801,7 @@ def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
 
 # --- JML evaluation --------------------------------------------------------
 
-# each method (the receiver its first operand), product, arithmetic
-# operator and comparison, as in ``_EB_OPS``
+# each method (the receiver first), product, arithmetic operator and comparison
 _JML_OPS = {
     "has": ("has", ("set", None), lambda s, x: x in s),
     "isSubset": ("isSubset", ("set", "set"), operator.le),
@@ -846,9 +839,8 @@ def eval_jml_expr(e: jml.JmlExpr, pre: Mapping, state: Mapping, env: Mapping,
 
 
 def _compile_jml(e, u: Universe, checked: bool):
-    """``f(pre, state, env)``, the value of the expression, comparison or
-    boolean method call ``e``, as ``_compile_eb`` has it; the product and
-    arithmetic test each operand as soon as it is evaluated."""
+    """``f(pre, state, env)``, the value of ``e``, as ``_compile_eb`` has it;
+    checked, the product and arithmetic test each operand as evaluated."""
     ops = _JML_CHECKED if checked else _JML_BARE
     if isinstance(e, jml.JmlVar):
         name = e.name
@@ -910,16 +902,16 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
     ``memo`` keeps the witnesses of each \\exists at one pre-state (see
     ``_exists_witnesses``) and charges their search to its Budget;
     evaluations given the same memo share both, and one given none starts
-    a fresh memo metered at the universe's ceiling, with no phase's table
-    of compiled expressions (see ``_compiled``).  \\old is evaluated each time.
+    a fresh memo metered at the universe's ceiling that serves no phase
+    (see ``_compiled``).  \\old is evaluated each time.
     """
-    if memo is None:
-        memo = WitnessMemo(Budget(u.ceiling))
-        memo.compiled = None
-    if isinstance(p, (jml.JmlBoolCall, jml.JmlCmp)):
+    memo = memo if memo is not None else WitnessMemo(Budget(u.ceiling), phase=False)
+    if isinstance(p, jml.JmlBoolCall):
         return _compiled(_compile_jml, p, u, memo.compiled)(pre, state, env)
-    if isinstance(p, (jml.JmlTrue, jml.JmlFalse)):
-        return isinstance(p, jml.JmlTrue)
+    if isinstance(p, jml.JmlTrue):
+        return True
+    if isinstance(p, jml.JmlFalse):
+        return False
     if isinstance(p, jml.JmlAnd):
         return jml_pred_holds(p.left, pre, state, env, u, memo) and \
             jml_pred_holds(p.right, pre, state, env, u, memo)
@@ -934,8 +926,15 @@ def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
         return jml_pred_holds(p.operand, pre, pre, env, u, memo)
     if isinstance(p, jml.JmlExists):
         rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, memo)
-        return any(all(_defined(jml_pred_holds, c, pre, state, inner, u, memo)
-                       for c in rest) for inner in bindings)
+        for inner in bindings:
+            for c in rest:
+                if not _defined(jml_pred_holds, c, pre, state, inner, u, memo):
+                    break
+            else:
+                return True
+        return False
+    if isinstance(p, jml.JmlCmp):
+        return _compiled(_compile_jml, p, u, memo.compiled)(pre, state, env)
     if isinstance(p, jml.JmlGuardCall):
         raise EvalError(
             f"guard method call '{p.method}()' must be inlined before evaluation")
@@ -1272,5 +1271,7 @@ def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
 
 
 def guard_holds(guard_spec: jml.JmlMethodSpec, state: State, u: Universe) -> bool:
-    """Whether the translated guard is satisfied in a state (pre = post)."""
-    return _defined(jml_pred_holds, guard_spec.normal.ensures, state, state, {}, u)
+    """Whether the translated guard is satisfied in a state (pre = post), in
+    a phase of its own: the checker explains a witness of a typed machine."""
+    return _defined(jml_pred_holds, guard_spec.normal.ensures, state, state, {}, u,
+                    WitnessMemo(Budget(u.ceiling)))

@@ -5,7 +5,9 @@ mode.
 Event-B parameters, Event-B after-values and JML \\exists witnesses are all
 bound by it.  The JML evaluator always searches witnesses through its memo;
 the one comparison of the memo with None is ``jml_pred_holds`` defaulting
-it to a fresh one.  A second loop or a mode switch would bring back the
+it to a fresh one.  The other comparison with None, in ``_compiled``,
+chooses an operator's form, bare in a phase and checked outside one, and
+not the search.  A second loop or a mode switch would bring back the
 unpruned search.
 
 Every search is metered: each ``_solutions`` call charges a Budget, and no
