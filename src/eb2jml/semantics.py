@@ -551,8 +551,8 @@ def _tested(f, label: str, kind: str):
 
 
 def _compiled(compile, e, u: Universe, cache: Optional[dict]):
-    """``compile(e, u, checked)``: with ``cache``, a phase's table (the gate
-    typed the machine), the bare form once per node, kept by the node's
+    """``compile(e, u, checked)``, checked but with ``cache``, a phase's table
+    (the gate typed the machine): bare, once per node, kept by the node's
     identity with the node so that no identity is reused meanwhile."""
     if cache is None:
         return compile(e, u, True)

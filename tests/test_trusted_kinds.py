@@ -4,10 +4,10 @@ The well-formedness gate types every machine the checker is given, and
 every state value comes from its variable's type, so a phase compiles each
 operator bare (``semantics._compiled``).  This runs the phases with the
 checked forms swapped in instead, over the corpus under each mutation and
-over the generated machines of ``test_engine``: no operand-kind failure is logged, and every
-verdict equals the one the bare forms give.  With the bare forms the
-phases cannot log such a failure at all, so the swap is what makes the
-premise observable.
+over the generated machines of ``test_engine``: no operand-kind failure
+is logged, and every verdict equals the one the bare forms give.  With
+the bare forms the phases cannot log such a failure at all, so the swap is
+what makes the premise observable.
 """
 
 import logging
