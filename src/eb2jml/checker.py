@@ -20,7 +20,7 @@ from . import jmlast as jml
 from .ebast import Machine
 from .nodes import map_children, walk
 from .semantics import (
-    Budget, ResourceLimitError, State, Universe, WitnessMemo, active_cases,
+    Budget, Phase, ResourceLimitError, State, Universe, active_cases,
     eb_event_rel_variants, eb_init_states, eb_invariant_states, fmt_value,
     guard_holds, jml_initially_states, jml_invariant_states, jml_method_rel,
     spec_cases,
@@ -32,10 +32,6 @@ log = logging.getLogger(__name__)
 PASS = "PASS"
 FAIL = "FAIL"
 RESOURCE_LIMIT = "RESOURCE_LIMIT"
-
-MUTATIONS = ("drop_old", "widen_ensures_true", "shrink_assignable",
-             "negate_guard_link")
-
 
 class MutationError(Exception):
     pass
@@ -304,7 +300,7 @@ def _explain_pair(event, guard_spec, run_spec, u, eb_states, pair) -> Counterexa
     elif b not in eb_states:
         eb_side = "the post-state violates the Event-B invariant"
     active = active_cases(spec_cases(run_spec, guard_spec), a, u,
-                          WitnessMemo(Budget(u.ceiling)))
+                          Phase(Budget(u.ceiling)))
     accepts = "; ".join(
         "the normal case's ensures and frame accept this pair"
         if case is run_spec.normal else "the exceptional case accepts this pair"
@@ -381,6 +377,26 @@ def _drop_old(p: jml.JmlPredicate) -> jml.JmlPredicate:
     return p
 
 
+def _with_normal(m: jml.JmlMethodSpec, **fields) -> Optional[jml.JmlMethodSpec]:
+    """``m`` with ``fields`` of its normal case replaced, or None when the
+    normal case already has them."""
+    normal = replace(m.normal, **fields)
+    return None if normal == m.normal else replace(m, normal=normal)
+
+
+# each mutation's rewrite of a run method: the new method, or None when
+# nothing changes
+_REWRITES = {
+    "drop_old": lambda m: _with_normal(m, ensures=_drop_old(m.normal.ensures)),
+    "widen_ensures_true": lambda m: _with_normal(m, ensures=jml.JmlTrue()),
+    "shrink_assignable": lambda m: _with_normal(m, assignable=jml.AssignNothing()),
+    "negate_guard_link": lambda m: None if m.exceptional is None else replace(
+        m, normal=replace(m.normal, requires=m.exceptional.requires),
+        exceptional=replace(m.exceptional, requires=m.normal.requires)),
+}
+MUTATIONS = tuple(_REWRITES)
+
+
 def mutate_translation(unit: TranslationUnit, mutation: str) -> TranslationUnit:
     """A syntactically valid but semantically altered translation.
 
@@ -388,43 +404,18 @@ def mutate_translation(unit: TranslationUnit, mutation: str) -> TranslationUnit:
     dropping pre-state constraints must be caught, while shrinking an
     assignable set only shrinks the JML relation and must still pass.
     """
-    if mutation not in MUTATIONS:
+    rewrite = _REWRITES.get(mutation)
+    if rewrite is None:
         raise MutationError(f"unknown mutation '{mutation}' "
                             f"(expected one of {', '.join(MUTATIONS)})")
-    changed = False
-    methods = []
-    for m in unit.result.methods:
-        if m.kind != "run":
-            methods.append(m)
-            continue
-        if mutation == "widen_ensures_true":
-            if not isinstance(m.normal.ensures, jml.JmlTrue):
-                m = replace(m, normal=replace(m.normal, ensures=jml.JmlTrue()))
-                changed = True
-        elif mutation == "shrink_assignable":
-            if not isinstance(m.normal.assignable, jml.AssignNothing):
-                m = replace(m, normal=replace(
-                    m.normal, assignable=jml.AssignNothing()))
-                changed = True
-        elif mutation == "drop_old":
-            ensures = _drop_old(m.normal.ensures)
-            if ensures is not m.normal.ensures:
-                m = replace(m, normal=replace(m.normal, ensures=ensures))
-                changed = True
-        elif mutation == "negate_guard_link":
-            if m.exceptional is not None:
-                m = replace(
-                    m,
-                    normal=replace(m.normal, requires=m.exceptional.requires),
-                    exceptional=replace(m.exceptional, requires=m.normal.requires),
-                )
-                changed = True
-        methods.append(m)
-    if not changed:
+    methods = unit.result.methods
+    rewritten = [rewrite(m) if m.kind == "run" else None for m in methods]
+    if all(m is None for m in rewritten):
         raise MutationError(
             f"mutation '{mutation}' does not apply to this translation "
             f"(nothing to alter)")
-    mutated_class = replace(unit.result, methods=tuple(methods))
+    mutated_class = replace(unit.result, methods=tuple(
+        m if new is None else new for m, new in zip(methods, rewritten)))
     return TranslationUnit(
         source=unit.source,
         result=mutated_class,

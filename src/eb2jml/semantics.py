@@ -13,18 +13,19 @@ after-value, and a JML \\exists witness, is bound by one backtracking
 search, ``_solutions``, which tests each conjunct as soon as the names it
 reads are bound.  Event-B parameters and \\exists witnesses are drawn from
 the bounds and pins of their own side's pre-state conjuncts, most
-constrained name first.  Every search charges each value it tests to the one
-``Budget`` of the phase it serves (an invariant enumeration, a state set or
-a relation), which a JML evaluation reaches through its ``WitnessMemo``.
-A search for \\exists witnesses, event parameters or active specification
-cases runs once per tuple of the pre-state values it reads, kept while the
-phase lasts; no memo keeps a state.  Event-B predicates and JML atoms are
+constrained name first.  Every evaluation, on either side, runs in one
+``Phase``: an invariant enumeration, a state set or a relation, which holds
+the ``Budget`` each search charges for every value it tests.  A search for
+\\exists witnesses, event parameters or active specification cases runs
+once per tuple of the pre-state values it reads, kept while the phase
+lasts; no phase keeps a state.  Event-B predicates and JML atoms are
 compiled into closures once per phase, each operator bare: the
 well-formedness gate typed the machine, and every state value comes from
-its type.  Evaluations outside a phase, of hand-built trees, compile each
-operator with the operand-kind tests of its side's signature table.
+its type.  A public evaluation given no phase, as of a hand-built tree,
+opens a checked phase of its own for that call, which compiles each
+operator once with the operand-kind tests of its side's signature table.
 
-Evaluation can fail (an operand of the wrong kind outside a phase, function
+Evaluation can fail (an operand of the wrong kind in a checked phase, function
 application at a non-functional point, unbound identifiers); a guard or
 predicate whose evaluation fails counts as unsatisfied for that valuation,
 and a deterministic action whose value fails gives no transition.
@@ -72,24 +73,27 @@ class Budget:
         self.limit = limit
         self.spent = 0
 
-    def charge(self, n: int = 1) -> None:
-        self.spent += n
+    def charge(self) -> None:
+        self.spent += 1
         if self.spent > self.limit:
             raise ResourceLimitError(self.spent, self.limit)
 
 
-class WitnessMemo(dict):
-    """The \\exists witnesses of each quantifier, keyed by the values its
-    search reads (see ``_exists_witnesses``), its analysis (``_exists_chain``)
-    and its ``phase``'s compiled expressions (``_compiled``), for as long as
-    the phase lasts; and the Budget that pays for the searches."""
+class Phase(dict):
+    """The context of one evaluation phase, on either side: the Budget that
+    pays for its searches, its compiled expressions (see ``_compiled``),
+    their form (``checked`` outside a checker phase), and on the JML side
+    the \\exists witnesses of each quantifier, keyed by the values its search
+    reads (see ``_exists_witnesses``), and its analysis (``_exists_chain``);
+    all kept for as long as the phase lasts."""
 
-    __slots__ = ("budget", "chains", "compiled")
+    __slots__ = ("budget", "chains", "compiled", "checked")
 
-    def __init__(self, budget: Budget, phase: bool = True):
+    def __init__(self, budget: Budget, checked: bool = False):
         self.budget = budget
         self.chains: dict = {}
-        self.compiled: Optional[dict] = {} if phase else None
+        self.compiled: dict = {}
+        self.checked = checked
 
 
 def fmt_value(v: Value) -> str:
@@ -510,10 +514,10 @@ def eb_invariant_states(invariants, variables, u: Universe,
     conjuncts = [(c, _eb_reads(c)) for c in conjs]
     bounds = [(kind, name, e, _eb_reads(e))
               for c in conjs for kind, name, e in _eb_bounds(c)]
-    compiled: dict = {}
+    phase = Phase(budget)
     return _invariant_states(
-        variables, conjuncts, lambda c, s: eb_pred_holds(c, s, {}, u, compiled),
-        bounds, lambda e, s: _compiled(_compile_eb, e, u, compiled)(s, {}), u,
+        variables, conjuncts, lambda c, s: eb_pred_holds(c, s, {}, u, phase),
+        bounds, lambda e, s: _compiled(_compile_eb, e, u, phase)(s, {}), u,
         budget)
 
 
@@ -550,15 +554,14 @@ def _tested(f, label: str, kind: str):
     return lambda *args: _kind(kind, label, f(*args))
 
 
-def _compiled(compile, e, u: Universe, cache: Optional[dict]):
-    """``compile(e, u, checked)``, checked but with ``cache``, a phase's table
-    (the gate typed the machine): bare, once per node, kept by the node's
-    identity with the node so that no identity is reused meanwhile."""
-    if cache is None:
-        return compile(e, u, True)
-    hit = cache.get(id(e))
+def _compiled(compile, e, u: Universe, phase: Phase):
+    """``compile(e, u, phase.checked)``, once per node of the ``phase``,
+    kept in its table by the node's identity with the node, so that no
+    identity is reused meanwhile; bare in a checker phase, as the gate
+    typed the machine."""
+    hit = phase.compiled.get(id(e))
     if hit is None:
-        hit = cache[id(e)] = (compile(e, u, False), e)
+        hit = phase.compiled[id(e)] = (compile(e, u, phase.checked), e)
     return hit[0]
 
 
@@ -681,22 +684,23 @@ def _compile_eb(e, u: Universe, checked: bool):
 
 
 def eb_pred_holds(p: eb.Predicate, state: Mapping, env: Mapping, u: Universe,
-                  compiled: Optional[dict] = None) -> bool:
+                  phase: Optional[Phase] = None) -> bool:
     """Exact truth value of a predicate; raises EvalError when undefined.
-    It is compiled into ``compiled`` (see ``_compiled``)."""
-    return _compiled(_compile_eb, p, u, compiled)(state, env)
+    It is compiled into ``phase`` (see ``_compiled``); given none, into a
+    checked phase of its own, metered at the universe's ceiling."""
+    phase = phase if phase is not None else Phase(Budget(u.ceiling), checked=True)
+    return _compiled(_compile_eb, p, u, phase)(state, env)
 
 
 # --- Event-B transition relations ------------------------------------------
 
-def _action_assignments(actions, state, env, var_types, u: Universe, budget: Budget,
-                        compiled: dict):
+def _action_assignments(actions, state, env, var_types, u: Universe, phase: Phase):
     """All simultaneous result assignments for the actions at one valuation."""
     per_action: list[list[tuple[str, Value]]] = []
     for act in actions:
         target = act.target.name
         if isinstance(act, eb.BecomesEqual):
-            val = _defined(_compiled(_compile_eb, act.rhs, u, compiled), state, env)
+            val = _defined(_compiled(_compile_eb, act.rhs, u, phase), state, env)
             if val is False:  # undefined: no transition (a value may be 0)
                 return
             per_action.append([(target, val)])
@@ -705,8 +709,8 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
             choices = list(_solutions(
                 [prime], lambda _k, _partial, _bound: u.values_of(var_types[target]),
                 [(act.predicate, frozenset((0,)))],
-                lambda p, bap_env: eb_pred_holds(p, state, bap_env, u, compiled),
-                dict(env), budget.charge))
+                lambda p, bap_env: eb_pred_holds(p, state, bap_env, u, phase),
+                dict(env), phase.budget.charge))
             if not choices:
                 return
             per_action.append([(target, c[prime]) for c in choices])
@@ -714,7 +718,7 @@ def _action_assignments(actions, state, env, var_types, u: Universe, budget: Bud
         yield dict(combo)
 
 
-def _eb_post_states(actions, variables, u, budget, states, compiled: dict):
+def _eb_post_states(actions, variables, u, phase: Phase, states):
     """``posts(a, env)`` yields each invariant state in ``states`` that one
     simultaneous execution of ``actions`` at (a, env) reaches: the object
     ``states`` holds, so that equal states are one object.
@@ -725,11 +729,12 @@ def _eb_post_states(actions, variables, u, budget, states, compiled: dict):
     """
     var_types = {ident.name: ty for ident, ty in variables}
     index = {s: s for s in states}
+    charge = phase.budget.charge
 
     def posts(a, env):
         for assignment in _action_assignments(
-                actions, a._d, env, var_types, u, budget, compiled):
-            budget.charge()
+                actions, a._d, env, var_types, u, phase):
+            charge()
             b = index.get(State({**a._d, **assignment}))
             if b is not None:
                 yield b
@@ -751,8 +756,8 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
     each to the values its guards' bounds and pins allow at a, once per
     tuple of the values of the variables the guards read.
     """
-    compiled: dict = {}
-    posts = _eb_post_states(event.actions, variables, u, budget, states, compiled)
+    phase = Phase(budget)
+    posts = _eb_post_states(event.actions, variables, u, phase, states)
     names = [ident.name for ident, _ty in event.params]
     conjs = [c for _lbl, g in event.guards for c in _eb_conjuncts(g)]
     guards = [(c, _positions(_eb_reads(c), names)) for c in conjs]
@@ -771,8 +776,8 @@ def eb_event_rel(event, states: frozenset, variables, u: Universe,
         if sat_envs is None:
             sat_envs = found[key] = list(_solutions(
                 names, _bounded_domain(plan, lambda e, env: _compiled(
-                    _compile_eb, e, u, compiled)(d, env), u),
-                guards, lambda c, env: eb_pred_holds(c, d, env, u, compiled), {},
+                    _compile_eb, e, u, phase)(d, env), u),
+                guards, lambda c, env: eb_pred_holds(c, d, env, u, phase), {},
                 budget.charge, first_fail=True))
         if not sat_envs:
             # the guard is unsatisfiable at a: only the stuttering pair
@@ -795,7 +800,7 @@ def eb_event_rel_variants(event, states: frozenset, variables, u: Universe,
 def eb_init_states(init_actions, states: frozenset, variables, u: Universe,
                    budget: Budget) -> frozenset:
     """The invariant ``states`` reachable by the initialisation."""
-    posts = _eb_post_states(init_actions, variables, u, budget, states, {})
+    posts = _eb_post_states(init_actions, variables, u, Phase(budget), states)
     return frozenset(posts(State(), {}))
 
 
@@ -895,50 +900,56 @@ def _compile_jml(e, u: Universe, checked: bool):
 
 
 def jml_pred_holds(p: jml.JmlPredicate, pre: Mapping, state: Mapping,
-                   env: Mapping, u: Universe,
-                   memo: Optional[WitnessMemo] = None) -> bool:
+                   env: Mapping, u: Universe, phase: Optional[Phase] = None) -> bool:
     """Truth of a JML predicate over a (pre, post) state pair.
 
-    ``memo`` keeps the witnesses of each \\exists at one pre-state (see
-    ``_exists_witnesses``) and charges their search to its Budget;
-    evaluations given the same memo share both, and one given none starts
-    a fresh memo metered at the universe's ceiling that serves no phase
-    (see ``_compiled``).  \\old is evaluated each time.
+    ``phase`` keeps the witnesses of each \\exists at one pre-state (see
+    ``_exists_witnesses``) and the compiled atoms (see ``_compiled``), and
+    charges the searches to its Budget; evaluations given the same phase
+    share all three, and one given none opens a checked phase of its own,
+    metered at the universe's ceiling.  \\old is evaluated each time.
     """
-    memo = memo if memo is not None else WitnessMemo(Budget(u.ceiling), phase=False)
+    phase = phase if phase is not None else Phase(Budget(u.ceiling), checked=True)
     if isinstance(p, jml.JmlBoolCall):
-        return _compiled(_compile_jml, p, u, memo.compiled)(pre, state, env)
+        return _compiled(_compile_jml, p, u, phase)(pre, state, env)
     if isinstance(p, jml.JmlTrue):
         return True
     if isinstance(p, jml.JmlFalse):
         return False
     if isinstance(p, jml.JmlAnd):
-        return jml_pred_holds(p.left, pre, state, env, u, memo) and \
-            jml_pred_holds(p.right, pre, state, env, u, memo)
+        return jml_pred_holds(p.left, pre, state, env, u, phase) and \
+            jml_pred_holds(p.right, pre, state, env, u, phase)
     if isinstance(p, jml.JmlOr):
-        return jml_pred_holds(p.left, pre, state, env, u, memo) or \
-            jml_pred_holds(p.right, pre, state, env, u, memo)
+        return jml_pred_holds(p.left, pre, state, env, u, phase) or \
+            jml_pred_holds(p.right, pre, state, env, u, phase)
     if isinstance(p, jml.JmlNot):
-        return not jml_pred_holds(p.operand, pre, state, env, u, memo)
+        return not jml_pred_holds(p.operand, pre, state, env, u, phase)
     if isinstance(p, jml.JmlParen):
-        return jml_pred_holds(p.operand, pre, state, env, u, memo)
+        return jml_pred_holds(p.operand, pre, state, env, u, phase)
     if isinstance(p, jml.JmlOld):
-        return jml_pred_holds(p.operand, pre, pre, env, u, memo)
+        return jml_pred_holds(p.operand, pre, pre, env, u, phase)
     if isinstance(p, jml.JmlExists):
-        rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, memo)
-        for inner in bindings:
-            for c in rest:
-                if not _defined(jml_pred_holds, c, pre, state, inner, u, memo):
-                    break
-            else:
-                return True
-        return False
+        rest, bindings = _exists_witnesses(p, pre, state is pre, env, u, phase)
+        return _some_binding_holds(rest, bindings, pre, state, u, phase)
     if isinstance(p, jml.JmlCmp):
-        return _compiled(_compile_jml, p, u, memo.compiled)(pre, state, env)
+        return _compiled(_compile_jml, p, u, phase)(pre, state, env)
     if isinstance(p, jml.JmlGuardCall):
         raise EvalError(
             f"guard method call '{p.method}()' must be inlined before evaluation")
     raise EvalError(f"cannot evaluate {type(p).__name__}")
+
+
+def _some_binding_holds(rest, bindings, pre, state, u, phase: Phase) -> bool:
+    """The \\exists rule: whether some binding of ``bindings`` satisfies
+    every conjunct of ``rest`` over (``pre``, ``state``), where an undefined
+    conjunct fails that binding."""
+    for binding in bindings:
+        for c in rest:
+            if not _defined(jml_pred_holds, c, pre, state, binding, u, phase):
+                break
+        else:
+            return True
+    return False
 
 
 def _jml_reads(p: jml.JmlPredicate) -> set[str]:
@@ -962,7 +973,7 @@ def _jml_pins(c: jml.JmlPredicate) -> list:
             if isinstance(side, jml.JmlVar)]
 
 
-def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
+def _exists_chain(p: jml.JmlExists, at_pre: bool, phase: Phase):
     """What ``_exists_witnesses`` searches for ``p``: the names that ``p``
     and the quantifiers directly nested in it bind, the pre-state
     conjuncts with the positions of the bound names they read, the
@@ -975,12 +986,12 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
     when one of them is bound twice, or is read by a conjunct outside its
     quantifier, where it means another binding: the search keeps one value
     per name.  Built once per quantifier and ``at_pre``, and kept in
-    ``memo`` by the node's identity, with the node, so that the identity is
-    not reused while ``memo`` lives.
+    ``phase`` by the node's identity, with the node, so that the identity is
+    not reused while ``phase`` lives.
     """
     key = (id(p), at_pre)
-    if key in memo.chains:
-        return memo.chains[key][0]
+    if key in phase.chains:
+        return phase.chains[key][0]
     names, types, tests, bounds = [], [], [], []
     outer: set[str] = set()
     node = p
@@ -1010,18 +1021,18 @@ def _exists_chain(p: jml.JmlExists, at_pre: bool, memo: WitnessMemo):
     chain = (tuple(names), tuple(tests), rest, _bound_plan(names, types, bounds),
              len(set(names)) == len(names) and not outer & set(names),
              tuple(sorted(outer)))
-    memo.chains[key] = (chain, p)
+    phase.chains[key] = (chain, p)
     return chain
 
 
-def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: WitnessMemo):
+def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, phase: Phase):
     """The witnesses of ``p`` that can still hold, with the conjuncts left
-    to test; kept in ``memo`` per (node, ``at_pre``, binding ``env``) and
+    to test; kept in ``phase`` per (node, ``at_pre``, binding ``env``) and
     the pre-state's values of the other names the search reads.
 
     The witnesses are found by ``_solutions``, the search that also binds
     Event-B parameters and after-values, and each value it tests is
-    charged to the memo's Budget.  A body's conjuncts are evaluated
+    charged to the phase's Budget.  A body's conjuncts are evaluated
     left to right and a false or undefined one fails the witness, so a
     witness at which a leading pre-state conjunct does not hold fails at
     every post-state: dropping it is exact.  The pre-state conjuncts are the
@@ -1037,16 +1048,15 @@ def _exists_witnesses(p: jml.JmlExists, pre, at_pre: bool, env, u, memo: Witness
     undefined evaluations once; in a partial binding, a name not bound yet
     keys as absent.
     """
-    names, tests, rest, plan, first_fail, reads = _exists_chain(p, at_pre, memo)
+    names, tests, rest, plan, first_fail, reads = _exists_chain(p, at_pre, phase)
     key = (id(p), at_pre, frozenset(env.items()), _read(pre, reads))
-    hit = memo.get(key)
+    hit = phase.get(key)
     if hit is None:
-        hit = memo[key] = (rest, list(_solutions(
+        hit = phase[key] = (rest, list(_solutions(
             names, _bounded_domain(plan, lambda e, partial: _compiled(
-                _compile_jml, e, u, memo.compiled)(pre, pre, partial), u,
-                memo.compiled is None),
-            tests, lambda c, e: jml_pred_holds(c, pre, pre, e, u, memo),
-            dict(env), memo.budget.charge, first_fail)))
+                _compile_jml, e, u, phase)(pre, pre, partial), u, phase.checked),
+            tests, lambda c, e: jml_pred_holds(c, pre, pre, e, u, phase),
+            dict(env), phase.budget.charge, first_fail)))
     return hit
 
 
@@ -1098,16 +1108,16 @@ def jml_invariant_states(invariant: jml.JmlPredicate, variables, u: Universe,
                          budget: Budget, shared: frozenset = frozenset()) -> frozenset:
     """Typed states satisfying every conjunct of the class invariant, one
     equal to a state of ``shared`` kept as that object; the conjunct tests
-    share one witness memo, charged to ``budget``, so each quantifier is
-    analysed once per enumeration."""
+    share one phase, charged to ``budget``, so each quantifier is analysed
+    and each atom compiled once per enumeration."""
     conjs = jml.conjuncts(invariant)
     bounds = [(kind, name, e, _jml_reads(e))
               for c in conjs for kind, name, e in _jml_bounds(c)]
-    memo = WitnessMemo(budget)
+    phase = Phase(budget)
     return _invariant_states(
         variables, [(c, _jml_reads(c)) for c in conjs],
-        lambda c, s: jml_pred_holds(c, s, s, {}, u, memo), bounds,
-        lambda e, s: _compiled(_compile_jml, e, u, memo.compiled)(s, s, {}), u,
+        lambda c, s: jml_pred_holds(c, s, s, {}, u, phase), bounds,
+        lambda e, s: _compiled(_compile_jml, e, u, phase)(s, s, {}), u,
         budget, shared)
 
 
@@ -1122,12 +1132,12 @@ def spec_cases(run_spec: jml.JmlMethodSpec,
             for case in cases]
 
 
-def active_cases(cases, a: State, u: Universe, memo: WitnessMemo) -> list:
+def active_cases(cases, a: State, u: Universe, phase: Phase) -> list:
     """The ``cases``, each led by its inlined requires clause (see
     ``spec_cases``), whose requires clause holds at the pre-state ``a``, an
     undefined one not: a function of the values the clauses read."""
     return [case for case in cases
-            if _defined(jml_pred_holds, case[0], a, a, {}, u, memo)]
+            if _defined(jml_pred_holds, case[0], a, a, {}, u, phase)]
 
 
 def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
@@ -1147,9 +1157,9 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     search's witnesses (see ``_exists_witnesses``), and the post-states of
     the active case with the most names are looked up (see ``_Lookup``).
     """
-    memo = WitnessMemo(budget)
+    phase = Phase(budget)
     var_names = tuple(ident.name for ident, _ty in variables)
-    cases = [(req, _Lookup(case, var_names, memo))
+    cases = [(req, _Lookup(case, var_names, phase))
              for req, case in spec_cases(run_spec, guard_spec)]
     read = set().union(*(_jml_reads(case[0]) for case in cases))
     reads = [n for n in var_names if n in read]
@@ -1161,11 +1171,11 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
         key = _read(a, reads)
         active = actives.get(key)
         if active is None:
-            active = actives[key] = active_cases(cases, a, u, memo)
+            active = actives[key] = active_cases(cases, a, u, phase)
         candidates, lookup = states, None
         if active:
             lookup = max((case[1] for case in active), key=lambda k: len(k.names))
-            candidates = lookup.candidates(a, states, index, u, memo)
+            candidates = lookup.candidates(a, states, index, u, phase)
         pre, found = a._d, candidates if isinstance(candidates, dict) else None
         tests = [(case, case.frame(pre)) for _req, case in active]
         bs = []
@@ -1173,16 +1183,16 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
             budget.charge()
             for case, fixed in tests:
                 if case.frame(b._d) != fixed or not (
-                        case.holds(pre, b._d, found[b], u, memo)
+                        _some_binding_holds(case.rest, found[b], pre, b._d, u, phase)
                         if case is lookup and found is not None and b is not a else
-                        _defined(jml_pred_holds, case.ensures, pre, b._d, {}, u, memo)):
+                        _defined(jml_pred_holds, case.ensures, pre, b._d, {}, u, phase)):
                     break
             else:
                 bs.append(b)
         if bs:
             rel[a] = frozenset(bs)
     log.debug("%s JML relation: %d pre-states, %d witness searches",
-              run_spec.name.removeprefix("run_"), len(states), len(memo))
+              run_spec.name.removeprefix("run_"), len(states), len(phase))
     return rel
 
 
@@ -1208,7 +1218,7 @@ class _Lookup:
     no \\exists leaves the pre-state as the one candidate.
     """
 
-    def __init__(self, case: jml.SpecCase, var_names, memo: WitnessMemo):
+    def __init__(self, case: jml.SpecCase, var_names, phase: Phase):
         self.ensures = ensures = case.ensures
         outside = _outside_frame(case.assignable, var_names)
         self.frame = _values(outside)
@@ -1216,7 +1226,7 @@ class _Lookup:
         self.pins: dict[str, jml.JmlOldExpr] = {}
         if self.exists is not None:
             bound, _tests, self.rest, _plan, _order, _reads = _exists_chain(
-                self.exists, False, memo)
+                self.exists, False, phase)
             for c in self.rest:
                 for target, value in _jml_pins(c):
                     if isinstance(value, jml.JmlOldExpr) and \
@@ -1227,7 +1237,7 @@ class _Lookup:
         self.key = _values(self.names)
         self.only_pre = self.exists is None and len(outside) == len(var_names)
 
-    def candidates(self, a: State, states, index: dict, u, memo: WitnessMemo):
+    def candidates(self, a: State, states, index: dict, u, phase: Phase):
         """The states matching ``a``'s lookups, from ``index`` (one table
         per key, built on first use); with \\exists, each with its bindings."""
         if self.only_pre:
@@ -1239,9 +1249,8 @@ class _Lookup:
                 table.setdefault(self.key(s._d), []).append(s)
         if self.exists is None:
             return table.get(self.key(a._d), ())
-        _rest, bindings = _exists_witnesses(self.exists, a._d, False, {}, u, memo)
-        pins = [_compiled(_compile_jml, e, u, memo.compiled)
-                for e in self.pins.values()]
+        _rest, bindings = _exists_witnesses(self.exists, a._d, False, {}, u, phase)
+        pins = [_compiled(_compile_jml, e, u, phase) for e in self.pins.values()]
         found: dict[State, list] = {}
         for binding in bindings:
             values = _defined(lambda: [f(a._d, a._d, binding) for f in pins])
@@ -1251,21 +1260,15 @@ class _Lookup:
                     found.setdefault(b, []).append(binding)
         return found
 
-    def holds(self, pre: dict, post: dict, pinned: list, u, memo: WitnessMemo) -> bool:
-        """The ensures clause over (``pre``, ``post``) at ``pinned``, the
-        bindings that found ``post``: at any other a pinned conjunct fails."""
-        return any(all(_defined(jml_pred_holds, c, pre, post, binding, u, memo)
-                       for c in self.rest) for binding in pinned)
-
 
 def jml_initially_states(initially: jml.JmlPredicate, states: frozenset,
                          u: Universe, budget: Budget) -> frozenset:
     """The class-invariant ``states`` satisfying the initially clause."""
-    memo = WitnessMemo(budget)
+    phase = Phase(budget)
     out = set()
     for b in states:
         budget.charge()
-        if _defined(jml_pred_holds, initially, b._d, b._d, {}, u, memo):
+        if _defined(jml_pred_holds, initially, b._d, b._d, {}, u, phase):
             out.add(b)
     return frozenset(out)
 
@@ -1274,4 +1277,4 @@ def guard_holds(guard_spec: jml.JmlMethodSpec, state: State, u: Universe) -> boo
     """Whether the translated guard is satisfied in a state (pre = post), in
     a phase of its own: the checker explains a witness of a typed machine."""
     return _defined(jml_pred_holds, guard_spec.normal.ensures, state, state, {}, u,
-                    WitnessMemo(Budget(u.ceiling)))
+                    Phase(Budget(u.ceiling)))

@@ -29,7 +29,7 @@ from eb2jml.jmlast import (
 )
 from eb2jml.parser import parse_machine, parse_predicate
 from eb2jml.semantics import (
-    Budget, EvalError, State, Universe, WitnessMemo, eb_event_rel, eb_init_states,
+    Budget, EvalError, Phase, State, Universe, eb_event_rel, eb_init_states,
     eb_invariant_states, eb_pred_holds, enumerate_states, eval_eb_expr,
     guard_holds, inline_guard_calls, jml_initially_states,
     jml_invariant_states, jml_method_rel, jml_pred_holds,
@@ -242,7 +242,7 @@ def _pairwise_jml_rel(run, guard, var_names, inv, u):
             groups[k].setdefault(tuple(b[n] for n in names), []).append(b)
     out = set()
     for a in inv:
-        memo = WitnessMemo(Budget(u.ceiling))
+        memo = Phase(Budget(u.ceiling))
         active = [k for k, c in enumerate(cases) if _holds(
             jml_pred_holds, inline_guard_calls(c.requires, guard), a, a, {}, u, memo)]
         posts = inv if not active else groups[active[0]].get(
@@ -411,9 +411,9 @@ UNDEFINED_SITES = {
     "jml initially": lambda: (
         jml_initially_states(APPLY0, R_STATES, U01, Budget(U01.ceiling)), F),
     "jml exists, cached, pre-state": lambda: (
-        _exists_outcomes(WitnessMemo(Budget(U01.ceiling)), True), _exists_expected()),
+        _exists_outcomes(Phase(Budget(U01.ceiling)), True), _exists_expected()),
     "jml exists, cached, post-state": lambda: (
-        _exists_outcomes(WitnessMemo(Budget(U01.ceiling)), False), _exists_expected()),
+        _exists_outcomes(Phase(Budget(U01.ceiling)), False), _exists_expected()),
     "guard_holds": lambda: (
         {a: guard_holds(JmlMethodSpec("guard_e", "guard", SpecCase(
             JmlTrue(), AssignNothing(), APPLY0)), a, U01) for a in R_STATES},

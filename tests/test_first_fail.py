@@ -16,7 +16,7 @@ import pytest
 from eb2jml import semantics, translate_machine
 from eb2jml.checker import check_event, state_spaces, universe_for
 from eb2jml.semantics import (
-    Budget, Universe, WitnessMemo, eb_event_rel, jml_method_rel, jml_pred_holds,
+    Budget, Phase, Universe, eb_event_rel, jml_method_rel, jml_pred_holds,
 )
 
 from conftest import pairs
@@ -55,7 +55,7 @@ def test_no_value_is_tried_where_the_guard_has_no_new_content(social_ref1, ref1_
                                   budget)) == {(a, a)}
         assert budget.spent == 0
         # the witness search of the guard and of the ensures clause
-        memo = WitnessMemo(Budget(u.ceiling))
+        memo = Phase(Budget(u.ceiling))
         assert not jml_pred_holds(guard.normal.ensures, a, a, {}, u, memo)
         assert not any(jml_pred_holds(run.normal.ensures, a, b, {}, u, memo)
                        for b in spaces.jml)

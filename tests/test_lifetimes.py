@@ -237,7 +237,7 @@ def test_a_relation_keeps_searches_by_value_not_by_state(social_ref1, name):
         eb_event_rel, event, spaces.eb, social_ref1.variables, u,
         Budget(u.ceiling))
     assert jml_rel == eb_rel and len(spaces.jml) == 915
-    memo, actives, found = jml_frame["memo"], jml_frame["actives"], eb_frame["found"]
+    memo, actives, found = jml_frame["phase"], jml_frame["actives"], eb_frame["found"]
     for held in (memo, actives, found):
         assert held
         assert not any(isinstance(obj, State) for obj in _reachable(held))

@@ -1,14 +1,15 @@
-"""Every bound name goes through one search, and the JML evaluator has one
+"""Every bound name goes through one search, and each evaluator has one
 mode.
 
 ``semantics._solutions`` is the only loop over the values of a type:
 Event-B parameters, Event-B after-values and JML \\exists witnesses are all
-bound by it.  The JML evaluator always searches witnesses through its memo;
-the one comparison of the memo with None is ``jml_pred_holds`` defaulting
-it to a fresh one.  The other comparison with None, in ``_compiled``,
-chooses an operator's form, bare in a phase and checked outside one, and
-not the search.  A second loop or a mode switch would bring back the
-unpruned search.
+bound by it.  Every evaluation runs in a ``Phase``, which carries its
+Budget, its compiled closures and its witnesses whole: no function takes a
+table of compiled closures apart from its phase, and the only comparisons
+of a phase with None are ``eb_pred_holds`` and ``jml_pred_holds``
+defaulting it to a fresh one, so ``_compiled`` compiles each node once per
+phase, a public call being a phase of its own.  A second loop or a mode
+switch would bring back the unpruned search or the per-evaluation compile.
 
 Every search is metered: each ``_solutions`` call charges a Budget, and no
 function that does nothing stands in for one.  An unmetered search would
@@ -19,10 +20,13 @@ import ast
 from collections import Counter
 
 import eb2jml.semantics as semantics
+from eb2jml.jmlast import JInt, JmlAnd, JmlCmp, JmlExists, JmlIntLit, JmlVar
+from eb2jml.semantics import Universe, jml_pred_holds
 
 TYPED_VALUES = {"values_of"}
-MEMO_NAMES = {"cache", "memo"}
-ALLOWED_NONE_TESTS = Counter({("jml_pred_holds", "memo"): 1, ("_compiled", "cache"): 1})
+MEMO_NAMES = {"cache", "memo", "phase"}
+ALLOWED_NONE_TESTS = Counter({("eb_pred_holds", "phase"): 1,
+                              ("jml_pred_holds", "phase"): 1})
 
 
 def _called(node) -> str | None:
@@ -59,6 +63,20 @@ def _memo_none_tests(tree) -> Counter:
 
     visit(tree, "<module>")
     return found
+
+
+def _compiled_parameters(tree) -> list[str]:
+    """Functions that take a parameter named ``compiled``: a table of
+    compiled closures travelling apart from its phase."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            if any(p.arg == "compiled" for p in params):
+                out.append(getattr(node, "name", "<lambda>"))
+    return out
 
 
 def _unmetered_searches(tree) -> list[int]:
@@ -103,6 +121,35 @@ def test_the_checks_see_a_second_search_and_a_mode_switch():
         "    return any(y for y in values_of(t))\n")
     assert _typed_value_loops(copied) == [4, 6]
     assert _memo_none_tests(copied) == Counter({("f", "cache"): 1})
+
+
+def test_the_phase_travels_whole():
+    assert _compiled_parameters(_semantics_tree()) == []
+
+
+def test_the_check_sees_a_table_apart_from_its_phase():
+    copied = ast.parse(
+        "def f(e, u, phase):\n    return _compiled(_compile_eb, e, u, phase)\n"
+        "def g(e, u, budget, compiled):\n    pass\n"
+        "h = lambda e, *, compiled=None: e\n")
+    assert _compiled_parameters(copied) == ["g", "<lambda>"]
+
+
+def test_a_public_evaluation_compiles_each_node_once(monkeypatch):
+    # \exists Integer x; x <= 29 && 29 <= x: six expression nodes, and the
+    # witnesses 0..29 are each tested with both comparisons
+    x, lit = JmlVar("x"), JmlIntLit(29)
+    p = JmlExists("x", JInt(), JmlAnd(JmlCmp("<=", x, lit), JmlCmp("<=", lit, x)))
+    u = Universe(0, 30)
+    compiled = []
+    compile = semantics._compile_jml
+    monkeypatch.setattr(semantics, "_compile_jml", lambda e, u, checked: (
+        compiled.append(e), compile(e, u, checked))[1])
+    assert jml_pred_holds(p, {}, {}, {}, u) is True
+    assert len(compiled) == 6
+    # each public call is a phase of its own: nothing is kept on the universe
+    assert jml_pred_holds(p, {}, {}, {}, u) is True
+    assert len(compiled) == 12
 
 
 def test_every_search_charges_a_budget():

@@ -591,7 +591,9 @@ def test_an_integer_range_wider_than_the_ceiling_is_never_built():
 
 def test_budget_charges_and_raises():
     b = Budget(3)
-    b.charge(3)
+    b.charge()
+    b.charge()
+    b.charge()
     with pytest.raises(ResourceLimitError):
         b.charge()
 

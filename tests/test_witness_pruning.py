@@ -18,7 +18,7 @@ from eb2jml.jmlast import (
     JmlParen, JmlVar,
 )
 from eb2jml.semantics import (
-    Budget, EvalError, State, Universe, WitnessMemo, enumerate_states,
+    Budget, EvalError, Phase, State, Universe, enumerate_states,
     inline_guard_calls, jml_invariant_states, jml_pred_holds,
 )
 
@@ -33,7 +33,7 @@ def _outcome(holds, *args):
 
 
 def _agree(p, pairs, u):
-    memo = WitnessMemo(Budget(u.ceiling))
+    memo = Phase(Budget(u.ceiling))
     for a, b in pairs:
         assert _outcome(jml_pred_holds, p, a, b, {}, u, memo) == \
             _outcome(jml_scan_holds, p, a, b, {}, u), (a, b)
