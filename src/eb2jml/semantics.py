@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from . import ebast as eb
 from . import jmlast as jml
-from .nodes import map_children, walk
+from .nodes import children, map_children, walk
 
 log = logging.getLogger(__name__)
 _UNBOUND = object()  # the value of a name that a partial binding lacks
@@ -1125,11 +1125,8 @@ def spec_cases(run_spec: jml.JmlMethodSpec,
                guard_spec: jml.JmlMethodSpec) -> list[tuple]:
     """(requires, case) for each specification case of ``run_spec``, its
     requires clause with the guard method's calls inlined."""
-    cases = [run_spec.normal]
-    if run_spec.exceptional is not None:
-        cases.append(run_spec.exceptional)
     return [(inline_guard_calls(case.requires, guard_spec), case)
-            for case in cases]
+            for case in (run_spec.normal, run_spec.exceptional) if case is not None]
 
 
 def active_cases(cases, a: State, u: Universe, phase: Phase) -> list:
@@ -1146,51 +1143,60 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     """The transition relation admitted by a translated run method over the
     class-invariant ``states``: a map from each pre-state to its
     post-states, a pre-state with none left out, every state an object of
-    ``states``.
+    ``states``, and a lookup group (or ``states``) accepted whole one set.
 
     A pair (a, b) of invariant states is in the relation when, for each
     specification case whose requires clause holds in the pre-state, the
     ensures clause holds over (a, b) and b agrees with a outside the case's
-    assignable set.  Guard-method calls in requires clauses are resolved by
-    inlining the guard predicate.  The active cases are found once per
-    tuple of the values the requires clauses read, as is each \\exists
-    search's witnesses (see ``_exists_witnesses``), and the post-states of
-    the active case with the most names are looked up (see ``_Lookup``).
+    assignable set.  Guard-method calls in requires clauses are inlined.
+    The active cases and their pre-state ensures conjuncts (see ``_at_pre``)
+    are decided once per tuple of the values they read, as is each \\exists
+    search's witnesses (see ``_exists_witnesses``); a conjunction holds when
+    each conjunct does, in any order, so no candidate passes where one of
+    those fails.  Elsewhere each candidate of the active case with the most
+    names (see ``_Lookup``) is tested against the other active cases' frames
+    and the post-state conjuncts alone.  Every candidate is charged.
     """
     phase = Phase(budget)
     var_names = tuple(ident.name for ident, _ty in variables)
     cases = [(req, _Lookup(case, var_names, phase))
              for req, case in spec_cases(run_spec, guard_spec)]
-    read = set().union(*(_jml_reads(case[0]) for case in cases))
+    read = set().union(*(_jml_reads(p) for r, c in cases for p in (r, *c.pre)))
     reads = [n for n in var_names if n in read]
     actives: dict = {}
     index: dict = {}
+    groups = {id(states): states}  # the post-set of each fully passing group
 
     rel: dict[State, frozenset] = {}
     for a in states:
         key = _read(a, reads)
-        active = actives.get(key)
-        if active is None:
-            active = actives[key] = active_cases(cases, a, u, phase)
-        candidates, lookup = states, None
-        if active:
-            lookup = max((case[1] for case in active), key=lambda k: len(k.names))
-            candidates = lookup.candidates(a, states, index, u, phase)
+        if key not in actives:
+            active = [case for _req, case in active_cases(cases, a, u, phase)]
+            actives[key] = active, all(_defined(jml_pred_holds, c, a, a, {}, u, phase)
+                                       for case in active for c in case.pre)
+        active, holds = actives[key]
+        lookup = max(active, key=lambda k: len(k.names), default=None)
+        candidates = lookup.candidates(a, states, index, u, phase) if lookup else states
         pre, found = a._d, candidates if isinstance(candidates, dict) else None
-        tests = [(case, case.frame(pre)) for _req, case in active]
+        frames = [(c.frame, c.frame(pre)) for c in active if c is not lookup]
         bs = []
         for b in candidates:
             budget.charge()
-            for case, fixed in tests:
-                if case.frame(b._d) != fixed or not (
+            if not holds or frames and any(f(b._d) != v for f, v in frames):
+                continue
+            for case in active:
+                if case.post and not (
                         _some_binding_holds(case.rest, found[b], pre, b._d, u, phase)
                         if case is lookup and found is not None and b is not a else
-                        _defined(jml_pred_holds, case.ensures, pre, b._d, {}, u, phase)):
+                        all(_defined(jml_pred_holds, c, pre, b._d, {}, u, phase)
+                            for c in case.post)):
                     break
             else:
                 bs.append(b)
         if bs:
-            rel[a] = frozenset(bs)
+            whole = len(bs) == len(candidates) and type(candidates) in (list, frozenset)
+            rel[a] = (groups.get(id(candidates)) or groups.setdefault(
+                id(candidates), frozenset(bs))) if whole else frozenset(bs)
     log.debug("%s JML relation: %d pre-states, %d witness searches",
               run_spec.name.removeprefix("run_"), len(states), len(phase))
     return rel
@@ -1202,9 +1208,16 @@ def _values(names: tuple):
     return operator.itemgetter(*names) if names else lambda d: ()
 
 
+def _at_pre(p) -> bool:
+    """Whether ``p`` reads and binds no name outside \\old: a pre-state conjunct."""
+    return isinstance(p, (jml.JmlOld, jml.JmlOldExpr)) or not isinstance(
+        p, (jml.JmlVar, jml.JmlExists)) and all(map(_at_pre, children(p)))
+
+
 class _Lookup:
-    """A specification case and its post-state candidates from a pre-state:
-    a superset of the states the case accepts from it.
+    """A specification case, its ensures conjuncts split by ``_at_pre``, and
+    its post-state candidates from a pre-state: a superset of the states the
+    case accepts from it.
 
     The key holds the names outside the case's frame, whose values come
     from the pre-state.  When the ensures clause is an \\exists chain, the
@@ -1219,7 +1232,9 @@ class _Lookup:
     """
 
     def __init__(self, case: jml.SpecCase, var_names, phase: Phase):
-        self.ensures = ensures = case.ensures
+        ensures = case.ensures
+        self.pre = [c for c in jml.conjuncts(ensures) if _at_pre(c)]
+        self.post = [c for c in jml.conjuncts(ensures) if not _at_pre(c)]
         outside = _outside_frame(case.assignable, var_names)
         self.frame = _values(outside)
         self.exists = ensures if isinstance(ensures, jml.JmlExists) else None
