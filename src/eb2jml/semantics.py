@@ -1143,7 +1143,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     """The transition relation admitted by a translated run method over the
     class-invariant ``states``: a map from each pre-state to its
     post-states, a pre-state with none left out, every state an object of
-    ``states``, and a lookup group (or ``states``) accepted whole one set.
+    ``states``; pre-states that accept all of a group (or ``states``) share one set.
 
     A pair (a, b) of invariant states is in the relation when, for each
     specification case whose requires clause holds in the pre-state, the
@@ -1165,7 +1165,7 @@ def jml_method_rel(run_spec: jml.JmlMethodSpec, states: frozenset,
     reads = [n for n in var_names if n in read]
     actives: dict = {}
     index: dict = {}
-    groups = {id(states): states}  # the post-set of each fully passing group
+    groups = {id(states): states}  # by id: states and table lists outlive the loop
 
     rel: dict[State, frozenset] = {}
     for a in states:

@@ -137,9 +137,11 @@ def test_false_pre_state_conjunct_at_active_pre_states():
     assert isinstance(run.normal.ensures.left, JmlOld)
     rel = _assert_scan_equal(run, guard, machine.variables, states, u)
     assert [a["v"] for a in rel] == [0]
+    # v = 0 has its own stutter as one candidate; each other pre-state has
+    # every state as a candidate, and each candidate is charged
     budget = Budget(u.ceiling)
     jml_method_rel(run, states, guard, machine.variables, u, budget)
-    assert budget.spent == 1 + 3 * len(states)
+    assert len(states) == 4 and budget.spent == 1 + 3 * 4
 
 
 # --- hand-built specifications ------------------------------------------------
